@@ -328,6 +328,77 @@ TEST(CanonicalKeyTest, TranslateQueryReencodesConstants) {
   EXPECT_EQ(rows->rows.size(), 2u);
 }
 
+/// Cassette keys are an on-disk format: recorded cassettes (including
+/// tests/data/replay/) are looked up by these exact bytes, so any change to
+/// the canonical renderer must leave them alone. The golden strings cover
+/// every filter kind, SELECT * vs an explicit all-variables projection, the
+/// solution modifiers, and the "#!<id>" undecodable-constant fallback.
+TEST(CanonicalKeyTest, GoldenKeyBytes) {
+  KnowledgeBase kb{"kb", "http://kb.test/"};
+  kb.AddFact("s1", "p", "o1");
+  kb.AddLiteralFact("s1", "label", "one");
+  LocalEndpoint ep(&kb);
+  const TermId p = ep.LookupTerm(Term::Iri("http://kb.test/p"));
+  const TermId o1 = ep.LookupTerm(Term::Iri("http://kb.test/o1"));
+  const TermId one = ep.LookupTerm(Term::Literal("one"));
+  ASSERT_NE(p, kNullTermId);
+  ASSERT_NE(o1, kNullTermId);
+  ASSERT_NE(one, kNullTermId);
+  const TermId unknown = 987654;  // Not in the dictionary: "#!" fallback.
+
+  // Declared out of first-use order so renumbering shows in the key.
+  SelectQuery q;
+  const VarId z = q.NewVar("z");
+  const VarId x = q.NewVar("x");
+  const VarId y = q.NewVar("y");
+  q.Where(NodeRef::Variable(x), NodeRef::Constant(p), NodeRef::Variable(y));
+  q.Where(NodeRef::Variable(x), NodeRef::Variable(z), NodeRef::Constant(one));
+  q.Filter(FilterExpr::VarEqVar(x, y));
+  q.Filter(FilterExpr::VarNeqVar(y, z));
+  q.Filter(FilterExpr::VarEqTerm(y, o1));
+  q.Filter(FilterExpr::VarNeqTerm(x, unknown));
+  q.Filter(FilterExpr::IsIri(y));
+  q.Filter(FilterExpr::IsLiteral(z));
+
+  const std::string star_select =
+      "v:z,x,y,;c:?1 #<http://kb.test/p> ?2 .?1 ?0 #\"one\" .;"
+      "f:0/1/2/-,1/2/0/-,2/2/-1/#<http://kb.test/o1>,3/1/-1/#!987654,"
+      "4/2/-1/-,5/0/-1/-,;p:0,1,2,;d0;l:18446744073709551615;o:0";
+  const std::string ask =
+      "v:z,x,y,;c:?1 #<http://kb.test/p> ?2 .?1 ?0 #\"one\" .;"
+      "f:0/1/2/-,1/2/0/-,2/2/-1/#<http://kb.test/o1>,3/1/-1/#!987654,"
+      "4/2/-1/-,5/0/-1/-,;p:0,1,2,;d0;l:18446744073709551615;o:0#ask";
+  EXPECT_EQ(CanonicalSelectKey(ep, q), star_select);
+  EXPECT_EQ(CanonicalAskKey(ep, q), ask);
+
+  // An explicit all-variables projection in declaration order is SELECT *.
+  SelectQuery all = q;
+  all.Select({z, x, y});
+  EXPECT_EQ(CanonicalSelectKey(ep, all), star_select);
+
+  // A reordered projection renumbers by projection order; modifiers are
+  // spelled out on SELECT keys and normalized away on ASK keys.
+  SelectQuery modified = q;
+  modified.Select({y, x}).Distinct().Limit(10).Offset(20);
+  EXPECT_EQ(CanonicalSelectKey(ep, modified),
+            "v:y,x,z,;c:?1 #<http://kb.test/p> ?0 .?1 ?2 #\"one\" .;"
+            "f:0/1/0/-,1/0/2/-,2/0/-1/#<http://kb.test/o1>,3/1/-1/#!987654,"
+            "4/0/-1/-,5/2/-1/-,;p:0,1,;d1;l:10;o:20");
+  EXPECT_EQ(CanonicalAskKey(ep, modified),
+            "v:y,x,z,;c:?1 #<http://kb.test/p> ?0 .?1 ?2 #\"one\" .;"
+            "f:0/1/0/-,1/0/2/-,2/0/-1/#<http://kb.test/o1>,3/1/-1/#!987654,"
+            "4/0/-1/-,5/2/-1/-,;p:0,1,;d0;l:18446744073709551615;o:0#ask");
+
+  // An undecodable constant in a clause position takes the same fallback.
+  SelectQuery dangling;
+  const VarId s = dangling.NewVar("s");
+  dangling.Where(NodeRef::Variable(s), NodeRef::Constant(unknown),
+                 NodeRef::Constant(o1));
+  EXPECT_EQ(CanonicalSelectKey(ep, dangling),
+            "v:s,;c:?0 #!987654 #<http://kb.test/o1> .;f:;p:0,;d0;"
+            "l:18446744073709551615;o:0");
+}
+
 /// Decodes a result to sorted surface-form rows: the id-independent way to
 /// compare a live result against its replayed re-interned counterpart.
 std::vector<std::vector<std::string>> Surface(const Endpoint& endpoint,
