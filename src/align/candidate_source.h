@@ -26,7 +26,7 @@
 // sampling + confidence + UBS still decide. Every source talks to the KBs
 // exclusively through the Endpoint interface and is a deterministic
 // function of (relation, options, query results), which is what keeps
-// AlignMany bit-identical across thread counts and schedules.
+// AlignMany bit-identical across thread counts.
 //
 // The lexical index is built lazily from the candidate endpoint's
 // predicate inventory and memoized in a LexicalIndexCache shared across

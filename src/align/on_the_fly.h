@@ -32,9 +32,8 @@ class OnTheFlyAligner {
 
   /// Aligns many relations at once: cached results are reused, the
   /// remaining (distinct) relations fan out across `num_threads` workers
-  /// via RelationAligner::AlignMany (phase-decomposed by default; pass
-  /// `schedule` to compare against whole-relation tasks), and everything
-  /// lands in the memo cache. Returned pointers are in input order
+  /// via RelationAligner::AlignMany, and everything lands in the memo
+  /// cache. Returned pointers are in input order
   /// (duplicates map to the same entry) and stay valid until ClearCache()
   /// or destruction.
   ///
@@ -43,8 +42,7 @@ class OnTheFlyAligner {
   /// every other OnTheFlyAligner method it must not be called from multiple
   /// threads at once.
   StatusOr<std::vector<const AlignmentResult*>> AlignManyCached(
-      std::span<const Term> relations, size_t num_threads,
-      AlignSchedule schedule = AlignSchedule::kPhase);
+      std::span<const Term> relations, size_t num_threads);
 
   /// The best candidate relation for `r`: an accepted equivalence if any
   /// (highest confidence), else the highest-confidence accepted

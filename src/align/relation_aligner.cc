@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -222,9 +221,8 @@ namespace {
 /// Runs one phase body, converting any escaping exception into a Status.
 /// Phase subtasks run via ThreadPool::Post (fire-and-forget continuations,
 /// no future to carry an exception), so an uncaught throw — say bad_alloc
-/// inside sampling — would terminate the process; the monolith scheduler
-/// and sequential Align surface it as an error instead, and the two
-/// schedules must fail the same way.
+/// inside sampling — would terminate the process; it surfaces as an error
+/// instead, as it would from sequential Align.
 template <typename Fn>
 Status RunPhaseBody(Fn&& body) {
   try {
@@ -287,11 +285,11 @@ struct RelationRun {
   std::atomic<size_t> pending{0};  ///< Subtasks outstanding in this phase.
 };
 
-StatusOr<AlignManyResult> RelationAligner::AlignManyPhased(
-    std::span<const Term> relations, size_t num_threads) {
+StatusOr<AlignManyResult> RelationAligner::AlignMany(
+    std::span<const Term> relations, const AlignManyOptions& options) {
   AlignManyResult fleet;
   if (relations.empty()) return fleet;
-  num_threads = std::max<size_t>(1, num_threads);
+  const size_t num_threads = std::max<size_t>(1, options.num_threads);
   fleet.threads_used = num_threads;
 
   // Fleet-level accounting: one snapshot pair around the whole fan-out. No
@@ -462,71 +460,6 @@ StatusOr<AlignManyResult> RelationAligner::AlignManyPhased(
   fleet.candidate_stats = StatsDelta(cand_after, cand_before);
   fleet.reference_stats = StatsDelta(ref_after, ref_before);
   return fleet;
-}
-
-StatusOr<AlignManyResult> RelationAligner::AlignManyMonolith(
-    std::span<const Term> relations, size_t num_threads) {
-  AlignManyResult fleet;
-  if (relations.empty()) return fleet;
-  num_threads = std::clamp<size_t>(num_threads, 1, relations.size());
-  fleet.threads_used = num_threads;
-  fleet.subtasks_scheduled = relations.size();
-
-  const EndpointStats cand_before = candidate_kb_->stats();
-  const EndpointStats ref_before = reference_kb_->stats();
-  WallTimer timer;
-
-  // One task per relation. Each task builds a private tracking view over
-  // the shared endpoints plus its own (cheap) aligner, so Align's internal
-  // delta accounting reads this task's counters instead of racing on the
-  // shared stack's. Even num_threads == 1 goes through this path: the
-  // attribution regime must not depend on the thread count.
-  auto align_one = [this](const Term& r) -> StatusOr<AlignmentResult> {
-    TrackingEndpoint candidate_view(candidate_kb_);
-    TrackingEndpoint reference_view(reference_kb_);
-    RelationAligner task_aligner(&candidate_view, &reference_view, links_,
-                                 options_);
-    return task_aligner.Align(r);
-  };
-
-  std::vector<StatusOr<AlignmentResult>> slots;
-  slots.reserve(relations.size());
-  {
-    ThreadPool pool(num_threads);
-    std::vector<std::future<StatusOr<AlignmentResult>>> futures;
-    futures.reserve(relations.size());
-    for (const Term& r : relations) {
-      futures.push_back(pool.Submit([&align_one, &r] { return align_one(r); }));
-    }
-    for (auto& future : futures) slots.push_back(future.get());
-  }
-
-  fleet.wall_ms = timer.ElapsedMillis();
-  const EndpointStats cand_after = candidate_kb_->stats();
-  const EndpointStats ref_after = reference_kb_->stats();
-
-  // Report the first failure by input order (deterministic regardless of
-  // which task lost the wall-clock race).
-  for (const auto& slot : slots) {
-    if (!slot.ok()) return slot.status();
-  }
-  fleet.results.reserve(slots.size());
-  for (auto& slot : slots) fleet.results.push_back(std::move(slot).value());
-
-  fleet.candidate_stats = StatsDelta(cand_after, cand_before);
-  fleet.reference_stats = StatsDelta(ref_after, ref_before);
-  return fleet;
-}
-
-StatusOr<AlignManyResult> RelationAligner::AlignMany(
-    std::span<const Term> relations, const AlignManyOptions& options) {
-  switch (options.schedule) {
-    case AlignSchedule::kPhase:
-      return AlignManyPhased(relations, options.num_threads);
-    case AlignSchedule::kRelation:
-      return AlignManyMonolith(relations, options.num_threads);
-  }
-  return Status::Internal("unknown align schedule");
 }
 
 }  // namespace sofya

@@ -72,15 +72,14 @@ StatusOr<const AlignmentResult*> Sofya::Align(
 }
 
 StatusOr<std::vector<const AlignmentResult*>> Sofya::AlignAll(
-    const std::vector<std::string>& relation_iris, size_t num_threads,
-    AlignSchedule schedule) {
+    const std::vector<std::string>& relation_iris, size_t num_threads) {
   std::vector<Term> relations;
   relations.reserve(relation_iris.size());
   for (const std::string& iri : relation_iris) {
     relations.push_back(Term::Iri(iri));
   }
   StatusOr<std::vector<const AlignmentResult*>> results =
-      on_the_fly_->AlignManyCached(relations, num_threads, schedule);
+      on_the_fly_->AlignManyCached(relations, num_threads);
   if (results.ok()) {
     // The audited-run manifest commits to this invocation: config, every
     // verdict in input order, and the query streams both endpoints saw

@@ -42,7 +42,6 @@ StatusOr<DirectionRun> RunDirection(
     }
     AlignManyOptions fan_out;
     fan_out.num_threads = options.num_threads;
-    fan_out.schedule = options.schedule;
     SOFYA_ASSIGN_OR_RETURN(AlignManyResult fleet,
                            aligner.AlignMany(terms, fan_out));
     results = std::move(fleet.results);

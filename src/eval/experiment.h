@@ -56,9 +56,6 @@ struct DirectionRunOptions {
   /// AlignMany). 1 = sequential. Rule records and scores are identical for
   /// any value; only wall_ms changes.
   size_t num_threads = 1;
-  /// Task granularity of the fan-out (phase subtasks vs whole relations);
-  /// affects wall_ms only, never the records.
-  AlignSchedule schedule = AlignSchedule::kPhase;
   /// Run-level RNG seed: nonzero derives the finder and sampler seeds via
   /// ApplyRunSeed (one CLI --seed reproduces the whole run); 0 keeps the
   /// seeds already in `aligner`.

@@ -353,7 +353,7 @@ std::string FingerprintAlignMany(const AlignManyResult& result) {
   return out.str();
 }
 
-TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreadsAndSchedules) {
+TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreads) {
   AlignerOptions options;
   options.finder.source = CandidateSourceKind::kLexical;
   RelationAligner aligner(&cand_, &ref_, &world_.links, options);
@@ -363,10 +363,7 @@ TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreadsAndSchedules) {
     refs.push_back(Term::Iri(iri));
   }
 
-  AlignManyOptions base;
-  base.num_threads = 1;
-  base.schedule = AlignSchedule::kPhase;
-  auto baseline = aligner.AlignMany(refs, base);
+  auto baseline = aligner.AlignMany(refs, /*num_threads=*/1);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::string expected = FingerprintAlignMany(*baseline);
 
@@ -381,19 +378,10 @@ TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreadsAndSchedules) {
   }
   EXPECT_GE(accepted, 15u);
 
-  for (const AlignSchedule schedule :
-       {AlignSchedule::kPhase, AlignSchedule::kRelation}) {
-    for (const size_t threads : {size_t{2}, size_t{8}}) {
-      AlignManyOptions many;
-      many.num_threads = threads;
-      many.schedule = schedule;
-      auto run = aligner.AlignMany(refs, many);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(FingerprintAlignMany(*run), expected)
-          << "threads=" << threads
-          << " schedule=" << (schedule == AlignSchedule::kPhase ? "phase"
-                                                                : "relation");
-    }
+  for (const size_t threads : {size_t{2}, size_t{8}}) {
+    auto run = aligner.AlignMany(refs, threads);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(FingerprintAlignMany(*run), expected) << "threads=" << threads;
   }
 }
 

@@ -85,7 +85,7 @@ int Usage() {
                "yago-dbpedia --out DIR [--seed N] [--scale S] [--inverses]\n"
                "  sofya align --kb1 FILE|URL --kb2 FILE|URL --links FILE "
                "--relation IRI[,IRI...]|all [--threads N] "
-               "[--schedule phase|relation] [--tau T] "
+               "[--tau T] "
                "[--measure pca|cwa] [--no-ubs] [--sample N] [--seed N] "
                "[--candidate-source sameas|lexical|distribution|auto] "
                "[--base1 IRI] [--base2 IRI] [--legacy-planner]\n"
@@ -496,22 +496,9 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
   }
   const size_t threads =
       flags.count("threads") ? std::stoul(flags.at("threads")) : 1;
-  // Phase-decomposed scheduling is the default; "relation" keeps the
-  // one-task-per-relation fan-out (mainly for scheduler comparisons).
-  AlignSchedule schedule = AlignSchedule::kPhase;
-  if (flags.count("schedule")) {
-    const std::string& name = flags.at("schedule");
-    if (name == "relation") {
-      schedule = AlignSchedule::kRelation;
-    } else if (name != "phase") {
-      std::fprintf(stderr, "unknown --schedule '%s' (phase|relation)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
 
   WallTimer timer;
-  auto results = sofya.AlignAll(relations, threads, schedule);
+  auto results = sofya.AlignAll(relations, threads);
   if (!results.ok()) {
     std::fprintf(stderr, "alignment failed: %s\n",
                  results.status().ToString().c_str());
