@@ -13,11 +13,11 @@
 //   3. a repeated-alignment workload with and without CachingEndpoint —
 //      cache hits replace server queries, so the cached run issues strictly
 //      fewer;
-//   4. join-order planning A/B — star, chain, and skewed-predicate query
-//      shapes run against the same dataset under the statistics planner and
-//      the legacy bound-position heuristic. Result sets must be identical
-//      (the bench exits nonzero otherwise); wall time and triples scanned
-//      quantify what cardinality-aware clause ordering buys.
+//   4. join-order planning A/B — star, chain, skewed-predicate and
+//      misestimate-adversarial query shapes under the v1 greedy planner,
+//      the Selinger DP planner, and DP with adaptive re-planning. Result
+//      sets must be identical (the bench exits nonzero otherwise); wall
+//      time and triples scanned quantify what each planner buys.
 //
 // Pass --json (or set SOFYA_JSON=1) for a machine-readable summary (CI).
 
@@ -40,67 +40,6 @@ struct AskPoint {
   uint64_t select_scanned;
 };
 
-struct JoinShapeResult {
-  std::string name;
-  double legacy_ms = 0;
-  double stats_ms = 0;
-  uint64_t legacy_scanned = 0;
-  uint64_t stats_scanned = 0;
-  size_t rows = 0;
-  bool identical = false;
-  /// Non-empty when an evaluation failed outright — reported as a query
-  /// error, never conflated with a planner result-set mismatch.
-  std::string error;
-  double speedup() const {
-    return stats_ms > 0 ? legacy_ms / stats_ms : 0.0;
-  }
-};
-
-/// Runs `query` under both planners against `kb`, timing `iterations`
-/// evaluations each (after one untimed warm-up that also fills the plan
-/// cache and the store's stats memos, so neither side pays one-time costs).
-JoinShapeResult RunJoinShape(const std::string& name, sofya::KnowledgeBase* kb,
-                             const sofya::SelectQuery& query,
-                             int iterations) {
-  JoinShapeResult out;
-  out.name = name;
-
-  auto run = [&](bool use_stats, double* ms, uint64_t* scanned,
-                 std::vector<std::vector<sofya::TermId>>* rows) {
-    sofya::LocalEndpointOptions options;
-    options.estimate_bytes = false;
-    options.engine.planner.use_statistics = use_stats;
-    sofya::LocalEndpoint endpoint(kb, options);
-    auto warm = endpoint.Select(query);
-    if (!warm.ok()) {
-      out.error = warm.status().ToString();
-      return false;
-    }
-    *rows = warm->rows;
-    std::sort(rows->begin(), rows->end());
-    endpoint.ResetStats();
-    sofya::WallTimer timer;
-    for (int i = 0; i < iterations; ++i) {
-      auto repeat = endpoint.Select(query);
-      if (!repeat.ok()) {
-        out.error = repeat.status().ToString();
-        return false;
-      }
-    }
-    *ms = timer.ElapsedMillis();
-    *scanned = endpoint.stats().triples_scanned;
-    return true;
-  };
-
-  std::vector<std::vector<sofya::TermId>> legacy_rows, stats_rows;
-  const bool ok =
-      run(false, &out.legacy_ms, &out.legacy_scanned, &legacy_rows) &&
-      run(true, &out.stats_ms, &out.stats_scanned, &stats_rows);
-  out.rows = stats_rows.size();
-  out.identical = ok && legacy_rows == stats_rows;
-  return out;
-}
-
 /// One planner arm of the v2 comparison: wall time, scan volume, adaptive
 /// re-plan count, and the sorted result rows for parity checking.
 struct PlannerArm {
@@ -113,7 +52,7 @@ struct PlannerArm {
 
 struct PlannerV2Result {
   std::string name;
-  PlannerArm legacy, greedy, dp, adaptive;
+  PlannerArm greedy, dp, adaptive;
   size_t rows = 0;
   bool identical = false;
   std::string error;
@@ -125,10 +64,10 @@ struct PlannerV2Result {
   }
 };
 
-/// Runs `query` under four planner arms — legacy heuristic, v1 greedy, v2
-/// Selinger DP, and DP + adaptive re-planning — timing `iterations`
-/// evaluations each after an untimed warm-up (plan cache, stats memos,
-/// histograms). Result-set parity across all four arms is the hard gate.
+/// Runs `query` under three planner arms — v1 greedy, v2 Selinger DP, and
+/// DP + adaptive re-planning — timing `iterations` evaluations each after
+/// an untimed warm-up (plan cache, stats memos, histograms). Result-set
+/// parity across all three arms is the hard gate.
 PlannerV2Result RunPlannerV2Shape(const std::string& name,
                                   sofya::KnowledgeBase* kb,
                                   const sofya::SelectQuery& query,
@@ -136,10 +75,9 @@ PlannerV2Result RunPlannerV2Shape(const std::string& name,
   PlannerV2Result out;
   out.name = name;
 
-  auto run = [&](bool use_stats, bool use_dp, bool adaptive, PlannerArm* arm) {
+  auto run = [&](bool use_dp, bool adaptive, PlannerArm* arm) {
     sofya::LocalEndpointOptions options;
     options.estimate_bytes = false;
-    options.engine.planner.use_statistics = use_stats;
     options.engine.planner.use_dp = use_dp;
     options.engine.adaptive = adaptive;
     sofya::LocalEndpoint endpoint(kb, options);
@@ -165,17 +103,13 @@ PlannerV2Result RunPlannerV2Shape(const std::string& name,
     return true;
   };
 
-  const bool ok = run(false, false, false, &out.legacy) &&
-                  run(true, false, false, &out.greedy) &&
-                  run(true, true, false, &out.dp) &&
-                  run(true, true, true, &out.adaptive);
-  for (const PlannerArm* arm :
-       {&out.legacy, &out.greedy, &out.dp, &out.adaptive}) {
+  const bool ok = run(false, false, &out.greedy) &&
+                  run(true, false, &out.dp) && run(true, true, &out.adaptive);
+  for (const PlannerArm* arm : {&out.greedy, &out.dp, &out.adaptive}) {
     if (!arm->error.empty()) out.error = arm->error;
   }
   out.rows = out.dp.rows.size();
-  out.identical = ok && out.legacy.rows == out.greedy.rows &&
-                  out.greedy.rows == out.dp.rows &&
+  out.identical = ok && out.greedy.rows == out.dp.rows &&
                   out.dp.rows == out.adaptive.rows;
   return out;
 }
@@ -358,10 +292,13 @@ int main(int argc, char** argv) {
   }
 
   // ----------------------------------------------------------------------
-  // Section 4: join-order planning — statistics planner vs the legacy
-  // bound-position heuristic on three canonical shapes. Every query lists
-  // its clauses in the adversarial (big-first) order, which is exactly the
-  // order the legacy heuristic keeps and the statistics planner repairs.
+  // Section 4: join-order planning — Selinger DP vs greedy on three
+  // canonical shapes, plus a misestimate-adversarial shape built so the
+  // equi-depth histograms *cannot* see the skew (hub fan-outs below bucket
+  // depth) and the initial DP plan is provably wrong: only adaptive
+  // execution escapes, by observing the blow-up mid-query and re-planning.
+  // Every canonical query lists its clauses in the adversarial (big-first)
+  // order, which the planners must repair.
   sofya::KnowledgeBase join_kb("joinbench", "http://join.org/");
   {
     // Skewed predicates: 100k-fact "hot" vs 50-fact "cold" over overlapping
@@ -406,80 +343,6 @@ int main(int argc, char** argv) {
     return join_kb.dict().LookupIri("http://join.org/" + std::string(local));
   };
 
-  std::vector<JoinShapeResult> join_results;
-  {
-    sofya::SelectQuery q;  // ?x hot ?y . ?x cold ?z   (hot listed first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId y = q.NewVar("y");
-    const sofya::VarId z = q.NewVar("z");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("hot")),
-            sofya::NodeRef::Variable(y));
-    q.Where(sofya::NodeRef::Variable(x),
-            sofya::NodeRef::Constant(pred("cold")),
-            sofya::NodeRef::Variable(z));
-    join_results.push_back(RunJoinShape("skewed", &join_kb, q, 20));
-  }
-  {
-    sofya::SelectQuery q;  // ?x pa ?a . ?x pb ?b . ?x pc ?c  (big first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId a = q.NewVar("a");
-    const sofya::VarId b = q.NewVar("b");
-    const sofya::VarId c = q.NewVar("c");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pa")),
-            sofya::NodeRef::Variable(a));
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pb")),
-            sofya::NodeRef::Variable(b));
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pc")),
-            sofya::NodeRef::Variable(c));
-    join_results.push_back(RunJoinShape("star", &join_kb, q, 20));
-  }
-  {
-    sofya::SelectQuery q;  // ?x p1 ?y . ?y p2 ?z . ?z p3 ?w  (big first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId y = q.NewVar("y");
-    const sofya::VarId z = q.NewVar("z");
-    const sofya::VarId w = q.NewVar("w");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("p1")),
-            sofya::NodeRef::Variable(y));
-    q.Where(sofya::NodeRef::Variable(y), sofya::NodeRef::Constant(pred("p2")),
-            sofya::NodeRef::Variable(z));
-    q.Where(sofya::NodeRef::Variable(z), sofya::NodeRef::Constant(pred("p3")),
-            sofya::NodeRef::Variable(w));
-    join_results.push_back(RunJoinShape("chain", &join_kb, q, 20));
-  }
-
-  bool join_identical = true;
-  for (const JoinShapeResult& r : join_results) {
-    if (!r.identical) join_identical = false;
-  }
-
-  if (!json) {
-    std::printf("\n=== join-order planning: statistics vs legacy heuristic "
-                "===\n\n");
-    sofya::TableWriter join_table({"shape", "legacy ms", "stats ms",
-                                   "speedup", "legacy scanned",
-                                   "stats scanned", "rows"});
-    for (const JoinShapeResult& r : join_results) {
-      join_table.AddRow({r.name, sofya::FormatDouble(r.legacy_ms, 1),
-                         sofya::FormatDouble(r.stats_ms, 1),
-                         sofya::FormatDouble(r.speedup(), 1) + "x",
-                         std::to_string(r.legacy_scanned),
-                         std::to_string(r.stats_scanned),
-                         std::to_string(r.rows)});
-    }
-    join_table.Print(std::cout);
-    std::printf(
-        "\nidentical result sets: %s — the planner changes enumeration "
-        "order and cost, never answers\n",
-        join_identical ? "yes" : "NO (BUG)");
-  }
-
-  // ----------------------------------------------------------------------
-  // Section 5: planner v2 — Selinger DP vs greedy vs legacy on the three
-  // canonical shapes, plus a misestimate-adversarial shape built so the
-  // equi-depth histograms *cannot* see the skew (hub fan-outs below bucket
-  // depth) and the initial DP plan is provably wrong: only adaptive
-  // execution escapes, by observing the blow-up mid-query and re-planning.
   sofya::KnowledgeBase adv_kb("advbench", "http://adv.org/");
   {
     // pfan: 50k subjects with fan-out 2 plus 4 "hub" subjects with fan-out
@@ -580,13 +443,12 @@ int main(int argc, char** argv) {
   }
 
   if (!json) {
-    std::printf("\n=== planner v2: Selinger DP vs greedy vs legacy "
-                "(+ adaptive) ===\n\n");
-    sofya::TableWriter v2_table({"shape", "legacy ms", "greedy ms", "dp ms",
-                                 "adaptive ms", "dp replans", "rows"});
+    std::printf("\n=== planner v2: Selinger DP vs greedy (+ adaptive) "
+                "===\n\n");
+    sofya::TableWriter v2_table({"shape", "greedy ms", "dp ms", "adaptive ms",
+                                 "dp replans", "rows"});
     for (const PlannerV2Result& r : v2_results) {
-      v2_table.AddRow({r.name, sofya::FormatDouble(r.legacy.ms, 1),
-                       sofya::FormatDouble(r.greedy.ms, 1),
+      v2_table.AddRow({r.name, sofya::FormatDouble(r.greedy.ms, 1),
                        sofya::FormatDouble(r.dp.ms, 1),
                        sofya::FormatDouble(r.adaptive.ms, 1),
                        std::to_string(r.adaptive.replans),
@@ -594,7 +456,7 @@ int main(int argc, char** argv) {
     }
     v2_table.Print(std::cout);
     std::printf(
-        "\nidentical result sets across all four arms: %s\n"
+        "\nidentical result sets across all three arms: %s\n"
         "adversarial shape: the histograms cannot see the hub skew, so "
         "every static plan walks into it; adaptive execution re-plans "
         "after ~1k rows and finishes %.1fx faster\n",
@@ -625,27 +487,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(baseline_queries),
                 static_cast<unsigned long long>(cached_server_queries),
                 static_cast<unsigned long long>(cache_hits));
-    std::printf("\"join_order\": [");
-    for (size_t i = 0; i < join_results.size(); ++i) {
-      const JoinShapeResult& r = join_results[i];
-      // Escape the (plain-ASCII status text) error so a query failure is
-      // distinguishable from a parity mismatch in the artifact too.
-      std::string escaped_error;
-      for (char c : r.error) {
-        if (c == '"' || c == '\\') escaped_error += '\\';
-        escaped_error += (c == '\n') ? ' ' : c;
-      }
-      std::printf(
-          "%s{\"shape\": \"%s\", \"legacy_ms\": %.3f, \"stats_ms\": %.3f, "
-          "\"speedup\": %.2f, \"legacy_scanned\": %llu, "
-          "\"stats_scanned\": %llu, \"rows\": %zu, \"identical\": %s, "
-          "\"error\": \"%s\"}",
-          i == 0 ? "" : ", ", r.name.c_str(), r.legacy_ms, r.stats_ms,
-          r.speedup(), static_cast<unsigned long long>(r.legacy_scanned),
-          static_cast<unsigned long long>(r.stats_scanned), r.rows,
-          r.identical ? "true" : "false", escaped_error.c_str());
-    }
-    std::printf("], ");
     std::printf("\"planner_v2\": [");
     for (size_t i = 0; i < v2_results.size(); ++i) {
       const PlannerV2Result& r = v2_results[i];
@@ -655,17 +496,14 @@ int main(int argc, char** argv) {
         escaped_error += (c == '\n') ? ' ' : c;
       }
       std::printf(
-          "%s{\"shape\": \"%s\", \"legacy_ms\": %.3f, \"greedy_ms\": %.3f, "
-          "\"dp_ms\": %.3f, \"adaptive_ms\": %.3f, "
-          "\"legacy_scanned\": %llu, \"greedy_scanned\": %llu, "
+          "%s{\"shape\": \"%s\", \"greedy_ms\": %.3f, \"dp_ms\": %.3f, "
+          "\"adaptive_ms\": %.3f, \"greedy_scanned\": %llu, "
           "\"dp_scanned\": %llu, \"adaptive_scanned\": %llu, "
           "\"dp_vs_greedy\": %.2f, \"adaptive_speedup\": %.2f, "
           "\"adaptive_replans\": %llu, \"rows\": %zu, \"identical\": %s, "
           "\"error\": \"%s\"}",
-          i == 0 ? "" : ", ", r.name.c_str(), r.legacy.ms, r.greedy.ms,
-          r.dp.ms, r.adaptive.ms,
-          static_cast<unsigned long long>(r.legacy.scanned),
-          static_cast<unsigned long long>(r.greedy.scanned),
+          i == 0 ? "" : ", ", r.name.c_str(), r.greedy.ms, r.dp.ms,
+          r.adaptive.ms, static_cast<unsigned long long>(r.greedy.scanned),
           static_cast<unsigned long long>(r.dp.scanned),
           static_cast<unsigned long long>(r.adaptive.scanned),
           r.dp_vs_greedy(), r.adaptive_speedup(),
@@ -678,20 +516,6 @@ int main(int argc, char** argv) {
   // A planner that changes answers is a correctness bug, not a perf story:
   // fail the bench (and the CI smoke run) loudly — but report an outright
   // query failure as what it is, never as a parity mismatch.
-  if (!join_identical) {
-    for (const JoinShapeResult& r : join_results) {
-      if (!r.error.empty()) {
-        std::fprintf(stderr, "FATAL: join-order shape '%s' failed: %s\n",
-                     r.name.c_str(), r.error.c_str());
-      } else if (!r.identical) {
-        std::fprintf(stderr,
-                     "FATAL: stats and legacy planners disagree on result "
-                     "sets for shape '%s'\n",
-                     r.name.c_str());
-      }
-    }
-    return 1;
-  }
   if (!v2_identical) {
     for (const PlannerV2Result& r : v2_results) {
       if (!r.error.empty()) {

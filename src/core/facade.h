@@ -30,8 +30,8 @@ struct SofyaOptions {
   AlignerOptions aligner;
 
   /// Join-order planner for the in-process engines (KB constructor only —
-  /// a remote endpoint plans server-side). `use_statistics = false` falls
-  /// back to the legacy bound-position heuristic, the A/B baseline.
+  /// a remote endpoint plans server-side). `use_dp = false` selects the
+  /// greedy planner, the A/B baseline.
   PlannerOptions planner;
 
   /// When true, both endpoints are wrapped in ThrottledEndpoint with the

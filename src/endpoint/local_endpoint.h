@@ -28,8 +28,8 @@ struct LocalEndpointOptions {
   bool estimate_bytes = true;
 
   /// Join-order planner + plan-cache configuration for the served engine.
-  /// `engine.planner.use_statistics = false` selects the legacy
-  /// bound-position heuristic (the A/B baseline for bench/query_cost).
+  /// `engine.planner.use_dp = false` selects the greedy planner (the A/B
+  /// baseline for bench/query_cost).
   Engine::Options engine;
 };
 

@@ -304,8 +304,8 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
     CompiledPlan replanned;
 
     const bool adaptive_eligible =
-        options.adaptive && limit == kNoLimit && plan.used_statistics &&
-        !plan.dangling_filter && !plan.clauses.empty();
+        options.adaptive && limit == kNoLimit && !plan.dangling_filter &&
+        !plan.clauses.empty();
     if (adaptive_eligible) {
       std::vector<CardinalityOverride> overrides;
       for (int replan = 0; replan < options.adaptive_max_replans; ++replan) {
@@ -355,7 +355,7 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
                      options.adaptive_replan_factor);
         overrides.push_back(ov);
         ++stats.replans;
-        replanned = CompilePlan(query, &store, options.planner, overrides);
+        replanned = CompilePlan(query, store, options.planner, overrides);
         active = &replanned;
       }
       // Out of re-plans: run `active` to completion below, quota-free.
@@ -468,7 +468,7 @@ std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
     if (cache_hit != nullptr) *cache_hit = false;
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::make_shared<const CompiledPlan>(
-        CompilePlan(query, store_, options_.planner));
+        CompilePlan(query, *store_, options_.planner));
   }
 
   // The key excludes solution modifiers (PlanFingerprint): Ask(q),
@@ -488,7 +488,7 @@ std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
   // Plan outside the lock: planning reads memoized store statistics and can
   // run concurrently; last writer for a key wins (same epoch ⇒ same plan).
   auto plan = std::make_shared<const CompiledPlan>(
-      CompilePlan(query, store_, options_.planner));
+      CompilePlan(query, *store_, options_.planner));
   if (cache_hit != nullptr) *cache_hit = false;
   misses_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -544,7 +544,7 @@ StatusOr<PlanExplain> Engine::Explain(const SelectQuery& query) const {
   const bool cached = plan != nullptr;
   if (!cached) {
     plan = std::make_shared<const CompiledPlan>(
-        CompilePlan(query, store_, options_.planner));
+        CompilePlan(query, *store_, options_.planner));
   }
   PlanExplain explain = ExplainPlan(*plan, query, dict_);
   explain.from_cache = cached;
@@ -560,7 +560,7 @@ StatusOr<ResultSet> Evaluate(const TripleStore& store,
                              const PlannerOptions& planner) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, &store, planner);
+  const CompiledPlan plan = CompilePlan(query, store, planner);
   Engine::Options one_shot;
   one_shot.planner = planner;
   auto result = RunSelect(store, plan, query, dict, local, one_shot);
@@ -573,7 +573,7 @@ StatusOr<bool> EvaluateAsk(const TripleStore& store, const SelectQuery& query,
                            const PlannerOptions& planner) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, &store, planner);
+  const CompiledPlan plan = CompilePlan(query, store, planner);
   auto result = RunAsk(store, plan, query, dict, local);
   if (stats != nullptr) *stats = local;
   return result;

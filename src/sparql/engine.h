@@ -1,11 +1,10 @@
 // Streaming BGP evaluation over a TripleStore.
 //
 // Queries are compiled into a pipeline of per-clause index-range iterators
-// with pull-based binding propagation: clauses are ordered by the join-order
-// planner (sparql/planner.h — statistics-driven by default, the legacy
-// bound-position heuristic as fallback), each clause opens the store's best
-// index range for the current partial binding, and solutions flow to the
-// consumer one at a time. FILTERs are applied at the earliest clause where
+// with pull-based binding propagation: clauses are ordered by the
+// statistics-driven join-order planner (sparql/planner.h), each clause
+// opens the store's best index range for the current partial binding, and
+// solutions flow to the consumer one at a time. FILTERs are applied at the earliest clause where
 // their variables are bound, DISTINCT is a streaming hash probe on projected
 // rows, and LIMIT/OFFSET/ASK are pushed into the pipeline so existence
 // probes and LIMIT-1 queries stop at the first solution instead of

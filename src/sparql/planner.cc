@@ -10,18 +10,6 @@ namespace sofya {
 
 namespace {
 
-/// Legacy selectivity score of a clause under the current binding: each
-/// position bound by a constant or an already-bound variable adds
-/// specificity, the predicate weighted higher (POS entry is cheapest).
-int BoundScore(const PatternClause& clause, const std::vector<bool>& bound) {
-  auto score = [&](const NodeRef& ref) {
-    if (!ref.is_var()) return 1;
-    return bound[ref.var()] ? 1 : 0;
-  };
-  return 3 * score(clause.predicate) + 2 * score(clause.subject) +
-         2 * score(clause.object);
-}
-
 /// True when a position is fixed before this clause scans: a constant, or a
 /// variable some earlier stage binds.
 bool IsBound(const NodeRef& ref, const std::vector<bool>& bound) {
@@ -92,11 +80,10 @@ double EstimateRowsV1(const PatternClause& clause, bool s_bound, bool p_bound,
 /// shrink the exact base by a per-binding fan-out ratio taken from the
 /// equi-depth histogram's frequency-weighted mean (skew-aware: join values
 /// arrive weighted by their frequency), falling back to the uniform
-/// facts/distinct average when histograms are off.
+/// facts/distinct average when a histogram side is empty.
 double EstimateRowsV2(const PatternClause& clause, bool s_bound, bool p_bound,
                       bool o_bound, size_t source_index,
                       const TripleStore& store, const StoreStats& global,
-                      const PlannerOptions& options,
                       const std::vector<CardinalityOverride>& overrides) {
   if (clause.predicate.is_var()) {
     // No per-predicate index prefix to probe; the v1 global fallback is
@@ -117,8 +104,7 @@ double EstimateRowsV2(const PatternClause& clause, bool s_bound, bool p_bound,
   double est = static_cast<double>(base);
   if (s_join || o_join) {
     const PredicateStats stats = store.StatsFor(p);
-    PredicateHistograms hist;
-    if (options.use_histograms) hist = store.HistogramFor(p);
+    const PredicateHistograms hist = store.HistogramFor(p);
     const double facts =
         static_cast<double>(stats.facts > 0 ? stats.facts : 1);
     auto shrink = [&](double est_in, size_t distinct,
@@ -193,40 +179,6 @@ struct OrderChoice {
   double estimated_output_rows = -1.0;  // Cumulative chain cardinality.
 };
 
-/// Legacy bound-position heuristic: pick the highest-scoring clause, bind
-/// its variables, repeat. Strict >: first maximum wins, as the original
-/// max_element-based loop did.
-std::vector<OrderChoice> ChooseOrderLegacy(const SelectQuery& query) {
-  std::vector<size_t> pending;
-  pending.reserve(query.clauses().size());
-  for (size_t i = 0; i < query.clauses().size(); ++i) pending.push_back(i);
-  std::vector<bool> bound(query.num_vars(), false);
-
-  std::vector<OrderChoice> order;
-  order.reserve(pending.size());
-  while (!pending.empty()) {
-    size_t best_pos = 0;
-    int best_score = -1;
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const int score = BoundScore(query.clauses()[pending[i]], bound);
-      if (score > best_score) {
-        best_score = score;
-        best_pos = i;
-      }
-    }
-    const size_t source_index = pending[best_pos];
-    pending.erase(pending.begin() + static_cast<ptrdiff_t>(best_pos));
-    const PatternClause& chosen = query.clauses()[source_index];
-    const NodeRef* refs[3] = {&chosen.subject, &chosen.predicate,
-                              &chosen.object};
-    for (const NodeRef* ref : refs) {
-      if (ref->is_var()) bound[ref->var()] = true;
-    }
-    order.push_back(OrderChoice{source_index, -1.0, -1.0});
-  }
-  return order;
-}
-
 /// v1 greedy min-cost ordering with three tiers: a provably-empty clause
 /// always wins (executing it first drains the pipeline for free), clauses
 /// joined to the bound set come before cross products, and within a tier
@@ -298,11 +250,11 @@ std::vector<OrderChoice> ChooseOrderGreedy(
 /// inflates the intermediate is charged for everything downstream of it.
 /// Determinism: masks and clauses iterate ascending with strict <, so the
 /// first minimum wins every tie and the result is a pure function of
-/// (query, store epoch, options, overrides). Sets *ok=false (caller falls
+/// (query, store epoch, overrides). Sets *ok=false (caller falls
 /// back to greedy) when a variable id exceeds the 64-bit mask width.
 std::vector<OrderChoice> ChooseOrderDp(
     const SelectQuery& query, const TripleStore& store,
-    const StoreStats& global, const PlannerOptions& options,
+    const StoreStats& global,
     const std::vector<CardinalityOverride>& overrides, bool* ok) {
   *ok = true;
   const auto& clauses = query.clauses();
@@ -344,8 +296,7 @@ std::vector<OrderChoice> ChooseOrderDp(
     const bool ob = !c.object.is_var() || ((vars >> c.object.var()) & 1);
     double& slot = memo[j][BoundSig(sb, pb, ob)];
     if (slot < 0.0) {
-      slot = EstimateRowsV2(c, sb, pb, ob, j, store, global, options,
-                            overrides);
+      slot = EstimateRowsV2(c, sb, pb, ob, j, store, global, overrides);
     }
     return slot;
   };
@@ -397,29 +348,20 @@ std::vector<OrderChoice> ChooseOrderDp(
 
 }  // namespace
 
-CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore* store,
+CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
                          const PlannerOptions& options,
                          const std::vector<CardinalityOverride>& overrides) {
   CompiledPlan plan;
   const size_t num_vars = query.num_vars();
-  const bool use_stats = options.use_statistics && store != nullptr;
-  plan.used_statistics = use_stats;
-  plan.store_epoch = store != nullptr ? store->mutation_epoch() : 0;
-
-  StoreStats global;
-  if (use_stats) global = store->GlobalStats();
+  plan.store_epoch = store.mutation_epoch();
+  const StoreStats global = store.GlobalStats();
 
   std::vector<OrderChoice> order;
-  if (use_stats && options.use_dp &&
-      query.clauses().size() <= options.dp_max_clauses) {
-    bool ok = false;
-    order = ChooseOrderDp(query, *store, global, options, overrides, &ok);
-    plan.used_dp = ok;
-    if (!ok) order = ChooseOrderGreedy(query, *store, global, overrides);
-  } else if (use_stats) {
-    order = ChooseOrderGreedy(query, *store, global, overrides);
-  } else {
-    order = ChooseOrderLegacy(query);
+  if (options.use_dp && query.clauses().size() <= kDpMaxClauses) {
+    order = ChooseOrderDp(query, store, global, overrides, &plan.used_dp);
+  }
+  if (!plan.used_dp) {
+    order = ChooseOrderGreedy(query, store, global, overrides);
   }
 
   // Shared assembly: classify slots, attach filters, resolve projection.
@@ -489,7 +431,6 @@ CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore* store,
 PlanExplain ExplainPlan(const CompiledPlan& plan, const SelectQuery& query,
                         const Dictionary* dict) {
   PlanExplain out;
-  out.used_statistics = plan.used_statistics;
   out.used_dp = plan.used_dp;
   out.store_epoch = plan.store_epoch;
   out.dangling_filter = plan.dangling_filter;
@@ -513,10 +454,8 @@ PlanExplain ExplainPlan(const CompiledPlan& plan, const SelectQuery& query,
 
 std::string PlanExplain::ToString() const {
   std::string out;
-  const char* planner = used_statistics
-                            ? (used_dp ? "statistics planner (dp)"
-                                       : "statistics planner (greedy)")
-                            : "legacy-heuristic planner";
+  const char* planner =
+      used_dp ? "statistics planner (dp)" : "statistics planner (greedy)";
   out += StrFormat("plan: %s, epoch %llu%s\n", planner,
                    static_cast<unsigned long long>(store_epoch),
                    from_cache ? ", cached" : "");
@@ -589,10 +528,9 @@ std::string PlanExplain::ToJson() const {
 
   std::string out = "{";
   out += StrFormat(
-      "\"planner\":\"%s\",\"used_dp\":%s,\"from_cache\":%s,"
-      "\"store_epoch\":%llu,\"dangling_filter\":%s,\"replans\":%llu,",
-      used_statistics ? "statistics" : "legacy", used_dp ? "true" : "false",
-      from_cache ? "true" : "false",
+      "\"used_dp\":%s,\"from_cache\":%s,\"store_epoch\":%llu,"
+      "\"dangling_filter\":%s,\"replans\":%llu,",
+      used_dp ? "true" : "false", from_cache ? "true" : "false",
       static_cast<unsigned long long>(store_epoch),
       dangling_filter ? "true" : "false",
       static_cast<unsigned long long>(replans));

@@ -8,7 +8,7 @@
 // stage, so putting a 50-row clause ahead of a 150k-row clause changes the
 // probe count by orders of magnitude on SOFYA's probe-shaped queries.
 //
-// Three planners share the machinery:
+// Two planners share the machinery:
 //
 //   * Selinger-style DP (default): dynamic programming over clause subsets
 //     minimizing *cumulative* cost — the sum of estimated intermediate
@@ -16,15 +16,12 @@
 //     range-width probes (TripleStore::CountMatches: two binary searches
 //     per shard) for constant-prefix clauses and skew-aware equi-depth
 //     per-term histograms (TripleStore::HistogramFor) for join fan-outs.
-//     Falls back to greedy above `dp_max_clauses`;
-//   * greedy min-cost (v1, the A/B baseline): one clause at a time using
-//     TripleStore::StatsFor (facts, distinct subjects/objects) for clauses
-//     with a constant predicate and TripleStore::GlobalStats as the fallback
-//     for variable predicates, preferring clauses connected to the already-
-//     bound variable set so cross products are a last resort;
-//   * legacy bound-position heuristic: the original fixed scoring
-//     (3·predicate + 2·subject + 2·object bound positions), kept as an A/B
-//     baseline and as the no-store fallback.
+//     Falls back to greedy above kDpMaxClauses clauses;
+//   * greedy min-cost (v1, the fallback and A/B baseline): one clause at a
+//     time using TripleStore::StatsFor (facts, distinct subjects/objects)
+//     for clauses with a constant predicate and TripleStore::GlobalStats as
+//     the fallback for variable predicates, preferring clauses connected to
+//     the already-bound variable set so cross products are a last resort.
 //
 // Determinism: a plan is a pure function of (query PlanFingerprint, store
 // mutation_epoch, PlannerOptions). Estimates come from memoized store
@@ -47,29 +44,19 @@
 
 namespace sofya {
 
+/// Clause count beyond which DP (O(2^n · n) states) falls back to the
+/// greedy planner. 12 clauses = 4096 states, well under a millisecond.
+inline constexpr size_t kDpMaxClauses = 12;
+
 /// Planner configuration, threaded from the CLI / facade down to the engine.
 struct PlannerOptions {
-  /// When true (default), clause order is chosen from store statistics.
-  /// When false — or when no store is available at compile time — the
-  /// legacy bound-position heuristic orders the clauses.
-  bool use_statistics = true;
-
-  /// When true (default), statistics planning runs Selinger-style dynamic
-  /// programming over clause orders with *cumulative* cost (the estimated
-  /// intermediate cardinality propagated through the join chain), fed by
-  /// exact range-width probes for constant-prefix clauses and per-term
-  /// histograms. When false — or above `dp_max_clauses` — the v1 greedy
-  /// min-cost planner orders the clauses (the A/B baseline).
+  /// When true (default), Selinger-style dynamic programming over clause
+  /// orders with *cumulative* cost (the estimated intermediate cardinality
+  /// propagated through the join chain), fed by exact range-width probes
+  /// for constant-prefix clauses and per-term histograms, picks the order.
+  /// When false — or above kDpMaxClauses — the v1 greedy min-cost planner
+  /// orders the clauses (the A/B baseline).
   bool use_dp = true;
-
-  /// Clause count beyond which DP (O(2^n · n) states) falls back to the
-  /// greedy planner. 12 clauses = 4096 states, well under a millisecond.
-  size_t dp_max_clauses = 12;
-
-  /// When true (default), DP join fan-outs use the store's equi-depth
-  /// per-term histograms (skew-aware frequency-weighted means) instead of
-  /// the uniform facts/distinct average.
-  bool use_histograms = true;
 };
 
 /// A pinned cardinality observation from adaptive execution: when the
@@ -107,14 +94,13 @@ struct CompiledClause {
   std::vector<FilterExpr> filters;
   /// Index of this clause in the original query's WHERE list.
   size_t source_index = 0;
-  /// The planner's row estimate at the moment this clause was chosen
-  /// (statistics planner; the legacy heuristic reports -1). This is the
-  /// per-outer-row fan-out estimate, not a cumulative cardinality.
+  /// The planner's row estimate at the moment this clause was chosen. This
+  /// is the per-outer-row fan-out estimate, not a cumulative cardinality.
   double estimated_rows = -1.0;
   /// Estimated cardinality of the join *after* this stage (the DP chain's
   /// propagated intermediate estimate; the greedy planner fills it with the
-  /// running product of its per-stage estimates; -1 under legacy). This is
-  /// the number adaptive execution compares against observed stage output.
+  /// running product of its per-stage estimates). This is the number
+  /// adaptive execution compares against observed stage output.
   double estimated_output_rows = -1.0;
 };
 
@@ -125,23 +111,21 @@ struct CompiledPlan {
   /// True when some filter mentions a variable no clause ever binds: SPARQL
   /// treats the filter as an error for every row, so the result is empty.
   bool dangling_filter = false;
-  /// Which planner produced the order (explain/debug surface).
-  bool used_statistics = false;
   /// True when the order came from the Selinger-style DP search (as opposed
-  /// to the v1 greedy pass); only meaningful when used_statistics.
+  /// to the v1 greedy pass; explain/debug surface).
   bool used_dp = false;
-  /// TripleStore::mutation_epoch() the statistics were read at (0 when
-  /// planned without a store). The engine's plan cache compares this to the
-  /// live epoch: same epoch ⇒ same data ⇒ the plan is still valid.
+  /// TripleStore::mutation_epoch() the statistics were read at. The
+  /// engine's plan cache compares this to the live epoch: same epoch ⇒ same
+  /// data ⇒ the plan is still valid.
   uint64_t store_epoch = 0;
 };
 
-/// Compiles `query` into an ordered pipeline. `store` supplies statistics
-/// and may be null (falls back to the legacy heuristic). `overrides` pins
-/// adaptively observed cardinalities (engine re-plans; empty for a fresh
-/// compile). Never fails: structural validity is SelectQuery::Validate's
-/// job and is checked by the engine before execution.
-CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore* store,
+/// Compiles `query` into an ordered pipeline. `store` supplies statistics.
+/// `overrides` pins adaptively observed cardinalities (engine re-plans;
+/// empty for a fresh compile). Never fails: structural validity is
+/// SelectQuery::Validate's job and is checked by the engine before
+/// execution.
+CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
                          const PlannerOptions& options = {},
                          const std::vector<CardinalityOverride>& overrides = {});
 
@@ -149,8 +133,8 @@ CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore* store,
 struct ClauseExplain {
   size_t source_index = 0;     ///< Position in the original WHERE list.
   std::string pattern;         ///< "?x <knows> ?y" (dict-rendered).
-  double estimated_rows = -1;  ///< Planner fan-out estimate; -1 under legacy.
-  /// Estimated rows *output* by this stage (cumulative); -1 under legacy.
+  double estimated_rows = -1;  ///< Planner fan-out estimate.
+  /// Estimated rows *output* by this stage (cumulative).
   double estimated_output_rows = -1;
   /// Observed rows this stage produced. -1 until an execution fills it in
   /// (CLI `explain --execute` merges EvalStats back by source_index).
@@ -162,7 +146,6 @@ struct ClauseExplain {
 /// estimates, attached filters. Exposed as Engine::Explain and the CLI
 /// `explain` subcommand.
 struct PlanExplain {
-  bool used_statistics = false;
   bool used_dp = false;
   bool from_cache = false;  ///< Filled by the engine, not the planner.
   uint64_t store_epoch = 0;
@@ -176,7 +159,7 @@ struct PlanExplain {
   /// Multi-line human-readable rendering (the CLI's output).
   std::string ToString() const;
 
-  /// One-line JSON rendering (CLI `explain --json`): planner, epoch, and
+  /// One-line JSON rendering (CLI `explain --json`): planner kind, epoch, and
   /// the per-clause estimated-vs-actual table, machine-readable for
   /// scripts and CI gates.
   std::string ToJson() const;

@@ -7,7 +7,7 @@
 //      planner's myopic min-next-step choice (the motivating trap);
 //   2. exact-probe estimates: a constant-prefix clause's estimated_rows is
 //      the store's true match count, not a facts/distinct approximation;
-//   3. DP/greedy/legacy produce identical result bags on randomized corpora
+//   3. DP and greedy produce identical result bags on randomized corpora
 //      across shard geometries (hash-ring sizes, promotion on/off);
 //   4. histograms are epoch-memoized exactly like StatsFor: repeated reads
 //      are free, a write to the predicate's shard invalidates, an untouched
@@ -84,15 +84,14 @@ class GreedyTrapTest : public ::testing::Test {
 
 TEST_F(GreedyTrapTest, DpStartsAtTheGloballySelectiveEnd) {
   const SelectQuery q = Chain();
-  const CompiledPlan dp = CompilePlan(q, &store_);
+  const CompiledPlan dp = CompilePlan(q, store_);
   ASSERT_EQ(dp.clauses.size(), 3u);
-  EXPECT_TRUE(dp.used_statistics);
   EXPECT_TRUE(dp.used_dp);
   EXPECT_EQ(dp.clauses[0].source_index, 2u);  // pY first, despite base 5 > 2.
 
   PlannerOptions greedy_opts;
   greedy_opts.use_dp = false;
-  const CompiledPlan greedy = CompilePlan(q, &store_, greedy_opts);
+  const CompiledPlan greedy = CompilePlan(q, store_, greedy_opts);
   ASSERT_EQ(greedy.clauses.size(), 3u);
   EXPECT_FALSE(greedy.used_dp);
   EXPECT_EQ(greedy.clauses[0].source_index, 0u);  // Min base: pX.
@@ -118,11 +117,23 @@ TEST_F(GreedyTrapTest, DpPlanDoesStrictlyLessWorkAndAgreesOnRows) {
 }
 
 TEST_F(GreedyTrapTest, DpFallsBackToGreedyAboveClauseBudget) {
-  PlannerOptions tight;
-  tight.dp_max_clauses = 2;  // 3-clause query exceeds the DP budget.
-  const CompiledPlan plan = CompilePlan(Chain(), &store_, tight);
-  EXPECT_TRUE(plan.used_statistics);
-  EXPECT_FALSE(plan.used_dp);
+  // A chain of `hops` pF clauses: ?v0 pF ?v1 . ?v1 pF ?v2 . ...
+  auto chain = [](size_t hops) {
+    SelectQuery q;
+    VarId prev = q.NewVar("v0");
+    for (size_t i = 0; i < hops; ++i) {
+      const VarId next = q.NewVar("v" + std::to_string(i + 1));
+      q.Where(NodeRef::Variable(prev), NodeRef::Constant(kPF),
+              NodeRef::Variable(next));
+      prev = next;
+    }
+    return q;
+  };
+  const CompiledPlan at_budget = CompilePlan(chain(kDpMaxClauses), store_);
+  EXPECT_TRUE(at_budget.used_dp);
+  const CompiledPlan over = CompilePlan(chain(kDpMaxClauses + 1), store_);
+  ASSERT_EQ(over.clauses.size(), kDpMaxClauses + 1);
+  EXPECT_FALSE(over.used_dp);  // 13 clauses: greedy orders them.
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +150,7 @@ TEST(ExactProbeTest, ConstantPrefixEstimateIsTheTrueMatchCount) {
   SelectQuery q;
   const VarId y = q.NewVar("y");
   q.Where(NodeRef::Constant(500), NodeRef::Constant(p), NodeRef::Variable(y));
-  const CompiledPlan plan = CompilePlan(q, &store);
+  const CompiledPlan plan = CompilePlan(q, store);
   ASSERT_EQ(plan.clauses.size(), 1u);
   EXPECT_DOUBLE_EQ(plan.clauses[0].estimated_rows, 7.0);
   EXPECT_DOUBLE_EQ(plan.clauses[0].estimated_output_rows, 7.0);
@@ -148,7 +159,7 @@ TEST(ExactProbeTest, ConstantPrefixEstimateIsTheTrueMatchCount) {
   SelectQuery q2;
   const VarId x = q2.NewVar("x");
   q2.Where(NodeRef::Variable(x), NodeRef::Constant(p), NodeRef::Constant(600));
-  const CompiledPlan plan2 = CompilePlan(q2, &store);
+  const CompiledPlan plan2 = CompilePlan(q2, store);
   ASSERT_EQ(plan2.clauses.size(), 1u);
   EXPECT_DOUBLE_EQ(plan2.clauses[0].estimated_rows, 2.0);
 }
@@ -198,7 +209,7 @@ SelectQuery RandomQuery(Rng& rng) {
 
 class PlannerV2Property : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PlannerV2Property, DpGreedyAndLegacyAgreeAcrossShardGeometries) {
+TEST_P(PlannerV2Property, DpAndGreedyAgreeAcrossShardGeometries) {
   // Geometries: single-shard, small ring, default ring; with and without
   // predicate promotion (threshold 64 promotes the fat predicate once the
   // corpus is big enough, so both layouts get exercised).
@@ -206,8 +217,6 @@ TEST_P(PlannerV2Property, DpGreedyAndLegacyAgreeAcrossShardGeometries) {
   const size_t promote[] = {0, 64};
   PlannerOptions greedy_opts;
   greedy_opts.use_dp = false;
-  PlannerOptions legacy_opts;
-  legacy_opts.use_statistics = false;
 
   Rng rng(GetParam());
   for (size_t ring : rings) {
@@ -221,15 +230,9 @@ TEST_P(PlannerV2Property, DpGreedyAndLegacyAgreeAcrossShardGeometries) {
         const SelectQuery q = RandomQuery(rng);
         auto dp = Evaluate(store, q);
         auto greedy = Evaluate(store, q, nullptr, nullptr, greedy_opts);
-        auto legacy = Evaluate(store, q, nullptr, nullptr, legacy_opts);
         ASSERT_TRUE(dp.ok());
         ASSERT_TRUE(greedy.ok());
-        ASSERT_TRUE(legacy.ok());
-        const auto bag = AsBag(dp->rows);
-        EXPECT_EQ(bag, AsBag(greedy->rows))
-            << "seed=" << GetParam() << " ring=" << ring
-            << " promote=" << threshold << " round=" << round;
-        EXPECT_EQ(bag, AsBag(legacy->rows))
+        EXPECT_EQ(AsBag(dp->rows), AsBag(greedy->rows))
             << "seed=" << GetParam() << " ring=" << ring
             << " promote=" << threshold << " round=" << round;
       }

@@ -40,22 +40,19 @@
 //       client-side retry stack (query --endpoint-url, align against a
 //       URL) backs off on and recovers from.
 //
-//   sofya explain --kb F --sparql 'SELECT ...' [--legacy-planner]
-//                 [--greedy-planner] [--adaptive] [--execute] [--json]
+//   sofya explain --kb F --sparql 'SELECT ...' [--greedy-planner]
+//                 [--adaptive] [--execute] [--json]
 //       Show the join-order plan the engine would run the query with:
 //       chosen clause order, per-clause cardinality estimates (per-stage
-//       fan-out and cumulative), attached filters. --legacy-planner shows
-//       the bound-position heuristic's order, --greedy-planner the v1
-//       greedy min-cost order (both A/B baselines for the default
+//       fan-out and cumulative), attached filters. --greedy-planner shows
+//       the v1 greedy min-cost order (the A/B baseline for the default
 //       Selinger-style DP); --execute also runs the query and merges the
 //       observed per-clause row counts into the table (estimated-vs-actual)
 //       plus the evaluation metering; --adaptive enables mid-execution
 //       re-planning during --execute (re-plan count reported); --json
 //       emits the whole report as one machine-readable JSON object.
 //
-//   --legacy-planner is also accepted by align and query (local datasets):
-//   it switches the in-process engines to the legacy clause ordering;
-//   query also takes --greedy-planner / --adaptive.
+//   query (local datasets) also takes --greedy-planner / --adaptive.
 
 #include <chrono>
 #include <csignal>
@@ -84,11 +81,10 @@ int Usage() {
                "  sofya generate --preset tiny|movies|music|nolinks|"
                "yago-dbpedia --out DIR [--seed N] [--scale S] [--inverses]\n"
                "  sofya align --kb1 FILE|URL --kb2 FILE|URL --links FILE "
-               "--relation IRI[,IRI...]|all [--threads N] "
-               "[--tau T] "
+               "--relation IRI[,IRI...]|all [--threads N] [--tau T] "
                "[--measure pca|cwa] [--no-ubs] [--sample N] [--seed N] "
                "[--candidate-source sameas|lexical|distribution|auto] "
-               "[--base1 IRI] [--base2 IRI] [--legacy-planner]\n"
+               "[--base1 IRI] [--base2 IRI]\n"
                "  sofya record ...align flags... --cassette-dir DIR\n"
                "      (align + capture every endpoint interaction into "
                "DIR/kb1.cass, DIR/kb2.cass, DIR/run.manifest)\n"
@@ -99,15 +95,14 @@ int Usage() {
                "dataset; strict mode fails on unrecorded queries)\n"
                "  sofya manifest diff A.manifest B.manifest\n"
                "  sofya query (--kb FILE | --endpoint-url URL) "
-               "--sparql 'SELECT ...' [--legacy-planner] [--greedy-planner] "
-               "[--adaptive] [--scan-threads N]\n"
+               "--sparql 'SELECT ...' [--greedy-planner] [--adaptive] "
+               "[--scan-threads N]\n"
                "  sofya serve --kb FILE [--port N] [--address A] "
                "[--path /sparql] [--scan-threads N] [--workers N] "
                "[--max-concurrent N] [--per-client-concurrent N] "
                "[--quota N] [--retry-after-s S] [--port-file FILE]\n"
                "  sofya explain --kb FILE --sparql 'SELECT ...' "
-               "[--legacy-planner] [--greedy-planner] [--adaptive] "
-               "[--execute] [--json]\n"
+               "[--greedy-planner] [--adaptive] [--execute] [--json]\n"
                "  sofya snapshot save --kb FILE --out FILE.snap\n"
                "  sofya snapshot load --kb FILE.snap\n"
                "(--kb accepts N-Triples or .snap snapshots everywhere; "
@@ -445,7 +440,6 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
   }
 
   SofyaOptions options;
-  if (flags.count("legacy-planner")) options.planner.use_statistics = false;
   if (flags.count("tau")) {
     options.aligner.threshold = std::stod(flags.at("tau"));
   }
@@ -687,9 +681,6 @@ int Query(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     LocalEndpointOptions local_options;
-    if (flags.count("legacy-planner")) {
-      local_options.engine.planner.use_statistics = false;
-    }
     if (flags.count("greedy-planner")) {
       local_options.engine.planner.use_dp = false;
     }
@@ -740,9 +731,6 @@ int Explain(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   LocalEndpointOptions options;
-  if (flags.count("legacy-planner")) {
-    options.engine.planner.use_statistics = false;
-  }
   if (flags.count("greedy-planner")) options.engine.planner.use_dp = false;
   if (flags.count("adaptive")) options.engine.adaptive = true;
   LocalEndpoint endpoint(&kb, options);
@@ -844,9 +832,6 @@ int Serve(const std::map<std::string, std::string>& flags) {
   }
   if (flags.count("retry-after-s")) {
     server_options.retry_after_seconds = std::stod(flags.at("retry-after-s"));
-  }
-  if (flags.count("legacy-planner")) {
-    server_options.local.engine.planner.use_statistics = false;
   }
   SparqlServer server(&kb, server_options);
 
