@@ -359,117 +359,39 @@ std::string CassetteDigest::ToHex() const {
 
 namespace {
 
-/// Shared canonical renderer: SelectQuery::Fingerprint() with constants
-/// rendered through the endpoint's dictionary instead of by id.
-std::string CanonicalKey(const Endpoint& endpoint, const SelectQuery& query) {
-  const VarId num_vars = static_cast<VarId>(query.num_vars());
-  std::vector<VarId> canon(query.num_vars(), -1);
-  VarId next = 0;
-  auto visit = [&](VarId v) {
-    if (v >= 0 && v < num_vars && canon[v] < 0) canon[v] = next++;
-  };
-  if (query.projection().empty()) {
-    for (VarId v = 0; v < num_vars; ++v) visit(v);
-  } else {
-    for (VarId v : query.projection()) visit(v);
-  }
-  for (const auto& clause : query.clauses()) {
-    if (clause.subject.is_var()) visit(clause.subject.var());
-    if (clause.predicate.is_var()) visit(clause.predicate.var());
-    if (clause.object.is_var()) visit(clause.object.var());
-  }
-  for (const auto& f : query.filters()) {
-    visit(f.lhs);
-    visit(f.rhs_var);
-  }
-  for (VarId v = 0; v < num_vars; ++v) visit(v);
+/// Spells a constant by its surface form in `endpoint`'s dictionary.
+class SurfaceForms : public TermKeyRenderer {
+ public:
+  explicit SurfaceForms(const Endpoint& endpoint) : endpoint_(endpoint) {}
 
-  std::string out;
-  out.reserve(64 + 32 * query.clauses().size());
-  auto add_term = [&](TermId id) {
-    StatusOr<Term> term = endpoint.DecodeTerm(id);
+  void Append(TermId id, std::string& out) const override {
+    StatusOr<Term> term = endpoint_.DecodeTerm(id);
     if (term.ok()) {
-      out += '#';
       out += term->ToNTriples();
     } else {
       // Undecodable constant: deterministic in-process fallback (such a
       // query cannot be rendered for a live endpoint either).
-      out += "#!";
+      out += '!';
       out += std::to_string(id);
     }
-  };
-  auto add_node = [&](const NodeRef& ref) {
-    if (ref.is_var()) {
-      out += '?';
-      out += std::to_string(canon[ref.var()]);
-    } else {
-      add_term(ref.term());
-    }
-    out += ' ';
-  };
-  out += "v:";
-  {
-    std::vector<const std::string*> names(query.num_vars(), nullptr);
-    for (VarId v = 0; v < num_vars; ++v) names[canon[v]] = &query.var_name(v);
-    for (const std::string* name : names) {
-      if (name != nullptr) out += *name;
-      out += ',';
-    }
   }
-  out += ";c:";
-  for (const auto& clause : query.clauses()) {
-    add_node(clause.subject);
-    add_node(clause.predicate);
-    add_node(clause.object);
-    out += '.';
-  }
-  out += ";f:";
-  for (const auto& f : query.filters()) {
-    out += std::to_string(static_cast<int>(f.kind));
-    out += '/';
-    out += std::to_string(f.lhs < 0 ? -1 : canon[f.lhs]);
-    out += '/';
-    out += std::to_string(f.rhs_var < 0 ? -1 : canon[f.rhs_var]);
-    out += '/';
-    if (f.rhs_term == kNullTermId) {
-      out += '-';
-    } else {
-      add_term(f.rhs_term);
-    }
-    out += ',';
-  }
-  out += ";p:";
-  if (query.projection().empty()) {
-    for (VarId v = 0; v < num_vars; ++v) {
-      out += std::to_string(canon[v]);
-      out += ',';
-    }
-  } else {
-    for (VarId v : query.projection()) {
-      out += std::to_string(canon[v]);
-      out += ',';
-    }
-  }
-  out += query.distinct() ? ";d1" : ";d0";
-  out += ";l:";
-  out += std::to_string(query.limit());
-  out += ";o:";
-  out += std::to_string(query.offset());
-  return out;
-}
+
+ private:
+  const Endpoint& endpoint_;
+};
 
 }  // namespace
 
 std::string CanonicalSelectKey(const Endpoint& endpoint,
                                const SelectQuery& query) {
-  return CanonicalKey(endpoint, query);
+  const SurfaceForms constants(endpoint);
+  return query.RenderKey(QueryKeyMode::kSelect, &constants);
 }
 
 std::string CanonicalAskKey(const Endpoint& endpoint,
                             const SelectQuery& query) {
-  SelectQuery normalized = query;
-  normalized.Distinct(false).Limit(kNoLimit).Offset(0);
-  return CanonicalKey(endpoint, normalized) + "#ask";
+  const SurfaceForms constants(endpoint);
+  return query.RenderKey(QueryKeyMode::kAsk, &constants);
 }
 
 std::string CanonicalLookupKey(const Term& term) { return term.ToNTriples(); }

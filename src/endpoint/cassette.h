@@ -11,9 +11,9 @@
 // Keys must be id-independent: SelectQuery::Fingerprint() encodes constants
 // by dictionary id, and a replaying process interns terms into a fresh
 // dictionary whose ids need not match the recording process. The canonical
-// keys here mirror Fingerprint()'s variable renumbering but render every
-// constant through DecodeTerm() to its N-Triples surface form, so the same
-// logical query lands on the same cassette entry in any process.
+// keys here come from the same renderer (SelectQuery::RenderKey) with every
+// constant spelled through DecodeTerm() as its N-Triples surface form, so
+// the same logical query lands on the same cassette entry in any process.
 //
 // The on-disk format follows rdf/store_snapshot.cc: magic + version header,
 // length-prefixed payload, streaming mix checksum verified before any entry
@@ -152,16 +152,18 @@ class CassetteJournal {
 };
 
 /// Canonical id-independent key for a SELECT query in `endpoint`'s id
-/// space: Fingerprint()'s canonical variable renumbering with constants
-/// rendered via DecodeTerm(...).ToNTriples(). An undecodable constant
-/// renders as `#!<id>` (deterministic within a process; such queries never
-/// reach a live endpoint either).
+/// space: SelectQuery::RenderKey(kSelect) with constants rendered via
+/// DecodeTerm(...).ToNTriples(). An undecodable constant renders as
+/// `#!<id>` (deterministic within a process; such queries never reach a
+/// live endpoint either). These bytes are the on-disk lookup key of every
+/// recorded cassette: tests/cassette_test.cc pins them.
 std::string CanonicalSelectKey(const Endpoint& endpoint,
                                const SelectQuery& query);
 
-/// ASK form: solution modifiers normalized away (existence ignores
-/// DISTINCT/LIMIT/OFFSET, same normalization as AskFingerprint) plus an
-/// "#ask" suffix so ASK and SELECT entries cannot collide.
+/// ASK form (RenderKey(kAsk)): solution modifiers normalized away
+/// (existence ignores DISTINCT/LIMIT/OFFSET, same normalization as
+/// AskFingerprint) plus an "#ask" suffix so ASK and SELECT entries cannot
+/// collide.
 std::string CanonicalAskKey(const Endpoint& endpoint,
                             const SelectQuery& query);
 

@@ -31,9 +31,7 @@ AskBatchResult Endpoint::AskMany(std::span<const SelectQuery> queries) {
 }
 
 std::string AskFingerprint(const SelectQuery& query) {
-  SelectQuery normalized = query;
-  normalized.Distinct(false).Limit(kNoLimit).Offset(0);
-  return normalized.Fingerprint() + "#ask";
+  return query.RenderKey(QueryKeyMode::kAsk);
 }
 
 }  // namespace sofya

@@ -214,11 +214,12 @@ class Endpoint {
   virtual void ResetStats() = 0;
 };
 
-/// Cache/dedup key for ASK probes: the query fingerprint with solution
-/// modifiers normalized away (existence does not depend on
-/// DISTINCT/OFFSET/LIMIT) and an "#ask" suffix so an ASK entry can never
-/// collide with the SELECT form of the same query. Shared by
-/// CachingEndpoint and LocalEndpoint::AskMany so their dedup agrees.
+/// Cache/dedup key for ASK probes (SelectQuery::RenderKey in kAsk mode):
+/// the query fingerprint with solution modifiers normalized away
+/// (existence does not depend on DISTINCT/OFFSET/LIMIT) and an "#ask"
+/// suffix so an ASK entry can never collide with the SELECT form of the
+/// same query. Shared by CachingEndpoint and LocalEndpoint::AskMany so
+/// their dedup agrees.
 std::string AskFingerprint(const SelectQuery& query);
 
 }  // namespace sofya

@@ -1,5 +1,8 @@
 #include "sparql/query.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "util/string_util.h"
 
 namespace sofya {
@@ -95,26 +98,82 @@ std::string RenderVar(const SelectQuery& q, VarId v) {
 
 }  // namespace
 
-std::string SelectQuery::PlanFingerprint() const {
-  // Raw variable numbering, deliberately: the compiled plan this key maps
-  // to stores raw VarIds, so queries whose internal numbering differs must
-  // not collide (their shared plan would bind columns to the wrong names).
-  // Solution modifiers are omitted — plans don't depend on them.
+std::string SelectQuery::RenderKey(QueryKeyMode mode,
+                                   const TermKeyRenderer* constants) const {
+  const VarId n = static_cast<VarId>(num_vars());
+
+  // canon[v] is the id variable v renders as; order[i] is the variable
+  // rendered as i. Both live in a stack buffer for the usual few variables.
+  constexpr VarId kInlineVars = 16;
+  VarId inline_ids[2 * kInlineVars];
+  std::vector<VarId> heap_ids;
+  VarId* canon = inline_ids;
+  if (n > kInlineVars) {
+    heap_ids.resize(2 * static_cast<size_t>(n));
+    canon = heap_ids.data();
+  }
+  VarId* order = canon + n;
+  if (mode == QueryKeyMode::kPlan) {
+    for (VarId v = 0; v < n; ++v) canon[v] = order[v] = v;
+  } else {
+    std::fill(canon, canon + n, VarId{-1});
+    VarId next = 0;
+    auto visit = [&](VarId v) {
+      if (v >= 0 && v < n && canon[v] < 0) {
+        order[next] = v;
+        canon[v] = next++;
+      }
+    };
+    if (projection_.empty()) {
+      // SELECT *: every declared variable is projected, declaration order.
+      for (VarId v = 0; v < n; ++v) visit(v);
+    } else {
+      for (VarId v : projection_) visit(v);
+    }
+    for (const auto& c : clauses_) {
+      if (c.subject.is_var()) visit(c.subject.var());
+      if (c.predicate.is_var()) visit(c.predicate.var());
+      if (c.object.is_var()) visit(c.object.var());
+    }
+    for (const auto& f : filters_) {
+      visit(f.lhs);
+      visit(f.rhs_var);
+    }
+    for (VarId v = 0; v < n; ++v) visit(v);
+  }
+  auto var_id = [&](VarId v) -> VarId {
+    if (v < 0) return -1;
+    return v < n ? canon[v] : v;
+  };
+
   std::string out;
-  out.reserve(16 + 16 * clauses_.size());
+  out.reserve(64 + 24 * clauses_.size() + 16 * filters_.size() +
+              8 * static_cast<size_t>(n));
+  auto add_int = [&out](auto value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
+  auto add_term = [&](TermId id) {
+    out += '#';
+    if (constants == nullptr) {
+      add_int(id);
+    } else {
+      constants->Append(id, out);
+    }
+  };
   auto add_node = [&](const NodeRef& ref) {
     if (ref.is_var()) {
       out += '?';
-      out += std::to_string(ref.var());
+      add_int(var_id(ref.var()));
     } else {
-      out += '#';
-      out += std::to_string(ref.term());
+      add_term(ref.term());
     }
     out += ' ';
   };
+
   out += "v:";
-  for (const std::string& name : var_names_) {
-    out += name;
+  for (VarId i = 0; i < n; ++i) {
+    out += var_names_[order[i]];
     out += ',';
   }
   out += ";c:";
@@ -126,122 +185,45 @@ std::string SelectQuery::PlanFingerprint() const {
   }
   out += ";f:";
   for (const auto& f : filters_) {
-    out += std::to_string(static_cast<int>(f.kind));
+    add_int(static_cast<int>(f.kind));
     out += '/';
-    out += std::to_string(f.lhs);
+    add_int(var_id(f.lhs));
     out += '/';
-    out += std::to_string(f.rhs_var);
+    add_int(var_id(f.rhs_var));
     out += '/';
-    out += std::to_string(f.rhs_term);
-    out += ',';
-  }
-  out += ";p:";
-  if (projection_.empty()) {
-    for (VarId v = 0; v < static_cast<VarId>(num_vars()); ++v) {
-      out += std::to_string(v);
-      out += ',';
-    }
-  } else {
-    for (VarId v : projection_) {
-      out += std::to_string(v);
-      out += ',';
-    }
-  }
-  return out;
-}
-
-std::string SelectQuery::Fingerprint() const {
-  // Canonical variable numbering: ids are renumbered by first use
-  // (projection, then clauses, then filters), so the fingerprint is
-  // invariant to declaration order. Two builds of the same query — in
-  // particular a query and its ToSparql -> ParseSelectQuery round trip,
-  // where the parser assigns ids in textual order — collide as they
-  // should. Variable *names* still participate (they name result
-  // columns), so alpha-renamed queries stay distinct.
-  std::vector<VarId> canon(num_vars(), -1);
-  VarId next = 0;
-  auto visit = [&](VarId v) {
-    if (v >= 0 && v < static_cast<VarId>(num_vars()) && canon[v] < 0) {
-      canon[v] = next++;
-    }
-  };
-  if (projection_.empty()) {
-    // SELECT *: every declared variable is projected, declaration order.
-    for (VarId v = 0; v < static_cast<VarId>(num_vars()); ++v) visit(v);
-  } else {
-    for (VarId v : projection_) visit(v);
-  }
-  for (const auto& c : clauses_) {
-    if (c.subject.is_var()) visit(c.subject.var());
-    if (c.predicate.is_var()) visit(c.predicate.var());
-    if (c.object.is_var()) visit(c.object.var());
-  }
-  for (const auto& f : filters_) {
-    visit(f.lhs);
-    visit(f.rhs_var);
-  }
-  for (VarId v = 0; v < static_cast<VarId>(num_vars()); ++v) visit(v);
-
-  std::string out;
-  out.reserve(16 + 16 * clauses_.size());
-  auto add_node = [&](const NodeRef& ref) {
-    if (ref.is_var()) {
-      out += '?';
-      out += std::to_string(canon[ref.var()]);
+    if (constants == nullptr) {
+      // By-id keys spell the filter constant as a bare id (kNullTermId when
+      // absent): CachingEndpoint shards entries by the key's hash, so these
+      // bytes decide which entries a full cache evicts — and query counts.
+      add_int(f.rhs_term);
+    } else if (f.rhs_term == kNullTermId) {
+      out += '-';
     } else {
-      out += '#';
-      out += std::to_string(ref.term());
+      add_term(f.rhs_term);
     }
-    out += ' ';
-  };
-  out += "v:";
-  {
-    // Names listed in canonical order.
-    std::vector<const std::string*> names(num_vars());
-    for (VarId v = 0; v < static_cast<VarId>(num_vars()); ++v) {
-      names[canon[v]] = &var_names_[v];
-    }
-    for (const std::string* name : names) {
-      out += *name;
-      out += ',';
-    }
-  }
-  out += ";c:";
-  for (const auto& c : clauses_) {
-    add_node(c.subject);
-    add_node(c.predicate);
-    add_node(c.object);
-    out += '.';
-  }
-  out += ";f:";
-  for (const auto& f : filters_) {
-    out += std::to_string(static_cast<int>(f.kind));
-    out += '/';
-    out += std::to_string(f.lhs < 0 ? -1 : canon[f.lhs]);
-    out += '/';
-    out += std::to_string(f.rhs_var < 0 ? -1 : canon[f.rhs_var]);
-    out += '/';
-    out += std::to_string(f.rhs_term);
     out += ',';
   }
   out += ";p:";
   if (projection_.empty()) {
-    // Normalize SELECT * to the explicit all-variables projection.
-    for (VarId v = 0; v < static_cast<VarId>(num_vars()); ++v) {
-      out += std::to_string(canon[v]);
+    for (VarId v = 0; v < n; ++v) {
+      add_int(var_id(v));
       out += ',';
     }
   } else {
     for (VarId v : projection_) {
-      out += std::to_string(canon[v]);
+      add_int(var_id(v));
       out += ',';
     }
   }
-  out += distinct_ ? ";d1" : ";d0";
+  if (mode == QueryKeyMode::kPlan) return out;  // Plans ignore modifiers.
+
+  const bool ask = mode == QueryKeyMode::kAsk;
+  out += !ask && distinct_ ? ";d1" : ";d0";
   out += ";l:";
-  out += std::to_string(limit_);
+  add_int(ask ? kNoLimit : limit_);
   out += ";o:";
-  out += std::to_string(offset_);
+  add_int(ask ? uint64_t{0} : offset_);
+  if (ask) out += "#ask";
   return out;
 }
 

@@ -102,6 +102,29 @@ struct FilterExpr {
 /// No row limit.
 inline constexpr uint64_t kNoLimit = std::numeric_limits<uint64_t>::max();
 
+/// Which canonical rendering SelectQuery::RenderKey produces.
+enum class QueryKeyMode {
+  /// Plan-cache key: raw VarIds, no solution modifiers (PlanFingerprint).
+  kPlan,
+  /// Canonical VarIds, solution modifiers spelled out (Fingerprint).
+  kSelect,
+  /// kSelect with DISTINCT/LIMIT/OFFSET normalized away — existence does
+  /// not depend on them — plus an "#ask" suffix, so an ASK key never
+  /// collides with a SELECT key (AskFingerprint, cassette ASK keys).
+  kAsk,
+};
+
+/// Spells constants into a canonical key in place of their dictionary ids:
+/// the cassette's id-independent keys (endpoint/cassette.h) render each
+/// constant's surface form, so the same logical query gets the same key in
+/// any process.
+class TermKeyRenderer {
+ public:
+  virtual ~TermKeyRenderer() = default;
+  /// Appends the spelling of constant `id` (it follows a '#').
+  virtual void Append(TermId id, std::string& out) const = 0;
+};
+
 /// A SELECT query. Build with the fluent helpers, then hand to an Endpoint.
 class SelectQuery {
  public:
@@ -152,12 +175,23 @@ class SelectQuery {
   /// what HttpSparqlEndpoint::Ask sends over the SPARQL protocol.
   std::string ToSparqlAsk(const Dictionary& dict) const;
 
+  /// The one canonical renderer behind every query key: declared variable
+  /// names, clauses, filters and the resolved projection (SELECT * and an
+  /// explicit all-variables list render alike), then the solution
+  /// modifiers as `mode` asks. Canonical modes renumber variables by first
+  /// use (projection, then clauses, then filters), so a key is invariant to
+  /// declaration order — a query and its ToSparql -> ParseSelectQuery round
+  /// trip collide — while variable *names* still participate (they name
+  /// result columns). Constants render by id, or through `constants` when
+  /// given (not used with kPlan).
+  std::string RenderKey(QueryKeyMode mode,
+                        const TermKeyRenderer* constants = nullptr) const;
+
   /// Normalized structural fingerprint: two queries with the same
-  /// fingerprint return the same ResultSet against the same dataset.
-  /// Projections are resolved (SELECT * and an explicit all-variables list
-  /// collide) and the solution modifiers are folded in. Used as the cache /
-  /// batch-dedup key; no dictionary needed (constants are by id).
-  std::string Fingerprint() const;
+  /// fingerprint return the same ResultSet against the same dataset. Used
+  /// as the cache / batch-dedup key; no dictionary needed (constants are
+  /// by id).
+  std::string Fingerprint() const { return RenderKey(QueryKeyMode::kSelect); }
 
   /// The engine's plan-cache key: everything a compiled plan depends on
   /// (declared variables, clauses, filters, projection — all by *raw*
@@ -167,7 +201,7 @@ class SelectQuery {
   /// CompiledPlan stores raw VarIds, so two queries may share a plan only
   /// if their internal numbering agrees — alpha-renumbered twins get
   /// separate (cheap) plans instead of silently mislabeled columns.
-  std::string PlanFingerprint() const;
+  std::string PlanFingerprint() const { return RenderKey(QueryKeyMode::kPlan); }
 
  private:
   /// Shared WHERE-block renderer behind ToSparql / ToSparqlAsk.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sofya {
 namespace {
 
@@ -104,6 +107,59 @@ TEST(SelectQueryTest, ToSparqlRendersOffsetAndLimit) {
   const std::string text = q.ToSparql(dict);
   EXPECT_NE(text.find("OFFSET 5"), std::string::npos);
   EXPECT_NE(text.find("LIMIT 7"), std::string::npos);
+}
+
+/// A chain ?v0 p ?v1 . ?v1 p ?v2 ... over `n` variables, declared in
+/// reverse when `reversed` (same query, different internal numbering).
+SelectQuery Chain(int n, bool reversed, const std::string& last_name) {
+  SelectQuery q;
+  std::vector<VarId> vars(n);
+  for (int i = 0; i < n; ++i) {
+    const int k = reversed ? n - 1 - i : i;
+    vars[k] = q.NewVar(k == n - 1 ? last_name : "v" + std::to_string(k));
+  }
+  for (int i = 0; i + 1 < n; ++i) {
+    q.Where(NodeRef::Variable(vars[i]), NodeRef::Constant(9),
+            NodeRef::Variable(vars[i + 1]));
+  }
+  q.Select({vars[0], vars[n - 1]});
+  return q;
+}
+
+TEST(SelectQueryTest, KeysCanonicalizeManyVariables) {
+  // More variables than the renderer keeps on the stack: the canonical
+  // keys still ignore declaration order; the plan key, which carries raw
+  // ids, does not; variable names always count.
+  const SelectQuery forward = Chain(40, false, "last");
+  const SelectQuery backward = Chain(40, true, "last");
+  EXPECT_EQ(forward.Fingerprint(), backward.Fingerprint());
+  EXPECT_EQ(forward.RenderKey(QueryKeyMode::kAsk),
+            backward.RenderKey(QueryKeyMode::kAsk));
+  EXPECT_NE(forward.PlanFingerprint(), backward.PlanFingerprint());
+  EXPECT_NE(forward.Fingerprint(), Chain(40, false, "end").Fingerprint());
+}
+
+TEST(SelectQueryTest, ByIdKeyBytes) {
+  // CachingEndpoint shards entries by the hash of these keys, so their bytes
+  // decide which entries a full cache evicts and thus how many queries an
+  // alignment sends: a change here shows up as changed query counts.
+  SelectQuery q;
+  const VarId z = q.NewVar("z");
+  const VarId x = q.NewVar("x");
+  const VarId y = q.NewVar("y");
+  q.Where(NodeRef::Variable(x), NodeRef::Constant(5), NodeRef::Variable(y));
+  q.Where(NodeRef::Variable(x), NodeRef::Variable(z), NodeRef::Constant(6));
+  q.Filter(FilterExpr::VarNeqVar(y, z));
+  q.Filter(FilterExpr::VarEqTerm(y, 7));
+  q.Select({y, x}).Distinct().Limit(10).Offset(20);
+  EXPECT_EQ(q.Fingerprint(),
+            "v:y,x,z,;c:?1 #5 ?0 .?1 ?2 #6 .;f:1/0/2/0,2/0/-1/7,;p:0,1,;d1;"
+            "l:10;o:20");
+  EXPECT_EQ(q.RenderKey(QueryKeyMode::kAsk),
+            "v:y,x,z,;c:?1 #5 ?0 .?1 ?2 #6 .;f:1/0/2/0,2/0/-1/7,;p:0,1,;d0;"
+            "l:18446744073709551615;o:0#ask");
+  EXPECT_EQ(q.PlanFingerprint(),
+            "v:z,x,y,;c:?1 #5 ?2 .?1 ?0 #6 .;f:1/2/0/0,2/2/-1/7,;p:2,1,");
 }
 
 TEST(ResultSetTest, ColumnLookup) {
