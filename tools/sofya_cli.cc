@@ -54,15 +54,18 @@
 //
 //   query (local datasets) also takes --greedy-planner / --adaptive.
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/run_manifest.h"
@@ -127,6 +130,29 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
   return flags;
 }
 
+/// Reads numeric flag `name` into `*out` when it is present. The whole value
+/// must parse as a T within [lo, hi]; otherwise prints
+/// "invalid --name 'value'" and returns false, and the caller exits 2.
+template <typename T>
+bool NumberFlag(const std::map<std::string, std::string>& flags,
+                const char* name, T* out,
+                std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+                std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "invalid --%s '%s'\n", name, text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 /// Loads a dataset into `kb`, auto-detecting the format: snapshot files
 /// (rdf/store_snapshot.h magic) mmap-load in O(dictionary), anything else
 /// parses as N-Triples with a file-size-derived capacity reservation.
@@ -182,10 +208,12 @@ int Generate(const std::map<std::string, std::string>& flags) {
   const std::string preset =
       flags.count("preset") ? flags.at("preset") : "movies";
   const std::string out_dir = flags.count("out") ? flags.at("out") : ".";
-  const uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 7;
-  const double scale =
-      flags.count("scale") ? std::stod(flags.at("scale")) : 0.25;
+  uint64_t seed = 7;
+  double scale = 0.25;
+  if (!NumberFlag(flags, "seed", &seed) ||
+      !NumberFlag(flags, "scale", &scale, 0.0)) {
+    return 2;
+  }
 
   WorldSpec spec;
   if (preset == "tiny") {
@@ -369,6 +397,30 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     return Usage();
   }
 
+  // Options first, so a malformed flag fails before any dataset loads.
+  SofyaOptions options;
+  uint64_t seed = 0;
+  size_t threads = 1;
+  if (!NumberFlag(flags, "tau", &options.aligner.threshold, 0.0, 1.0) ||
+      !NumberFlag(flags, "sample", &options.aligner.sampler.sample_size) ||
+      !NumberFlag(flags, "seed", &seed) ||
+      !NumberFlag(flags, "threads", &threads)) {
+    return 2;
+  }
+  if (flags.count("measure") && flags.at("measure") == "cwa") {
+    options.aligner.measure = ConfidenceMeasure::kCwa;
+  }
+  if (flags.count("no-ubs")) options.aligner.use_ubs = false;
+  if (flags.count("candidate-source")) {
+    auto kind = ParseCandidateSourceKind(flags.at("candidate-source"));
+    if (!kind.ok()) {
+      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
+      return 2;
+    }
+    options.aligner.finder.source = *kind;
+  }
+  ApplyRunSeed(&options.aligner, seed);
+
   SameAsIndex links;
   if (Status st = LoadLinks(flags.at("links"), &links); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -439,29 +491,6 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     kb2_endpoint = std::move(live2);
   }
 
-  SofyaOptions options;
-  if (flags.count("tau")) {
-    options.aligner.threshold = std::stod(flags.at("tau"));
-  }
-  if (flags.count("measure") && flags.at("measure") == "cwa") {
-    options.aligner.measure = ConfidenceMeasure::kCwa;
-  }
-  if (flags.count("no-ubs")) options.aligner.use_ubs = false;
-  if (flags.count("sample")) {
-    options.aligner.sampler.sample_size = std::stoul(flags.at("sample"));
-  }
-  if (flags.count("candidate-source")) {
-    auto kind = ParseCandidateSourceKind(flags.at("candidate-source"));
-    if (!kind.ok()) {
-      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-      return 2;
-    }
-    options.aligner.finder.source = *kind;
-  }
-  if (flags.count("seed")) {
-    ApplyRunSeed(&options.aligner, std::stoull(flags.at("seed")));
-  }
-
   Sofya sofya(std::move(kb1_endpoint), std::move(kb2_endpoint), &links,
               options);
   if (record) sofya.AttachJournals(recorder1, recorder2);
@@ -488,9 +517,6 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "no relations to align\n");
     return 2;
   }
-  const size_t threads =
-      flags.count("threads") ? std::stoul(flags.at("threads")) : 1;
-
   WallTimer timer;
   auto results = sofya.AlignAll(relations, threads);
   if (!results.ok()) {
@@ -652,6 +678,8 @@ int Query(const std::map<std::string, std::string>& flags) {
       !flags.count("sparql")) {
     return Usage();
   }
+  size_t scan_threads = 0;
+  if (!NumberFlag(flags, "scan-threads", &scan_threads)) return 2;
 
   // Build the target endpoint: local file or remote SPARQL service. The
   // remote path is wrapped in RetryingEndpoint so one 503 does not kill a
@@ -685,12 +713,9 @@ int Query(const std::map<std::string, std::string>& flags) {
       local_options.engine.planner.use_dp = false;
     }
     if (flags.count("adaptive")) local_options.engine.adaptive = true;
-    if (flags.count("scan-threads")) {
-      const size_t n = std::stoul(flags.at("scan-threads"));
-      if (n > 1) {
-        scan_pool = std::make_unique<ThreadPool>(n);
-        local_options.engine.scan_pool = scan_pool.get();
-      }
+    if (scan_threads > 1) {
+      scan_pool = std::make_unique<ThreadPool>(scan_threads);
+      local_options.engine.scan_pool = scan_pool.get();
     }
     local = std::make_unique<LocalEndpoint>(&kb, local_options);
     endpoint = local.get();
@@ -809,40 +834,29 @@ void HandleStopSignal(int) { g_stop_requested = 1; }
 
 int Serve(const std::map<std::string, std::string>& flags) {
   if (!flags.count("kb")) return Usage();
+
+  SparqlServerOptions server_options;
+  HttpServerOptions http_options;
+  if (!NumberFlag(flags, "scan-threads", &server_options.scan_threads) ||
+      !NumberFlag(flags, "max-concurrent", &server_options.max_concurrent) ||
+      !NumberFlag(flags, "per-client-concurrent",
+                  &server_options.max_concurrent_per_client) ||
+      !NumberFlag(flags, "quota", &server_options.per_client_query_quota) ||
+      !NumberFlag(flags, "retry-after-s", &server_options.retry_after_seconds,
+                  0.0) ||
+      !NumberFlag(flags, "port", &http_options.port) ||
+      !NumberFlag(flags, "workers", &http_options.worker_threads)) {
+    return 2;
+  }
+  if (flags.count("path")) server_options.service_path = flags.at("path");
+  if (flags.count("address")) http_options.bind_address = flags.at("address");
+
   KnowledgeBase kb("kb", "");
   if (Status st = LoadKb(flags.at("kb"), &kb); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-
-  SparqlServerOptions server_options;
-  if (flags.count("path")) server_options.service_path = flags.at("path");
-  if (flags.count("scan-threads")) {
-    server_options.scan_threads = std::stoul(flags.at("scan-threads"));
-  }
-  if (flags.count("max-concurrent")) {
-    server_options.max_concurrent = std::stoul(flags.at("max-concurrent"));
-  }
-  if (flags.count("per-client-concurrent")) {
-    server_options.max_concurrent_per_client =
-        std::stoul(flags.at("per-client-concurrent"));
-  }
-  if (flags.count("quota")) {
-    server_options.per_client_query_quota = std::stoull(flags.at("quota"));
-  }
-  if (flags.count("retry-after-s")) {
-    server_options.retry_after_seconds = std::stod(flags.at("retry-after-s"));
-  }
   SparqlServer server(&kb, server_options);
-
-  HttpServerOptions http_options;
-  if (flags.count("port")) {
-    http_options.port = static_cast<uint16_t>(std::stoul(flags.at("port")));
-  }
-  if (flags.count("address")) http_options.bind_address = flags.at("address");
-  if (flags.count("workers")) {
-    http_options.worker_threads = std::stoul(flags.at("workers"));
-  }
   HttpServer http(server.HttpHandler(), http_options);
   if (Status st = http.Start(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
