@@ -13,8 +13,9 @@
 namespace sofya {
 namespace {
 
-/// Entries kept before the cache sheds its epoch tail. One aligner run
-/// needs at most a handful of keys (one per endpoint direction per epoch).
+/// Entries kept before the cache sheds its inventory tail. One aligner run
+/// needs at most a handful of keys (one per endpoint direction per distinct
+/// predicate inventory).
 constexpr size_t kLexicalCacheCap = 16;
 
 /// Sorts scored candidates by descending score with ascending-IRI ties and
@@ -55,12 +56,14 @@ StatusOr<std::vector<Term>> FetchPredicateInventory(Endpoint* endpoint,
   return inventory;
 }
 
-/// Cache key of a lexical index: endpoint epoch + LSH shape + inventory.
-uint64_t LexicalIndexKey(uint64_t data_epoch, const MinHashLshOptions& lsh,
+/// Cache key of a lexical index: LSH shape + sorted inventory. The index is
+/// a pure function of those two, so a write that leaves the inventory
+/// unchanged (a new fact for an existing predicate) keeps the key, and one
+/// that adds or drops a predicate changes it.
+uint64_t LexicalIndexKey(const MinHashLshOptions& lsh,
                          const std::vector<Term>& inventory) {
-  uint64_t key = Fnv1a(&data_epoch, sizeof(data_epoch));
   const uint64_t shape[4] = {lsh.ngram, lsh.num_hashes, lsh.bands, lsh.seed};
-  key ^= Fnv1a(shape, sizeof(shape)) * 0x9e3779b97f4a7c15ULL;
+  uint64_t key = Fnv1a(shape, sizeof(shape)) * 0x9e3779b97f4a7c15ULL;
   for (const Term& t : inventory) {
     key = key * 1099511628211ULL ^
           Fnv1a(t.lexical().data(), t.lexical().size());
@@ -98,10 +101,10 @@ LexicalIndexCache::IndexPtr LexicalIndexCache::GetOrBuild(
     ++hits_;
     return it->second;
   }
-  // Build under the lock: one build per key per epoch, concurrent
-  // relations wait for it instead of racing duplicate O(P) builds.
+  // Build under the lock: one build per key, concurrent relations wait for
+  // it instead of racing duplicate O(P) builds.
   IndexPtr index = build();
-  if (entries_.size() >= kLexicalCacheCap) entries_.clear();  // Epoch tail.
+  if (entries_.size() >= kLexicalCacheCap) entries_.clear();  // Stale keys.
   entries_.emplace(key, index);
   ++builds_;
   return index;
@@ -271,8 +274,7 @@ StatusOr<LexicalIndexCache::IndexPtr> LexicalIndexSource::GetIndex() {
       std::vector<Term> inventory,
       FetchPredicateInventory(candidate_kb_, options_.page_size));
   last_inventory_size_ = inventory.size();
-  const uint64_t key =
-      LexicalIndexKey(candidate_kb_->data_epoch(), options_.lsh, inventory);
+  const uint64_t key = LexicalIndexKey(options_.lsh, inventory);
   return cache_->GetOrBuild(key, [&]() -> LexicalIndexCache::IndexPtr {
     auto index = std::make_shared<LexicalRelationIndex>(options_.lsh);
     index->relations.reserve(inventory.size());

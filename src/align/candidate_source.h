@@ -30,9 +30,9 @@
 //
 // The lexical index is built lazily from the candidate endpoint's
 // predicate inventory and memoized in a LexicalIndexCache shared across
-// one aligner's relations; entries are keyed by (data_epoch, options,
-// inventory hash), so a KB mutation invalidates them exactly like the
-// engine's plan cache.
+// one aligner's relations; entries are keyed by (LSH options, inventory
+// hash) — the only inputs the index depends on — so a KB write rebuilds it
+// only when it adds or removes a predicate, not on every data_epoch bump.
 
 #ifndef SOFYA_ALIGN_CANDIDATE_SOURCE_H_
 #define SOFYA_ALIGN_CANDIDATE_SOURCE_H_
@@ -78,16 +78,16 @@ struct LexicalRelationIndex {
 
 /// Thread-safe memo of built lexical indexes, shared by every relation of
 /// one aligner run (AlignMany's child aligners copy the owning shared_ptr
-/// through AlignerOptions). Keys fold in the endpoint's data_epoch and the
-/// inventory hash, so stale indexes are never served; a small cap bounds
-/// the epoch tail.
+/// through AlignerOptions). Keys fold in the LSH shape and the sorted
+/// inventory hash, so an index is never served for an inventory it was not
+/// built from; a small cap bounds the tail of stale inventories.
 class LexicalIndexCache {
  public:
   using IndexPtr = std::shared_ptr<const LexicalRelationIndex>;
 
   /// Returns the cached index for `key`, building (and memoizing) it via
   /// `build` on a miss. The build runs under the cache lock: concurrent
-  /// relations wait instead of duplicating the one-per-epoch build.
+  /// relations wait instead of duplicating the one-per-inventory build.
   IndexPtr GetOrBuild(uint64_t key, const std::function<IndexPtr()>& build);
 
   uint64_t builds() const;
@@ -214,7 +214,7 @@ class LexicalIndexSource : public CandidateSource {
 
  private:
   /// Fetches + sorts the candidate endpoint's predicate IRIs and returns
-  /// the (epoch, options, inventory)-keyed index, built on cache miss.
+  /// the (options, inventory)-keyed index, built on cache miss.
   StatusOr<LexicalIndexCache::IndexPtr> GetIndex();
 
   Endpoint* candidate_kb_;  // Not owned.

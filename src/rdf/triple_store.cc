@@ -154,8 +154,44 @@ void TripleStore::AppendToShard(uint32_t i, const Triple& t) {
   sh.dirty.store(true, std::memory_order_release);
 }
 
+void TripleStore::EraseFromShard(uint32_t i, const Triple& t) {
+  Shard& sh = *shards_[i];
+  const auto prefix_end = sh.spo.begin() + static_cast<ptrdiff_t>(sh.sorted);
+  if (std::binary_search(sh.spo.begin(), prefix_end, t, SpoLess())) {
+    // In the sorted prefix: an order-preserving erase keeps it sorted, so
+    // the next read has only the tail to merge.
+    auto erase_sorted = [&](std::vector<Triple>& v, auto less) {
+      v.erase(std::lower_bound(
+          v.begin(), v.begin() + static_cast<ptrdiff_t>(sh.sorted), t, less));
+    };
+    erase_sorted(sh.spo, SpoLess());
+    erase_sorted(sh.pos, PosLess());
+    erase_sorted(sh.osp, OspLess());
+    --sh.sorted;
+  } else {
+    // In the unsorted tail: order there is irrelevant, swap with the back.
+    auto erase_tail = [&](std::vector<Triple>& v) {
+      auto it = std::find(v.begin() + static_cast<ptrdiff_t>(sh.sorted),
+                          v.end(), t);
+      *it = v.back();
+      v.pop_back();
+    };
+    erase_tail(sh.spo);
+    erase_tail(sh.pos);
+    erase_tail(sh.osp);
+  }
+  sh.epoch.fetch_add(1, std::memory_order_relaxed);
+  // Still dirty after a prefix-only erase: nothing needs sorting, but the
+  // read views must be refreshed because the span lengths changed.
+  sh.dirty.store(true, std::memory_order_release);
+}
+
 bool TripleStore::Insert(const Triple& t) {
-  if (mapped_) Thaw();
+  if (mapped_) {
+    // A duplicate changes nothing, so it must not pay for (or cause) a thaw.
+    if (Contains(t)) return false;
+    Thaw();
+  }
   if (!set_.insert(t).second) return false;
   ++size_;
   PredInfo& info = pred_info_[t.predicate];
@@ -175,26 +211,18 @@ bool TripleStore::Insert(const Triple& t) {
 }
 
 bool TripleStore::Erase(const Triple& t) {
-  if (mapped_) Thaw();
+  if (mapped_) {
+    // Erasing an absent triple changes nothing: keep the store mapped.
+    if (!Contains(t)) return false;
+    Thaw();
+  }
   if (set_.erase(t) == 0) return false;
   --size_;
   auto it = pred_info_.find(t.predicate);
   // The set held the triple, so routing info must exist.
-  Shard& sh = *shards_[ShardFor(t)];
   --it->second.facts;
   if (it->second.facts == 0) --distinct_preds_;
-  auto erase_one = [&](std::vector<Triple>& v) {
-    auto pos = std::find(v.begin(), v.end(), t);
-    if (pos != v.end()) {
-      *pos = v.back();
-      v.pop_back();
-    }
-  };
-  erase_one(sh.spo);
-  erase_one(sh.pos);
-  erase_one(sh.osp);
-  sh.epoch.fetch_add(1, std::memory_order_relaxed);
-  sh.dirty.store(true, std::memory_order_release);
+  EraseFromShard(ShardFor(t), t);
   if (bulk_depth_ > 0) {
     bulk_dirty_ = true;
   } else {
@@ -223,9 +251,14 @@ void TripleStore::Promote(TermId p, PredInfo& info) {
     shards_.push_back(std::make_unique<Shard>());
   }
   // Partition p's triples out of the hash shard into the sub-shards by
-  // subject hash. The stable sweep preserves relative order, so a clean
-  // source shard stays sorted; it is re-marked dirty anyway because its
-  // views must be refreshed after shrinking.
+  // subject hash. The stable sweep preserves relative order, so the source
+  // keeps a sorted prefix: the triples it keeps from its old prefix (the
+  // same set in all three vectors). It is re-marked dirty anyway because
+  // its views must be refreshed after shrinking. The sub-shards start with
+  // everything in the tail (sorted == 0).
+  const size_t kept_sorted = static_cast<size_t>(std::count_if(
+      src.spo.begin(), src.spo.begin() + static_cast<ptrdiff_t>(src.sorted),
+      [p](const Triple& t) { return t.predicate != p; }));
   auto split_vec = [&](std::vector<Triple>& v,
                        std::vector<Triple> Shard::* member) {
     auto keep = v.begin();
@@ -242,6 +275,7 @@ void TripleStore::Promote(TermId p, PredInfo& info) {
   split_vec(src.spo, &Shard::spo);
   split_vec(src.pos, &Shard::pos);
   split_vec(src.osp, &Shard::osp);
+  src.sorted = kept_sorted;
   src.epoch.fetch_add(1, std::memory_order_relaxed);
   src.dirty.store(true, std::memory_order_release);
   for (uint32_t k = 0; k < split; ++k) {
@@ -269,6 +303,7 @@ void TripleStore::Thaw() {
       sh.spo_v = {sh.spo.data(), sh.spo.size()};
       sh.pos_v = {sh.pos.data(), sh.pos.size()};
       sh.osp_v = {sh.osp.data(), sh.osp.size()};
+      sh.sorted = sh.spo.size();
       sh.mapped = false;  // Still sorted; dirty stays false.
     }
     for (const Triple& t : sh.spo) set_.insert(t);
@@ -308,13 +343,22 @@ void TripleStore::Reserve(size_t n) { set_.reserve(n); }
 void TripleStore::EnsureShardSorted(const Shard& sh) const {
   if (sh.mapped) return;  // Snapshot segments are written sorted.
   // Double-checked: steady-state reads cost one acquire load; the first
-  // read after a write sorts under the lock while latecomers wait.
+  // read after a write merges under the lock while latecomers wait.
   if (!sh.dirty.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(sh.mu);
   if (!sh.dirty.load(std::memory_order_relaxed)) return;
-  std::sort(sh.spo.begin(), sh.spo.end(), SpoLess());
-  std::sort(sh.pos.begin(), sh.pos.end(), PosLess());
-  std::sort(sh.osp.begin(), sh.osp.end(), OspLess());
+  // Sort only the tail written since the last read, then merge it into the
+  // sorted prefix: O(delta log delta + n) moves instead of a full re-sort.
+  // A bulk load starts at sorted == 0, so it is one full sort.
+  auto merge_tail = [&](std::vector<Triple>& v, auto less) {
+    const auto mid = v.begin() + static_cast<ptrdiff_t>(sh.sorted);
+    std::sort(mid, v.end(), less);
+    std::inplace_merge(v.begin(), mid, v.end(), less);
+  };
+  merge_tail(sh.spo, SpoLess());
+  merge_tail(sh.pos, PosLess());
+  merge_tail(sh.osp, OspLess());
+  sh.sorted = sh.spo.size();
   sh.spo_v = {sh.spo.data(), sh.spo.size()};
   sh.pos_v = {sh.pos.data(), sh.pos.size()};
   sh.osp_v = {sh.osp.data(), sh.osp.size()};

@@ -1,13 +1,17 @@
 // In-memory dictionary-encoded triple store, sharded by predicate.
 //
 // Design: the store is a collection of shards, each a mini-hexastore — three
-// lazily re-sorted index vectors (SPO, POS, OSP) giving contiguous ranges for
-// every bound-prefix pattern — plus one global hash set for O(1) membership
-// and dedup. Predicates are routed to a fixed ring of hash shards; a
-// predicate whose fact count crosses `promote_threshold` is promoted to its
-// own dedicated group of `split_factor` sub-shards partitioned by subject
-// hash, so scans of a dominant predicate can fan out across cores and a
-// write to one predicate re-sorts (and re-counts) only its own shard.
+// index vectors (SPO, POS, OSP) giving contiguous ranges for every
+// bound-prefix pattern — plus one global hash set for O(1) membership and
+// dedup. Each index vector is a sorted prefix followed by an unsorted tail
+// of recent inserts; the first read after a write sorts the tail and merges
+// it into the prefix, so a small write costs O(delta log delta + n) moves
+// rather than a full O(n log n) re-sort. Predicates are routed to a fixed
+// ring of hash shards; a predicate whose fact count crosses
+// `promote_threshold` is promoted to its own dedicated group of
+// `split_factor` sub-shards partitioned by subject hash, so scans of a
+// dominant predicate can fan out across cores and a write to one predicate
+// re-merges (and re-counts) only its own shard.
 //
 // Every access pattern SOFYA's samplers need maps to per-shard contiguous
 // ranges:
@@ -22,7 +26,8 @@
 // Shards can be *mapped*: backed by read-only spans into an mmap'd snapshot
 // file (src/rdf/store_snapshot.h) instead of owned vectors. Mapped shards
 // are pre-sorted, so queries are zero-copy straight off the page cache; the
-// first write thaws the store back into owned vectors.
+// first write that changes the data thaws the store back into owned vectors
+// (a duplicate insert or an erase of an absent triple leaves it mapped).
 
 #ifndef SOFYA_RDF_TRIPLE_STORE_H_
 #define SOFYA_RDF_TRIPLE_STORE_H_
@@ -175,10 +180,11 @@ class MatchView {
 };
 
 /// The store. Writes invalidate the touched shard; the first subsequent
-/// read re-sorts that shard only.
+/// read merges that shard's unsorted tail into its sorted prefix, touching
+/// no other shard.
 ///
 /// Thread safety: concurrent const reads are safe, including the first read
-/// after a write (per-shard lazy re-sorts and every stats memo are
+/// after a write (per-shard lazy tail merges and every stats memo are
 /// internally synchronized). Writes (Insert/Erase/bulk load/AttachMapped)
 /// must not overlap with reads or other writes — the alignment pipeline
 /// treats a dataset as immutable while queries are in flight, which is also
@@ -393,13 +399,18 @@ class TripleStore {
     }
   };
 
-  /// One shard: owned append vectors (or mapped spans), lazy-sort state, its
+  /// One shard: owned index vectors (or mapped spans), lazy-merge state, its
   /// own epoch, and epoch-keyed memos. Heap-allocated so the shard list can
   /// grow on promotion without moving mutexes/atomics.
   struct Shard {
     // Owned storage; empty while `mapped`. Mutable (with the views below)
-    // because the lazy re-sort runs on the const read path.
+    // because the lazy tail merge runs on the const read path.
     mutable std::vector<Triple> spo, pos, osp;
+    // Length of the prefix of spo/pos/osp known to be sorted by each
+    // vector's own order. The three prefixes hold the same triples, and so
+    // do the three unsorted tails behind them. Written under `mu` on the
+    // read path; only writes read it outside the lock.
+    mutable size_t sorted = 0;
     // Read views: the owned vectors after the last sort, or mmap segments.
     // Refreshed under `mu` before `dirty` is released, so any reader that
     // observed dirty == false sees current views.
@@ -469,10 +480,15 @@ class TripleStore {
   std::span<const Triple> ShardRange(const Shard& sh,
                                      const TriplePattern& p) const;
 
+  /// Sorts shard `sh`'s tail, merges it into the sorted prefix and refreshes
+  /// the read views; a no-op unless a write dirtied the shard.
   void EnsureShardSorted(const Shard& sh) const;
 
-  /// Appends `t` to shard `i`'s vectors and marks it dirty.
+  /// Appends `t` to the tail of shard `i`'s vectors and marks it dirty.
   void AppendToShard(uint32_t i, const Triple& t);
+
+  /// Removes `t` (known present) from shard `i`'s vectors and marks it dirty.
+  void EraseFromShard(uint32_t i, const Triple& t);
 
   /// Moves predicate `p` out of its hash shard into a fresh dedicated
   /// group. Called from Insert / EndBulkLoad when `facts` crosses the

@@ -254,7 +254,7 @@ TEST_F(NoLinksFixture, LexicalRecallAtEightAboveBar) {
   EXPECT_EQ(options.lexical_cache->hits(), refs.size() - 1);
 }
 
-TEST_F(NoLinksFixture, LexicalIndexCacheInvalidatesOnDataEpoch) {
+TEST_F(NoLinksFixture, LexicalIndexCacheRebuildsOnlyWhenInventoryChanges) {
   CandidateFinderOptions options;
   options.source = CandidateSourceKind::kLexical;
   options.lexical_cache = std::make_shared<LexicalIndexCache>();
@@ -266,9 +266,23 @@ TEST_F(NoLinksFixture, LexicalIndexCacheInvalidatesOnDataEpoch) {
   EXPECT_EQ(options.lexical_cache->builds(), 1u);
   EXPECT_EQ(options.lexical_cache->hits(), 1u);
 
-  // A write bumps the candidate KB's data_epoch and grows the predicate
-  // inventory: the cached index is stale and must be rebuilt.
-  const uint64_t epoch_before = cand_.data_epoch();
+  // A write to an existing predicate bumps the candidate KB's data_epoch
+  // but leaves the predicate inventory, and so the index, unchanged.
+  const std::vector<TermId> predicates = world_.kb1->store().Predicates();
+  ASSERT_FALSE(predicates.empty());
+  uint64_t epoch_before = cand_.data_epoch();
+  ASSERT_TRUE(world_.kb1->store().Insert(
+      world_.kb1->dict().InternIri("http://kb.test/fresh_subject"),
+      predicates.front(),
+      world_.kb1->dict().InternIri("http://kb.test/fresh_object")));
+  EXPECT_GT(cand_.data_epoch(), epoch_before);
+  ASSERT_TRUE(finder.FindCandidates(r).ok());
+  EXPECT_EQ(options.lexical_cache->builds(), 1u);
+  EXPECT_EQ(options.lexical_cache->hits(), 2u);
+
+  // A write that grows the predicate inventory: the cached index is stale
+  // and must be rebuilt.
+  epoch_before = cand_.data_epoch();
   ASSERT_TRUE(world_.kb1->AddFact("entity/e0", "ontology/freshPredicate",
                                   "entity/e1"));
   EXPECT_GT(cand_.data_epoch(), epoch_before);

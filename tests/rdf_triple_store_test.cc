@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <set>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "rdf/triple.h"
@@ -439,6 +443,279 @@ TEST_P(ShardedPatternProperty, MatchesAgreeWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedPatternProperty,
                          ::testing::Values(7ULL, 23ULL, 51ULL));
+
+// ---------------------------------------------------------------------------
+// Writes interleaved with reads: each shard's indexes are a sorted prefix
+// plus an unsorted tail, so erases must work on both sides of the boundary
+// and the first read after a batch must merge back to a fully sorted shard.
+// ---------------------------------------------------------------------------
+
+// SPO order is Triple's own operator<.
+bool PosOrder(const Triple& a, const Triple& b) {
+  return std::tie(a.predicate, a.object, a.subject) <
+         std::tie(b.predicate, b.object, b.subject);
+}
+bool OspOrder(const Triple& a, const Triple& b) {
+  return std::tie(a.object, a.subject, a.predicate) <
+         std::tie(b.object, b.subject, b.predicate);
+}
+
+/// Checks every read surface of `store` against the brute-force `oracle`.
+void ExpectStoreMatchesOracle(const TripleStore& store,
+                              const std::set<Triple>& oracle, Rng& rng,
+                              TermId max_s, TermId max_p, TermId max_o) {
+  ASSERT_EQ(store.size(), oracle.size());
+  for (int trial = 0; trial < 40; ++trial) {
+    TriplePattern p(
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(max_s))
+                           : kNullTermId,
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(max_p))
+                           : kNullTermId,
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(max_o))
+                           : kNullTermId);
+    std::vector<Triple> want;
+    for (const Triple& t : oracle) {
+      if (p.Matches(t)) want.push_back(t);
+    }
+    std::vector<Triple> got = store.Match(p);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "pattern (" << p.subject << "," << p.predicate
+                         << "," << p.object << ")";
+    EXPECT_EQ(store.CountMatches(p), want.size());
+  }
+
+  // Every shard's three spans are sorted by their own order and hold the
+  // same triples; together they cover the store exactly.
+  std::vector<Triple> covered;
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    const TripleStore::MappedShardSegments seg = store.ShardSegments(i);
+    EXPECT_TRUE(std::is_sorted(seg.spo.begin(), seg.spo.end()))
+        << "shard " << i;
+    EXPECT_TRUE(std::is_sorted(seg.pos.begin(), seg.pos.end(), PosOrder))
+        << "shard " << i;
+    EXPECT_TRUE(std::is_sorted(seg.osp.begin(), seg.osp.end(), OspOrder))
+        << "shard " << i;
+    std::vector<Triple> pos(seg.pos.begin(), seg.pos.end());
+    std::vector<Triple> osp(seg.osp.begin(), seg.osp.end());
+    std::sort(pos.begin(), pos.end());
+    std::sort(osp.begin(), osp.end());
+    const std::vector<Triple> spo(seg.spo.begin(), seg.spo.end());
+    EXPECT_EQ(pos, spo) << "shard " << i;
+    EXPECT_EQ(osp, spo) << "shard " << i;
+    covered.insert(covered.end(), spo.begin(), spo.end());
+  }
+  std::sort(covered.begin(), covered.end());
+  EXPECT_EQ(covered, std::vector<Triple>(oracle.begin(), oracle.end()));
+
+  std::set<TermId> subjects, predicates, objects;
+  for (const Triple& t : oracle) {
+    subjects.insert(t.subject);
+    predicates.insert(t.predicate);
+    objects.insert(t.object);
+  }
+  for (TermId p = 1; p <= max_p; ++p) {
+    size_t facts = 0;
+    std::set<TermId> ps, po;
+    for (const Triple& t : oracle) {
+      if (t.predicate != p) continue;
+      ++facts;
+      ps.insert(t.subject);
+      po.insert(t.object);
+    }
+    const PredicateStats stats = store.StatsFor(p);
+    EXPECT_EQ(stats.facts, facts) << "pred " << p;
+    EXPECT_EQ(stats.distinct_subjects, ps.size()) << "pred " << p;
+    EXPECT_EQ(stats.distinct_objects, po.size()) << "pred " << p;
+  }
+  const StoreStats global = store.GlobalStats();
+  EXPECT_EQ(global.triples, oracle.size());
+  EXPECT_EQ(global.distinct_subjects, subjects.size());
+  EXPECT_EQ(global.distinct_predicates, predicates.size());
+  EXPECT_EQ(global.distinct_objects, objects.size());
+}
+
+/// Runs random insert/erase batches with full reads between them. Erases
+/// pick either a triple inserted since the last read (still in an unsorted
+/// tail) or an older one (in a sorted prefix), and every write's return
+/// value is checked against the oracle.
+void RunInterleavedChurn(const StoreOptions& options, uint64_t seed,
+                         bool expect_promotion) {
+  constexpr TermId kS = 24, kP = 5, kO = 24;
+  Rng rng(seed);
+  TripleStore store(options);
+  std::set<Triple> oracle;
+  auto random_triple = [&] {
+    return Triple(static_cast<TermId>(1 + rng.Below(kS)),
+                  static_cast<TermId>(1 + rng.Below(kP)),
+                  static_cast<TermId>(1 + rng.Below(kO)));
+  };
+  for (int i = 0; i < 12; ++i) {
+    const Triple t = random_triple();
+    EXPECT_EQ(store.Insert(t), oracle.insert(t).second);
+  }
+  // Promotion must happen mid-stream, after reads, not during the seed.
+  const bool promoted_at_start = !store.PromotedPredicates().empty();
+  ExpectStoreMatchesOracle(store, oracle, rng, kS, kP, kO);
+
+  size_t prefix_erases = 0;
+  size_t tail_erases = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<Triple> recent;  // Inserted since the last read.
+    const size_t ops = 1 + rng.Below(12);
+    for (size_t op = 0; op < ops; ++op) {
+      const uint64_t kind = rng.Below(10);
+      if (kind < 5) {
+        const Triple t = random_triple();
+        const bool fresh = oracle.insert(t).second;
+        EXPECT_EQ(store.Insert(t), fresh);
+        if (fresh) recent.push_back(t);
+      } else if (kind < 7 && !recent.empty()) {
+        const size_t at = rng.Below(recent.size());
+        const Triple t = recent[at];
+        recent.erase(recent.begin() + static_cast<ptrdiff_t>(at));
+        oracle.erase(t);
+        EXPECT_TRUE(store.Erase(t));
+        ++tail_erases;
+      } else if (kind < 9 && !oracle.empty()) {
+        auto it = oracle.begin();
+        std::advance(it, static_cast<ptrdiff_t>(rng.Below(oracle.size())));
+        const Triple t = *it;
+        const bool was_recent =
+            std::find(recent.begin(), recent.end(), t) != recent.end();
+        if (was_recent) continue;  // Keep the prefix/tail tally exact.
+        oracle.erase(it);
+        EXPECT_TRUE(store.Erase(t));
+        ++prefix_erases;
+      } else {
+        const Triple t = random_triple();
+        const bool present = oracle.erase(t) > 0;
+        EXPECT_EQ(store.Erase(t), present);
+        recent.erase(std::remove(recent.begin(), recent.end(), t),
+                     recent.end());
+      }
+    }
+    ExpectStoreMatchesOracle(store, oracle, rng, kS, kP, kO);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(prefix_erases, 0u);
+  EXPECT_GT(tail_erases, 0u);
+  if (expect_promotion) {
+    EXPECT_FALSE(promoted_at_start);
+    EXPECT_FALSE(store.PromotedPredicates().empty());
+  }
+}
+
+TEST(InterleavedWriteReadProperty, DefaultShards) {
+  for (uint64_t seed : {3ULL, 11ULL, 29ULL}) {
+    SCOPED_TRACE(seed);
+    RunInterleavedChurn(StoreOptions(), seed, /*expect_promotion=*/false);
+  }
+}
+
+TEST(InterleavedWriteReadProperty, TinyShardsPromoteMidStream) {
+  for (uint64_t seed : {3ULL, 11ULL, 29ULL}) {
+    SCOPED_TRACE(seed);
+    RunInterleavedChurn(TinyShards(), seed, /*expect_promotion=*/true);
+  }
+}
+
+// The first reads after a write batch merge shard tails on the read path
+// under each shard's lock. Eight threads released together into
+// MatchSpans/StatsFor/HistogramFor/GlobalStats must all see the merged data
+// (and run clean under TSan).
+TEST(ConcurrentReadsAfterWrites, FirstReadsRaceSafely) {
+  constexpr int kThreads = 8;
+  constexpr TermId kPreds = 6;
+  TripleStore store;
+  std::set<Triple> oracle;
+  Rng rng(5);
+  auto random_triple = [&] {
+    return Triple(static_cast<TermId>(1 + rng.Below(80)),
+                  static_cast<TermId>(1 + rng.Below(kPreds)),
+                  static_cast<TermId>(1 + rng.Below(80)));
+  };
+  for (int i = 0; i < 4000; ++i) {
+    const Triple t = random_triple();
+    store.Insert(t);
+    oracle.insert(t);
+  }
+  store.EnsureIndexed();
+  for (int round = 0; round < 5; ++round) {
+    // One write batch: inserts land in tails, erases hit sorted prefixes.
+    for (int i = 0; i < 32; ++i) {
+      const Triple t = random_triple();
+      if (oracle.insert(t).second) {
+        store.Insert(t);
+      } else {
+        oracle.erase(t);
+        store.Erase(t);
+      }
+    }
+    // Expected answers, computed before any thread touches `store`.
+    TripleStore reference;
+    for (const Triple& t : oracle) reference.Insert(t);
+    std::vector<size_t> want_count(kPreds + 1);
+    std::vector<PredicateStats> want_stats(kPreds + 1);
+    std::vector<size_t> want_hist_rows(kPreds + 1);
+    for (TermId p = 1; p <= kPreds; ++p) {
+      want_count[p] = reference.CountMatches(TriplePattern(0, p, 0));
+      want_stats[p] = reference.StatsFor(p);
+      want_hist_rows[p] = reference.HistogramFor(p).subjects.total_rows();
+    }
+    const StoreStats want_global = reference.GlobalStats();
+
+    std::atomic<int> waiting{kThreads};
+    std::vector<int> failures(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kThreads; ++w) {
+      threads.emplace_back([&, w] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) std::this_thread::yield();
+        // Each thread leads with a different entry point, so all four race
+        // into the same dirty shards.
+        for (int step = 0; step < 4; ++step) {
+          for (TermId p = 1; p <= kPreds; ++p) {
+            switch ((w + step) % 4) {
+              case 0:
+                if (store.MatchSpans(TriplePattern(0, p, 0)).total() !=
+                    want_count[p]) {
+                  ++failures[w];
+                }
+                break;
+              case 1: {
+                const PredicateStats got = store.StatsFor(p);
+                if (got.facts != want_stats[p].facts ||
+                    got.distinct_subjects != want_stats[p].distinct_subjects ||
+                    got.distinct_objects != want_stats[p].distinct_objects) {
+                  ++failures[w];
+                }
+                break;
+              }
+              case 2:
+                if (store.HistogramFor(p).subjects.total_rows() !=
+                    want_hist_rows[p]) {
+                  ++failures[w];
+                }
+                break;
+              default: {
+                const StoreStats got = store.GlobalStats();
+                if (got.triples != want_global.triples ||
+                    got.distinct_subjects != want_global.distinct_subjects ||
+                    got.distinct_objects != want_global.distinct_objects) {
+                  ++failures[w];
+                }
+              }
+            }
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int w = 0; w < kThreads; ++w) {
+      EXPECT_EQ(failures[w], 0) << "round " << round << " thread " << w;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sofya

@@ -140,6 +140,34 @@ TEST(StoreSnapshotTest, MappedStoreThawsOnFirstWrite) {
             fx.store.StatsFor(existing.predicate).facts - 1);
 }
 
+TEST(StoreSnapshotTest, NoOpWritesKeepStoreMapped) {
+  Fixture fx;
+  const std::string path = TempPath("noop.snap");
+  ASSERT_TRUE(SaveStoreSnapshot(fx.store, fx.dict, path).ok());
+
+  Dictionary dict2;
+  TripleStore store2;
+  ASSERT_TRUE(LoadStoreSnapshot(path, &dict2, &store2).ok());
+  ASSERT_TRUE(store2.is_mapped());
+  const uint64_t epoch = store2.mutation_epoch();
+
+  // Neither write changes the data, so neither may thaw the mapping or
+  // bump the epoch.
+  EXPECT_FALSE(store2.Erase(Triple(9999, fx.cold, 9999)));
+  EXPECT_TRUE(store2.is_mapped());
+  const Triple existing =
+      fx.store.Match(TriplePattern(kNullTermId, fx.hot, kNullTermId))[0];
+  EXPECT_FALSE(store2.Insert(existing));
+  EXPECT_TRUE(store2.is_mapped());
+  EXPECT_EQ(store2.mutation_epoch(), epoch);
+  EXPECT_EQ(store2.size(), fx.store.size());
+  ExpectStoresEqual(fx.store, store2);
+
+  // A real write still thaws.
+  EXPECT_TRUE(store2.Erase(existing));
+  EXPECT_FALSE(store2.is_mapped());
+}
+
 TEST(StoreSnapshotTest, KnowledgeBaseRoundTripThroughNTriples) {
   KnowledgeBase kb("kb1", "http://kb1/");
   kb.AddFact("a", "knows", "b");
