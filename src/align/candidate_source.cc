@@ -31,31 +31,6 @@ void RankAndTruncate(std::vector<ScoredCandidate>* scored,
   if (scored->size() > max_candidates) scored->resize(max_candidates);
 }
 
-/// The candidate endpoint's predicate inventory: every IRI predicate,
-/// sorted + deduplicated. One paged query per call — issued through the
-/// caller's (possibly relation-private) endpoint so per-relation query
-/// accounting stays exact; any caching layer in the stack dedups the
-/// repeats server-side.
-StatusOr<std::vector<Term>> FetchPredicateInventory(Endpoint* endpoint,
-                                                    size_t page_size) {
-  PagedSelectOptions page_options;
-  page_options.page_size = page_size;
-  SOFYA_ASSIGN_OR_RETURN(
-      ResultSet rows,
-      PagedSelect(endpoint, queries::AllPredicates(), page_options));
-  std::vector<Term> inventory;
-  inventory.reserve(rows.rows.size());
-  for (const auto& row : rows.rows) {
-    if (row.empty() || row[0] == kNullTermId) continue;
-    SOFYA_ASSIGN_OR_RETURN(Term term, endpoint->DecodeTerm(row[0]));
-    if (term.is_iri()) inventory.push_back(std::move(term));
-  }
-  std::sort(inventory.begin(), inventory.end());
-  inventory.erase(std::unique(inventory.begin(), inventory.end()),
-                  inventory.end());
-  return inventory;
-}
-
 /// Cache key of a lexical index: LSH shape + sorted inventory. The index is
 /// a pure function of those two, so a write that leaves the inventory
 /// unchanged (a new fact for an existing predicate) keeps the key, and one

@@ -104,21 +104,10 @@ StatusOr<std::vector<std::string>> Sofya::ReferenceRelations() {
     // Remote base: a schema-discovery query through the working stack,
     // paged so a server-side row cap (DBpedia-style) cannot silently
     // truncate the relation list.
-    SelectQuery query;
-    const VarId s = query.NewVar("s");
-    const VarId p = query.NewVar("p");
-    const VarId o = query.NewVar("o");
-    query.Where(NodeRef::Variable(s), NodeRef::Variable(p),
-                NodeRef::Variable(o));
-    query.Select({p}).Distinct();
-    SOFYA_ASSIGN_OR_RETURN(ResultSet rows,
-                           PagedSelect(reference_, query));
-    iris.reserve(rows.rows.size());
-    for (const auto& row : rows.rows) {
-      if (row.empty() || row[0] == kNullTermId) continue;
-      SOFYA_ASSIGN_OR_RETURN(Term term, reference_->DecodeTerm(row[0]));
-      if (term.is_iri()) iris.push_back(term.lexical());
-    }
+    SOFYA_ASSIGN_OR_RETURN(std::vector<Term> inventory,
+                           FetchPredicateInventory(reference_));
+    iris.reserve(inventory.size());
+    for (const Term& term : inventory) iris.push_back(term.lexical());
   }
   std::sort(iris.begin(), iris.end());
   iris.erase(std::unique(iris.begin(), iris.end()), iris.end());

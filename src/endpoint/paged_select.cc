@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "endpoint/query_forms.h"
+
 namespace sofya {
 
 StatusOr<ResultSet> PagedSelect(Endpoint* endpoint, const SelectQuery& query,
@@ -117,6 +119,26 @@ SelectBatchResult BatchedPagedSelect(Endpoint* endpoint,
     for (auto& row : more->rows) merged.rows.push_back(std::move(row));
   }
   return results;
+}
+
+StatusOr<std::vector<Term>> FetchPredicateInventory(Endpoint* endpoint,
+                                                    uint64_t page_size) {
+  PagedSelectOptions page_options;
+  page_options.page_size = page_size;
+  SOFYA_ASSIGN_OR_RETURN(
+      ResultSet rows,
+      PagedSelect(endpoint, queries::AllPredicates(), page_options));
+  std::vector<Term> inventory;
+  inventory.reserve(rows.rows.size());
+  for (const auto& row : rows.rows) {
+    if (row.empty() || row[0] == kNullTermId) continue;
+    SOFYA_ASSIGN_OR_RETURN(Term term, endpoint->DecodeTerm(row[0]));
+    if (term.is_iri()) inventory.push_back(std::move(term));
+  }
+  std::sort(inventory.begin(), inventory.end());
+  inventory.erase(std::unique(inventory.begin(), inventory.end()),
+                  inventory.end());
+  return inventory;
 }
 
 }  // namespace sofya

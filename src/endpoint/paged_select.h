@@ -13,14 +13,24 @@
 // missed or duplicated across pages. ORDER BY support is the tracked fix
 // (see ROADMAP); until then keep page_size large enough that hot queries
 // fit in one page.
+//
+// Cost: each OFFSET page evaluates from the start, so a deep walk is
+// quadratic. The one deep walk, the predicate inventory, is answered from
+// the in-process store's predicate directory without a scan. The other
+// pagers stay shallow: on seed-1 t1_churn every other OFFSET > 0 page was
+// a second page (OFFSET 64, 140 or 250; ~3.5 pages and ~970 triples
+// scanned per relation), so paging costs them at most 2x on one page and
+// keyset paging is not warranted (measurements in docs/QUERY_ENGINE.md).
 
 #ifndef SOFYA_ENDPOINT_PAGED_SELECT_H_
 #define SOFYA_ENDPOINT_PAGED_SELECT_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "endpoint/endpoint.h"
 #include "endpoint/retry_policy.h"
+#include "rdf/term.h"
 #include "sparql/query.h"
 #include "util/status.h"
 
@@ -66,6 +76,14 @@ StatusOr<ResultSet> PagedSelect(Endpoint* endpoint, const SelectQuery& query,
 SelectBatchResult BatchedPagedSelect(Endpoint* endpoint,
                                      std::span<const SelectQuery> queries,
                                      const PagedSelectOptions& options = {});
+
+/// The endpoint's predicate inventory: every IRI predicate, sorted and
+/// deduplicated, from queries::AllPredicates() paged `page_size` rows at a
+/// time. One paged query per call, issued through `endpoint` itself so a
+/// relation-private endpoint's query accounting stays exact; any caching
+/// layer in the stack dedups the repeats.
+StatusOr<std::vector<Term>> FetchPredicateInventory(
+    Endpoint* endpoint, uint64_t page_size = PagedSelectOptions().page_size);
 
 }  // namespace sofya
 

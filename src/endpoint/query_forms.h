@@ -35,7 +35,10 @@ SelectQuery PredicatesBetween(TermId s, TermId o);
 SelectQuery SameAsOf(TermId x, TermId same_as_predicate);
 
 /// SELECT DISTINCT ?p WHERE { ?s ?p ?o } — the predicate inventory
-/// (schema discovery; the lexical candidate index is built from this).
+/// (schema discovery; FetchPredicateInventory pages it, and the lexical
+/// candidate index is built from it). The in-process engine answers this
+/// shape from the store's predicate directory in ascending id order, with
+/// no scan (docs/QUERY_ENGINE.md).
 SelectQuery AllPredicates(uint64_t limit = kNoLimit, uint64_t offset = 0);
 
 /// SELECT ?x ?y1 ?y2 WHERE { ?x <p1> ?y1 . ?x <p2> ?y2 .

@@ -250,6 +250,29 @@ uint8_t SlotBoundSig(const CompiledClause& cc) {
   return sig;
 }
 
+// `SELECT DISTINCT ?p { ?s ?p ?o }` from the store's predicate directory:
+// O(predicates) instead of a full scan. The directory lists ascending term
+// ids, an order fixed within an epoch, so OFFSET/LIMIT pages still split one
+// stable enumeration. Metered as one probe that scans nothing and whose one
+// clause emits every predicate.
+ResultSet RunPredicateDirectory(const TripleStore& store,
+                                const CompiledPlan& plan,
+                                const SelectQuery& query, EvalStats& stats) {
+  ResultSet result;
+  result.var_names.push_back(query.var_name(plan.projection[0]));
+  const std::vector<TermId> predicates = store.Predicates();
+  const uint64_t begin = std::min<uint64_t>(query.offset(), predicates.size());
+  const uint64_t end =
+      begin + std::min<uint64_t>(query.limit(), predicates.size() - begin);
+  result.rows.reserve(end - begin);
+  for (uint64_t i = begin; i < end; ++i) result.rows.push_back({predicates[i]});
+  stats.index_probes = 1;
+  stats.intermediate_rows = predicates.size();
+  FillClauseRows(plan, {predicates.size()}, stats);
+  stats.result_rows = result.rows.size();
+  return result;
+}
+
 // Shared SELECT consumer: project, DISTINCT-probe, skip OFFSET, stop at
 // LIMIT — streaming, so the pipeline never materializes skipped rows.
 //
@@ -273,6 +296,9 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
                               const SelectQuery& query, const Dictionary* dict,
                               EvalStats& stats,
                               const Engine::Options& options) {
+  if (UsesPredicateDirectory(plan, query)) {
+    return RunPredicateDirectory(store, plan, query, stats);
+  }
   ResultSet result;
   result.var_names.reserve(plan.projection.size());
   for (VarId v : plan.projection) result.var_names.push_back(query.var_name(v));

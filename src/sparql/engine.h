@@ -8,7 +8,9 @@
 // their variables are bound, DISTINCT is a streaming hash probe on projected
 // rows, and LIMIT/OFFSET/ASK are pushed into the pipeline so existence
 // probes and LIMIT-1 queries stop at the first solution instead of
-// enumerating all bindings.
+// enumerating all bindings. `SELECT DISTINCT ?p { ?s ?p ?o }` skips the
+// pipeline and reads the store's predicate directory (UsesPredicateDirectory
+// in planner.h).
 //
 // Results are deterministic: the plan is a pure function of (query
 // PlanFingerprint, store mutation_epoch, planner options) and the store's

@@ -425,6 +425,20 @@ CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
       plan.projection.push_back(v);
     }
   }
+
+  // `{ ?s ?p ?o }` projected on ?p alone: the predicate directory already
+  // holds its distinct answers. A repeated variable ({?x ?p ?x}), a
+  // constant, a filter or a wider projection keeps the pipeline.
+  if (query.clauses().size() == 1 && query.filters().empty() &&
+      plan.projection.size() == 1) {
+    const PatternClause& c = query.clauses()[0];
+    plan.predicate_directory =
+        c.subject.is_var() && c.predicate.is_var() && c.object.is_var() &&
+        c.subject.var() != c.predicate.var() &&
+        c.subject.var() != c.object.var() &&
+        c.predicate.var() != c.object.var() &&
+        plan.projection[0] == c.predicate.var();
+  }
   return plan;
 }
 
@@ -432,6 +446,7 @@ PlanExplain ExplainPlan(const CompiledPlan& plan, const SelectQuery& query,
                         const Dictionary* dict) {
   PlanExplain out;
   out.used_dp = plan.used_dp;
+  out.predicate_directory = UsesPredicateDirectory(plan, query);
   out.store_epoch = plan.store_epoch;
   out.dangling_filter = plan.dangling_filter;
   for (const CompiledClause& cc : plan.clauses) {
@@ -459,6 +474,9 @@ std::string PlanExplain::ToString() const {
   out += StrFormat("plan: %s, epoch %llu%s\n", planner,
                    static_cast<unsigned long long>(store_epoch),
                    from_cache ? ", cached" : "");
+  if (predicate_directory) {
+    out += "  access: predicate directory (distinct predicates, no scan)\n";
+  }
   if (replans > 0) {
     out += StrFormat("  !! adaptive: %llu re-plan%s during execution\n",
                      static_cast<unsigned long long>(replans),
@@ -528,9 +546,11 @@ std::string PlanExplain::ToJson() const {
 
   std::string out = "{";
   out += StrFormat(
-      "\"used_dp\":%s,\"from_cache\":%s,\"store_epoch\":%llu,"
-      "\"dangling_filter\":%s,\"replans\":%llu,",
-      used_dp ? "true" : "false", from_cache ? "true" : "false",
+      "\"used_dp\":%s,\"access\":\"%s\",\"from_cache\":%s,"
+      "\"store_epoch\":%llu,\"dangling_filter\":%s,\"replans\":%llu,",
+      used_dp ? "true" : "false",
+      predicate_directory ? "predicate_directory" : "pipeline",
+      from_cache ? "true" : "false",
       static_cast<unsigned long long>(store_epoch),
       dangling_filter ? "true" : "false",
       static_cast<unsigned long long>(replans));

@@ -114,6 +114,12 @@ struct CompiledPlan {
   /// True when the order came from the Selinger-style DP search (as opposed
   /// to the v1 greedy pass; explain/debug surface).
   bool used_dp = false;
+  /// True when the query is one all-variable clause `{ ?s ?p ?o }` (three
+  /// distinct variables, no filters) projected on its predicate variable
+  /// alone. Under DISTINCT — a solution modifier, so not part of the plan
+  /// key — the engine answers it from the store's predicate directory
+  /// instead of scanning: see UsesPredicateDirectory.
+  bool predicate_directory = false;
   /// TripleStore::mutation_epoch() the statistics were read at. The
   /// engine's plan cache compares this to the live epoch: same epoch ⇒ same
   /// data ⇒ the plan is still valid.
@@ -128,6 +134,15 @@ struct CompiledPlan {
 CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
                          const PlannerOptions& options = {},
                          const std::vector<CardinalityOverride>& overrides = {});
+
+/// True when `query`, compiled as `plan`, is answered from the store's
+/// predicate directory (TripleStore::Predicates(): ascending term ids, no
+/// scan) rather than by the pipeline: the plan has the directory shape and
+/// the query is DISTINCT. The engine and EXPLAIN both decide through this.
+inline bool UsesPredicateDirectory(const CompiledPlan& plan,
+                                   const SelectQuery& query) {
+  return plan.predicate_directory && query.distinct();
+}
 
 /// One clause of an EXPLAIN report, in executed (planned) order.
 struct ClauseExplain {
@@ -147,6 +162,9 @@ struct ClauseExplain {
 /// `explain` subcommand.
 struct PlanExplain {
   bool used_dp = false;
+  /// True when the query is answered from the predicate directory
+  /// (UsesPredicateDirectory), not by scanning the planned pipeline.
+  bool predicate_directory = false;
   bool from_cache = false;  ///< Filled by the engine, not the planner.
   uint64_t store_epoch = 0;
   bool dangling_filter = false;
@@ -159,9 +177,9 @@ struct PlanExplain {
   /// Multi-line human-readable rendering (the CLI's output).
   std::string ToString() const;
 
-  /// One-line JSON rendering (CLI `explain --json`): planner kind, epoch, and
-  /// the per-clause estimated-vs-actual table, machine-readable for
-  /// scripts and CI gates.
+  /// One-line JSON rendering (CLI `explain --json`): planner kind, access
+  /// path ("pipeline" or "predicate_directory"), epoch, and the per-clause
+  /// estimated-vs-actual table, machine-readable for scripts and CI gates.
   std::string ToJson() const;
 };
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "rdf/dictionary.h"
+#include "rdf/store_snapshot.h"
 #include "sparql/query.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace sofya {
 namespace {
@@ -281,6 +286,248 @@ TEST_P(EngineJoinProperty, JoinAgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineJoinProperty,
                          ::testing::Values(1ULL, 2ULL, 3ULL, 11ULL));
+
+// Property: `SELECT DISTINCT ?p { ?s ?p ?o }` is answered from the store's
+// predicate directory — pages in ascending id order that concatenate to the
+// brute-force predicate set, with nothing scanned — under every store
+// layout, and after an Erase drops a predicate's last fact. Near-miss shapes
+// keep the pipeline and still match brute force.
+enum class StoreLayout { kDefaultShards, kTinyShardsPromoted, kMapped };
+
+class PredicateDirectoryParity
+    : public ::testing::TestWithParam<std::tuple<StoreLayout, uint64_t>> {
+ protected:
+  void SetUp() override {
+    const auto [layout, seed] = GetParam();
+    Rng rng(seed);
+    const StoreOptions options =
+        layout == StoreLayout::kDefaultShards
+            ? StoreOptions()
+            : StoreOptions{/*num_hash_shards=*/2, /*promote_threshold=*/8,
+                           /*split_factor=*/4};
+    TripleStore built(options);
+    // Entities double as subjects and objects, so {?x ?p ?x} has answers;
+    // predicate 0 is hot enough to be promoted under the tiny shards.
+    std::vector<TermId> entities, predicates;
+    for (int i = 0; i < 12; ++i) {
+      entities.push_back(dict_.InternIri("e" + std::to_string(i)));
+    }
+    const int num_predicates = 6 + static_cast<int>(rng.Below(20));
+    for (int i = 0; i < num_predicates; ++i) {
+      predicates.push_back(dict_.InternIri("p" + std::to_string(i)));
+    }
+    for (int i = 0; i < 300; ++i) {
+      const TermId p = rng.Bernoulli(0.3)
+                           ? predicates[0]
+                           : predicates[rng.Below(predicates.size())];
+      built.Insert(entities[rng.Below(entities.size())], p,
+                   entities[rng.Below(entities.size())]);
+    }
+    if (layout == StoreLayout::kTinyShardsPromoted) {
+      ASSERT_FALSE(built.PromotedPredicates().empty());
+    }
+    if (layout == StoreLayout::kMapped) {
+      const std::string path = ::testing::TempDir() + "/directory_" +
+                               std::to_string(seed) + ".snap";
+      ASSERT_TRUE(SaveStoreSnapshot(built, dict_, path).ok());
+      Dictionary loaded_dict;
+      ASSERT_TRUE(LoadStoreSnapshot(path, &loaded_dict, &store_).ok());
+      ASSERT_TRUE(store_.is_mapped());
+    } else {
+      store_ = std::move(built);
+    }
+    options_.adaptive = true;  // The directory path precedes both.
+    options_.scan_pool = &pool_;
+    options_.parallel_scan_min_rows = 16;
+  }
+
+  // SELECT DISTINCT ?p { ?s ?p ?o } [LIMIT limit] [OFFSET offset].
+  static SelectQuery Inventory(uint64_t limit, uint64_t offset) {
+    SelectQuery q;
+    const VarId s = q.NewVar("s");
+    const VarId p = q.NewVar("p");
+    const VarId o = q.NewVar("o");
+    q.Where(NodeRef::Variable(s), NodeRef::Variable(p), NodeRef::Variable(o));
+    q.Select({p}).Distinct().Limit(limit).Offset(offset);
+    return q;
+  }
+
+  void ExpectDirectoryParity() {
+    const std::vector<Triple> all = store_.Match(TriplePattern());
+    std::set<TermId> expected_set;
+    for (const Triple& t : all) expected_set.insert(t.predicate);
+    const std::vector<TermId> expected(expected_set.begin(),
+                                       expected_set.end());
+    const uint64_t n = expected.size();
+    Engine engine(&store_, &dict_, options_);
+
+    for (uint64_t limit : {uint64_t{1}, uint64_t{3}, uint64_t{7}, n,
+                           uint64_t{250}, kNoLimit}) {
+      std::vector<TermId> concatenated;
+      // Offsets up to n inclusive: the last page is short or empty.
+      for (uint64_t offset = 0; offset <= n; offset += limit) {
+        EvalStats stats;
+        auto page = engine.Select(Inventory(limit, offset), &stats);
+        ASSERT_TRUE(page.ok());
+        EXPECT_EQ(stats.triples_scanned, 0u);
+        EXPECT_EQ(stats.index_probes, 1u);
+        ASSERT_EQ(stats.clause_rows.size(), 1u);
+        EXPECT_EQ(stats.clause_rows[0].actual_rows, n);
+        for (const auto& row : page->rows) concatenated.push_back(row[0]);
+      }
+      EXPECT_EQ(concatenated, expected) << "limit " << limit;
+    }
+    for (uint64_t offset : {n, n + 1, n + 100}) {
+      auto page = engine.Select(Inventory(kNoLimit, offset));
+      ASSERT_TRUE(page.ok());
+      EXPECT_TRUE(page->rows.empty()) << "offset " << offset;
+    }
+    auto explain = engine.Explain(Inventory(kNoLimit, 0));
+    ASSERT_TRUE(explain.ok());
+    EXPECT_TRUE(explain->predicate_directory);
+    EXPECT_NE(explain->ToJson().find("\"access\":\"predicate_directory\""),
+              std::string::npos);
+
+    // Near misses: each keeps the pipeline (and scans), and each answers
+    // exactly its brute-force rows. The non-DISTINCT one shares the plan
+    // cache entry of the directory query: DISTINCT is a modifier.
+    const Triple& first = all.front();
+    struct NearMiss {
+      std::string name;
+      SelectQuery query;
+      std::multiset<std::vector<TermId>> expected;
+    };
+    std::vector<NearMiss> cases;
+    auto add = [&](std::string name, SelectQuery q, auto&& row_of) {
+      std::multiset<std::vector<TermId>> rows;
+      for (const Triple& t : all) {
+        std::vector<TermId> row;
+        if (row_of(t, &row)) rows.insert(row);
+      }
+      if (q.distinct()) {
+        std::set<std::vector<TermId>> unique(rows.begin(), rows.end());
+        rows = std::multiset<std::vector<TermId>>(unique.begin(),
+                                                  unique.end());
+      }
+      cases.push_back({std::move(name), std::move(q), std::move(rows)});
+    };
+    {
+      SelectQuery q = Inventory(kNoLimit, 0);
+      q.Distinct(false);
+      add("no DISTINCT", q, [](const Triple& t, std::vector<TermId>* row) {
+        *row = {t.predicate};
+        return true;
+      });
+    }
+    {
+      SelectQuery q;
+      const VarId x = q.NewVar("x");
+      const VarId p = q.NewVar("p");
+      q.Where(NodeRef::Variable(x), NodeRef::Variable(p),
+              NodeRef::Variable(x));
+      q.Select({p}).Distinct();
+      add("{?x ?p ?x}", q, [](const Triple& t, std::vector<TermId>* row) {
+        *row = {t.predicate};
+        return t.subject == t.object;
+      });
+    }
+    {
+      SelectQuery q;
+      const VarId p = q.NewVar("p");
+      const VarId o = q.NewVar("o");
+      q.Where(NodeRef::Constant(first.subject), NodeRef::Variable(p),
+              NodeRef::Variable(o));
+      q.Select({p}).Distinct();
+      add("constant subject", q,
+          [&](const Triple& t, std::vector<TermId>* row) {
+            *row = {t.predicate};
+            return t.subject == first.subject;
+          });
+    }
+    {
+      SelectQuery q;
+      const VarId s = q.NewVar("s");
+      const VarId p = q.NewVar("p");
+      q.Where(NodeRef::Variable(s), NodeRef::Variable(p),
+              NodeRef::Constant(first.object));
+      q.Select({p}).Distinct();
+      add("constant object", q,
+          [&](const Triple& t, std::vector<TermId>* row) {
+            *row = {t.predicate};
+            return t.object == first.object;
+          });
+    }
+    {
+      SelectQuery q = Inventory(kNoLimit, 0);
+      q.Filter(FilterExpr::VarNeqVar(0, 2));  // ?s != ?o
+      add("FILTER", q, [](const Triple& t, std::vector<TermId>* row) {
+        *row = {t.predicate};
+        return t.subject != t.object;
+      });
+    }
+    {
+      SelectQuery q = Inventory(kNoLimit, 0);
+      q.Select({0});  // ?s
+      add("projection ?s", q, [](const Triple& t, std::vector<TermId>* row) {
+        *row = {t.subject};
+        return true;
+      });
+    }
+    {
+      SelectQuery q = Inventory(kNoLimit, 0);
+      q.Select({1, 2});  // ?p ?o
+      add("projection ?p ?o", q,
+          [](const Triple& t, std::vector<TermId>* row) {
+            *row = {t.predicate, t.object};
+            return true;
+          });
+    }
+    for (const NearMiss& c : cases) {
+      EvalStats stats;
+      auto result = engine.Select(c.query, &stats);
+      ASSERT_TRUE(result.ok()) << c.name;
+      EXPECT_GT(stats.triples_scanned, 0u) << c.name;
+      EXPECT_EQ(std::multiset<std::vector<TermId>>(result->rows.begin(),
+                                                   result->rows.end()),
+                c.expected)
+          << c.name;
+      auto near_explain = engine.Explain(c.query);
+      ASSERT_TRUE(near_explain.ok());
+      EXPECT_FALSE(near_explain->predicate_directory) << c.name;
+    }
+  }
+
+  Dictionary dict_;
+  TripleStore store_;
+  ThreadPool pool_{2};
+  Engine::Options options_;
+};
+
+TEST_P(PredicateDirectoryParity, PagesMatchBruteForce) {
+  ExpectDirectoryParity();
+  // Erase every fact of the rarest predicate: it must leave the directory.
+  std::map<TermId, std::vector<Triple>> by_predicate;
+  for (const Triple& t : store_.Match(TriplePattern())) {
+    by_predicate[t.predicate].push_back(t);
+  }
+  auto rarest = std::min_element(
+      by_predicate.begin(), by_predicate.end(), [](const auto& a,
+                                                   const auto& b) {
+        return a.second.size() < b.second.size();
+      });
+  for (const Triple& t : rarest->second) ASSERT_TRUE(store_.Erase(t));
+  const std::vector<TermId> left = store_.Predicates();
+  ASSERT_EQ(left.size(), by_predicate.size() - 1);
+  EXPECT_FALSE(std::binary_search(left.begin(), left.end(), rarest->first));
+  ExpectDirectoryParity();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, PredicateDirectoryParity,
+    ::testing::Combine(::testing::Values(StoreLayout::kDefaultShards,
+                                         StoreLayout::kTinyShardsPromoted,
+                                         StoreLayout::kMapped),
+                       ::testing::Values(1ULL, 2ULL, 7ULL)));
 
 }  // namespace
 }  // namespace sofya
