@@ -68,14 +68,15 @@ void RetrySleep(const RetryOptions& options, double delay_ms);
 /// Seeds the jitter RNG: options.seed when set, otherwise nondeterministic.
 uint64_t RetrySeed(const RetryOptions& options);
 
-/// Runs `attempt` and re-runs it while it reports Unavailable, up to
+/// Continues a retry schedule from `result`, the outcome of an attempt that
+/// already ran: while it reports Unavailable, re-runs `reissue`, up to
 /// options.max_retries re-issues, sleeping the backoff delay before each.
-/// `on_retry`, when given, fires once per re-issue (retry accounting).
-template <typename Fn>
-auto RetryTransient(Fn&& attempt, const RetryOptions& options,
-                    const std::function<void()>& on_retry = nullptr)
-    -> decltype(attempt()) {
-  auto result = attempt();
+/// `on_retry`, when given, fires once per re-issue (retry accounting). This
+/// is how a batch layer recovers a failed slot: the batch was attempt 1.
+template <typename T, typename Fn>
+StatusOr<T> RetryTransient(StatusOr<T> result, Fn&& reissue,
+                           const RetryOptions& options,
+                           const std::function<void()>& on_retry = nullptr) {
   if (result.ok() || !result.status().IsUnavailable() ||
       options.max_retries <= 0) {
     return result;
@@ -88,9 +89,18 @@ auto RetryTransient(Fn&& attempt, const RetryOptions& options,
     RetrySleep(options,
                RetryBackoffMs(options, attempts, rng, result.status()));
     if (on_retry) on_retry();
-    result = attempt();
+    result = reissue();
   }
   return result;
+}
+
+/// Runs `attempt` and re-runs it while it reports Unavailable, with the
+/// schedule above.
+template <typename Fn>
+auto RetryTransient(Fn&& attempt, const RetryOptions& options,
+                    const std::function<void()>& on_retry = nullptr)
+    -> decltype(attempt()) {
+  return RetryTransient(attempt(), attempt, options, on_retry);
 }
 
 }  // namespace sofya

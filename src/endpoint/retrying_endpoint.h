@@ -57,7 +57,8 @@ class RetryingEndpoint : public Endpoint {
     bool endpoint_down = false;
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!batch.statuses[i].IsUnavailable() || endpoint_down) continue;
-      auto recovered = Retry([&] { return inner_->Select(queries[i]); });
+      auto recovered = Retry(StatusOr<ResultSet>(batch.statuses[i]),
+                             [&] { return inner_->Select(queries[i]); });
       endpoint_down = !recovered.ok() && recovered.status().IsUnavailable();
       batch.Set(i, std::move(recovered));
     }
@@ -76,7 +77,8 @@ class RetryingEndpoint : public Endpoint {
     bool endpoint_down = false;
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!batch.statuses[i].IsUnavailable() || endpoint_down) continue;
-      auto recovered = Retry([&] { return inner_->Ask(queries[i]); });
+      auto recovered = Retry(StatusOr<bool>(batch.statuses[i]),
+                             [&] { return inner_->Ask(queries[i]); });
       endpoint_down = !recovered.ok() && recovered.status().IsUnavailable();
       batch.Set(i, std::move(recovered));
     }
@@ -107,7 +109,14 @@ class RetryingEndpoint : public Endpoint {
   /// Shared policy driver (retry_policy.h), counting each re-issue.
   template <typename Fn>
   auto Retry(Fn&& attempt) -> decltype(attempt()) {
-    return RetryTransient(attempt, options_, [this] {
+    return Retry(attempt(), attempt);
+  }
+
+  /// The same schedule, continued from an attempt that already failed (a
+  /// batch slot: the batch was attempt 1).
+  template <typename T, typename Fn>
+  StatusOr<T> Retry(StatusOr<T> first, Fn&& reissue) {
+    return RetryTransient(std::move(first), reissue, options_, [this] {
       retries_performed_.fetch_add(1, std::memory_order_relaxed);
     });
   }
