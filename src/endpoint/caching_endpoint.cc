@@ -1,6 +1,7 @@
 #include "endpoint/caching_endpoint.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace sofya {
@@ -14,7 +15,7 @@ constexpr size_t kAutoShards = 16;
 }  // namespace
 
 CachingEndpoint::CachingEndpoint(Endpoint* inner, CacheOptions options)
-    : inner_(inner), options_(options) {
+    : EndpointDecorator(inner), options_(options) {
   seen_epoch_.store(inner->data_epoch(), std::memory_order_relaxed);
   size_t shards = options_.shards;
   if (shards == 0) {
@@ -43,31 +44,20 @@ void CachingEndpoint::InvalidateIfStale() {
   }
 }
 
-bool CachingEndpoint::LookupSelect(const std::string& key, ResultSet* out) {
+template <typename T>
+bool CachingEndpoint::Lookup(const std::string& key, T* out) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end() || it->second->is_ask) {
+  const T* cached =
+      it == shard.index.end() ? nullptr : std::get_if<T>(&it->second->value);
+  if (cached == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = shard.lru.front().result;  // Copy out while the shard is locked.
-  return true;
-}
-
-bool CachingEndpoint::LookupAsk(const std::string& key, bool* out) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end() || !it->second->is_ask) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = shard.lru.front().ask_result;
+  *out = *cached;  // Copy out while the shard is locked.
   return true;
 }
 
@@ -90,26 +80,22 @@ void CachingEndpoint::Insert(Entry entry) {
   }
 }
 
-StatusOr<ResultSet> CachingEndpoint::Select(const SelectQuery& query) {
+template <typename T, typename KeyFn>
+BatchResult<T> CachingEndpoint::CachedMany(
+    std::span<const SelectQuery> queries, KeyFn key_of,
+    BatchResult<T> (Endpoint::*fetch)(std::span<const SelectQuery>)) {
   InvalidateIfStale();
-  std::string key = query.Fingerprint();
-  ResultSet cached;
-  if (LookupSelect(key, &cached)) return cached;
-  SOFYA_ASSIGN_OR_RETURN(ResultSet result, inner_->Select(query));
-  Insert(Entry{std::move(key), /*is_ask=*/false, result, false});
-  return result;
-}
-
-SelectBatchResult CachingEndpoint::SelectMany(
-    std::span<const SelectQuery> queries) {
-  InvalidateIfStale();
-  SelectBatchResult results = SelectBatchResult::Sized(queries.size());
+  BatchResult<T> results = BatchResult<T>::Sized(queries.size());
   std::vector<SelectQuery> missing;  // Unique misses only.
   std::unordered_map<std::string, size_t> missing_index;  // key -> missing[].
   std::vector<std::pair<size_t, size_t>> fill;  // (results[], missing[]).
   for (size_t i = 0; i < queries.size(); ++i) {
-    std::string key = queries[i].Fingerprint();
-    if (LookupSelect(key, &results.values[i])) continue;
+    std::string key = std::invoke(key_of, queries[i]);
+    T cached{};
+    if (Lookup(key, &cached)) {
+      results.values[i] = std::move(cached);
+      continue;
+    }
     // Dedup duplicates within the batch here, client-side: decorator stacks
     // that decompose batches per query (throttle, retry) would otherwise
     // charge budget and latency for every repeat.
@@ -119,61 +105,31 @@ SelectBatchResult CachingEndpoint::SelectMany(
   }
   if (missing.empty()) return results;
 
-  SelectBatchResult fetched = inner_->SelectMany(missing);
+  BatchResult<T> fetched = (inner_->*fetch)(missing);
   // Only successful answers enter the cache; a failed sub-query must stay
   // a miss so the next attempt goes through again.
   for (const auto& [key, m] : missing_index) {
-    if (!fetched.statuses[m].ok()) continue;
-    Insert(Entry{key, /*is_ask=*/false, fetched.values[m], false});
+    if (fetched.statuses[m].ok()) Insert(Entry{key, T(fetched.values[m])});
   }
+  // Without in-batch duplicates each answer has one slot and moves there
+  // (a single call then copies its result once, into the cache).
+  const bool one_slot_each = fill.size() == missing.size();
   for (const auto& [i, m] : fill) {
     results.statuses[i] = fetched.statuses[m];
-    results.values[i] = fetched.values[m];
+    results.values[i] =
+        one_slot_each ? std::move(fetched.values[m]) : fetched.values[m];
   }
   return results;
 }
 
-StatusOr<bool> CachingEndpoint::Ask(const SelectQuery& query) {
-  if (!options_.cache_asks) return inner_->Ask(query);
-  InvalidateIfStale();
-  std::string key = AskFingerprint(query);
-  bool cached = false;
-  if (LookupAsk(key, &cached)) return cached;
-  SOFYA_ASSIGN_OR_RETURN(bool result, inner_->Ask(query));
-  Insert(Entry{std::move(key), /*is_ask=*/true, ResultSet{}, result});
-  return result;
+SelectBatchResult CachingEndpoint::SelectMany(
+    std::span<const SelectQuery> queries) {
+  return CachedMany(queries, &SelectQuery::Fingerprint, &Endpoint::SelectMany);
 }
 
 AskBatchResult CachingEndpoint::AskMany(std::span<const SelectQuery> queries) {
   if (!options_.cache_asks) return inner_->AskMany(queries);
-  InvalidateIfStale();
-  AskBatchResult results = AskBatchResult::Sized(queries.size());
-  std::vector<SelectQuery> missing;
-  std::unordered_map<std::string, size_t> missing_index;
-  std::vector<std::pair<size_t, size_t>> fill;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::string key = AskFingerprint(queries[i]);
-    bool cached = false;
-    if (LookupAsk(key, &cached)) {
-      results.values[i] = cached;
-      continue;
-    }
-    auto [mit, inserted] = missing_index.emplace(std::move(key), missing.size());
-    if (inserted) missing.push_back(queries[i]);
-    fill.emplace_back(i, mit->second);
-  }
-  if (missing.empty()) return results;
-
-  AskBatchResult fetched = inner_->AskMany(missing);
-  for (const auto& [key, m] : missing_index) {
-    if (!fetched.statuses[m].ok()) continue;
-    Insert(Entry{key, /*is_ask=*/true, ResultSet{}, fetched.values[m]});
-  }
-  for (const auto& [i, m] : fill) {
-    results.statuses[i] = fetched.statuses[m];
-    results.values[i] = fetched.values[m];
-  }
-  return results;
+  return CachedMany(queries, &AskFingerprint, &Endpoint::AskMany);
 }
 
 EndpointStats CachingEndpoint::stats() const {

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "endpoint/endpoint.h"
@@ -66,37 +67,19 @@ struct CacheOptions {
 
 /// Decorator; wraps any Endpoint. Typically outermost in the stack
 /// (client-side), so hits cost neither budget, latency, nor retries.
-class CachingEndpoint : public Endpoint {
+class CachingEndpoint : public EndpointDecorator {
  public:
   /// `inner` is not owned and must outlive this object.
   explicit CachingEndpoint(Endpoint* inner, CacheOptions options = {});
 
-  const std::string& name() const override { return inner_->name(); }
-  const std::string& base_iri() const override { return inner_->base_iri(); }
-
-  StatusOr<ResultSet> Select(const SelectQuery& query) override;
-
-  /// Answers what it can from the cache and forwards only the misses to the
-  /// inner endpoint as one (smaller) batch. Failed sub-queries keep their
-  /// own status and are never cached; hits are OK by construction.
+  /// Answers what it can from the cache and forwards only the unique misses
+  /// to the inner endpoint as one (smaller) batch. Failed sub-queries keep
+  /// their own status and are never cached; hits are OK by construction.
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override;
 
-  StatusOr<bool> Ask(const SelectQuery& query) override;
-
-  /// Batched ASK, same contract as SelectMany: hits answered locally,
-  /// unique misses forwarded as one AskMany batch to the inner endpoint.
+  /// Batched ASK, same contract as SelectMany (bypassed when
+  /// options.cache_asks is off).
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override;
-
-  TermId EncodeTerm(const Term& term) override {
-    return inner_->EncodeTerm(term);
-  }
-  TermId LookupTerm(const Term& term) const override {
-    return inner_->LookupTerm(term);
-  }
-  StatusOr<Term> DecodeTerm(TermId id) const override {
-    return inner_->DecodeTerm(id);
-  }
-  uint64_t data_epoch() const override { return inner_->data_epoch(); }
 
   /// Inner endpoint stats plus this cache's hit/miss counters. Note that
   /// `queries` counts only requests the server actually saw — cache hits
@@ -128,11 +111,11 @@ class CachingEndpoint : public Endpoint {
   size_t num_shards() const { return shards_.size(); }
 
  private:
+  /// One cached answer: a SELECT result or an ASK boolean (the key spaces
+  /// never collide, see AskFingerprint).
   struct Entry {
     std::string key;
-    bool is_ask = false;
-    ResultSet result;         // is_ask == false.
-    bool ask_result = false;  // is_ask == true.
+    std::variant<ResultSet, bool> value;
   };
   using LruList = std::list<Entry>;
 
@@ -147,10 +130,18 @@ class CachingEndpoint : public Endpoint {
     return *shards_[std::hash<std::string>{}(key) % shards_.size()];
   }
 
-  /// Looks `key` up in its shard; on hit, touches the entry and copies the
-  /// payload out under the shard lock. Counts the hit or miss.
-  bool LookupSelect(const std::string& key, ResultSet* out);
-  bool LookupAsk(const std::string& key, bool* out);
+  /// Looks `key` up in its shard; on a hit of kind T, touches the entry and
+  /// copies the payload out under the shard lock. Counts the hit or miss.
+  template <typename T>
+  bool Lookup(const std::string& key, T* out);
+
+  /// The one batch path behind SelectMany and AskMany: `key_of` keys each
+  /// query, hits are answered locally, and the unique misses go to the
+  /// inner endpoint as one `fetch` batch.
+  template <typename T, typename KeyFn>
+  BatchResult<T> CachedMany(
+      std::span<const SelectQuery> queries, KeyFn key_of,
+      BatchResult<T> (Endpoint::*fetch)(std::span<const SelectQuery>));
 
   /// Inserts (or refreshes) an entry in its shard, evicting from the cold
   /// end past the shard's capacity slice.
@@ -164,7 +155,6 @@ class CachingEndpoint : public Endpoint {
   /// same window a racing manual Clear() always had).
   void InvalidateIfStale();
 
-  Endpoint* inner_;  // Not owned.
   CacheOptions options_;
   size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -30,6 +30,14 @@ AskBatchResult Endpoint::AskMany(std::span<const SelectQuery> queries) {
   return batch;
 }
 
+StatusOr<ResultSet> EndpointDecorator::Select(const SelectQuery& query) {
+  return SelectMany(std::span<const SelectQuery>(&query, 1)).TakeSlot(0);
+}
+
+StatusOr<bool> EndpointDecorator::Ask(const SelectQuery& query) {
+  return AskMany(std::span<const SelectQuery>(&query, 1)).TakeSlot(0);
+}
+
 std::string AskFingerprint(const SelectQuery& query) {
   return query.RenderKey(QueryKeyMode::kAsk);
 }

@@ -132,6 +132,13 @@ struct BatchResult {
     values[to] = values[from];
   }
 
+  /// Slot `i`'s outcome as a single-call result, moving the value out (a
+  /// one-slot batch read back as Select/Ask).
+  StatusOr<T> TakeSlot(size_t i) {
+    if (!statuses[i].ok()) return statuses[i];
+    return T(std::move(values[i]));
+  }
+
   /// Fail-fast adapter for consumers that need every answer to proceed
   /// (the alignment pipeline: partial evidence would change verdicts):
   /// the values when all_ok(), otherwise the first error by index.
@@ -174,8 +181,9 @@ class Endpoint {
   /// Executes the query as ASK: true iff at least one solution exists.
   /// The default implementation runs Select with LIMIT 1; endpoints that
   /// can do better override it (LocalEndpoint stops the evaluation pipeline
-  /// at the first solution and ships no rows; decorators forward the call so
-  /// the early-exit hint survives the whole stack).
+  /// at the first solution and ships no rows; decorators run it as a
+  /// one-slot AskMany, which reaches the base as ASK, so the early-exit
+  /// hint survives the whole stack).
   virtual StatusOr<bool> Ask(const SelectQuery& query);
 
   /// Executes a batch of ASK probes in one round trip, with the same
@@ -212,6 +220,49 @@ class Endpoint {
   /// ResetStats() resets the whole stack beneath it.
   virtual EndpointStats stats() const = 0;
   virtual void ResetStats() = 0;
+};
+
+/// Base of the decorators that stack on another Endpoint (cache, retry,
+/// throttle, tracking, recording). Every virtual forwards to the inner
+/// endpoint; a decorator overrides only what its layer changes.
+///
+/// One path per query kind: decorators implement SelectMany/AskMany only.
+/// Select/Ask are final and run a one-slot batch, so a single call gets
+/// exactly the batch path's caching, admission, accounting and retry
+/// schedule; the two forms cannot drift apart.
+class EndpointDecorator : public Endpoint {
+ public:
+  const std::string& name() const override { return inner_->name(); }
+  const std::string& base_iri() const override { return inner_->base_iri(); }
+
+  StatusOr<ResultSet> Select(const SelectQuery& query) final;
+  SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override {
+    return inner_->SelectMany(queries);
+  }
+  StatusOr<bool> Ask(const SelectQuery& query) final;
+  AskBatchResult AskMany(std::span<const SelectQuery> queries) override {
+    return inner_->AskMany(queries);
+  }
+
+  TermId EncodeTerm(const Term& term) override {
+    return inner_->EncodeTerm(term);
+  }
+  TermId LookupTerm(const Term& term) const override {
+    return inner_->LookupTerm(term);
+  }
+  StatusOr<Term> DecodeTerm(TermId id) const override {
+    return inner_->DecodeTerm(id);
+  }
+  uint64_t data_epoch() const override { return inner_->data_epoch(); }
+
+  EndpointStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ protected:
+  /// `inner` is not owned and must outlive the decorator.
+  explicit EndpointDecorator(Endpoint* inner) : inner_(inner) {}
+
+  Endpoint* inner_;  // Not owned.
 };
 
 /// Cache/dedup key for ASK probes (SelectQuery::RenderKey in kAsk mode):

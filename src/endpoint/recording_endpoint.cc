@@ -74,13 +74,6 @@ void RecordingEndpoint::Record(CassetteEntry entry) const {
   }
 }
 
-StatusOr<ResultSet> RecordingEndpoint::Select(const SelectQuery& query) {
-  StatusOr<ResultSet> result = inner_->Select(query);
-  Record(MakeSelectEntry(query, result.status(),
-                         result.ok() ? &result.value() : nullptr));
-  return result;
-}
-
 SelectBatchResult RecordingEndpoint::SelectMany(
     std::span<const SelectQuery> queries) {
   SelectBatchResult batch = inner_->SelectMany(queries);
@@ -89,12 +82,6 @@ SelectBatchResult RecordingEndpoint::SelectMany(
                            batch.statuses[i].ok() ? &batch.values[i] : nullptr));
   }
   return batch;
-}
-
-StatusOr<bool> RecordingEndpoint::Ask(const SelectQuery& query) {
-  StatusOr<bool> result = inner_->Ask(query);
-  Record(MakeAskEntry(query, result.status(), result.ok() && result.value()));
-  return result;
 }
 
 AskBatchResult RecordingEndpoint::AskMany(std::span<const SelectQuery> queries) {

@@ -34,38 +34,21 @@
 
 namespace sofya {
 
-class RecordingEndpoint : public Endpoint, public CassetteJournal {
+class RecordingEndpoint : public EndpointDecorator, public CassetteJournal {
  public:
   /// `inner` is not owned and must outlive this object.
-  explicit RecordingEndpoint(Endpoint* inner) : inner_(inner) {}
-
-  const std::string& name() const override { return inner_->name(); }
-  const std::string& base_iri() const override { return inner_->base_iri(); }
-
-  StatusOr<ResultSet> Select(const SelectQuery& query) override;
+  explicit RecordingEndpoint(Endpoint* inner) : EndpointDecorator(inner) {}
 
   /// Forwards the whole batch (so the inner endpoint keeps its batching
   /// behavior — intra-batch dedup, pipelining) and records every slot's
   /// individual outcome: per-slot statuses round-trip through the cassette.
+  /// A single Select/Ask is a one-slot batch and records one entry.
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override;
-
-  StatusOr<bool> Ask(const SelectQuery& query) override;
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override;
-
-  TermId EncodeTerm(const Term& term) override {
-    return inner_->EncodeTerm(term);
-  }
 
   /// Forwards and records the membership judgment: replay must reproduce
   /// "unknown term => the pipeline skips the query" without the dataset.
   TermId LookupTerm(const Term& term) const override;
-
-  StatusOr<Term> DecodeTerm(TermId id) const override {
-    return inner_->DecodeTerm(id);
-  }
-  uint64_t data_epoch() const override { return inner_->data_epoch(); }
-  EndpointStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
 
   /// The session recorded so far (entries in first-recorded order; Save
   /// sorts them).
@@ -99,8 +82,6 @@ class RecordingEndpoint : public Endpoint, public CassetteJournal {
                                 const ResultSet* result) const;
   CassetteEntry MakeAskEntry(const SelectQuery& query, const Status& status,
                              bool value) const;
-
-  Endpoint* inner_;  // Not owned.
 
   mutable std::mutex mu_;
   mutable std::vector<CassetteEntry> entries_;            // Guarded by mu_.

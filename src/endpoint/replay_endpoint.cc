@@ -61,7 +61,7 @@ void ReplayEndpoint::Append(CassetteEntry entry) const {
   ++appended_;
 }
 
-StatusOr<ResultSet> ReplayEndpoint::ServeSelect(const SelectQuery& query) {
+StatusOr<ResultSet> ReplayEndpoint::Select(const SelectQuery& query) {
   const std::string key = CanonicalSelectKey(*this, query);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -123,7 +123,7 @@ StatusOr<ResultSet> ReplayEndpoint::ServeSelect(const SelectQuery& query) {
   return MaterializeResult(materialized);
 }
 
-StatusOr<bool> ReplayEndpoint::ServeAsk(const SelectQuery& query) {
+StatusOr<bool> ReplayEndpoint::Ask(const SelectQuery& query) {
   const std::string key = CanonicalAskKey(*this, query);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -153,33 +153,6 @@ StatusOr<bool> ReplayEndpoint::ServeAsk(const SelectQuery& query) {
   entry.ask_value = result.ok() && result.value();
   Append(std::move(entry));
   return result;
-}
-
-StatusOr<ResultSet> ReplayEndpoint::Select(const SelectQuery& query) {
-  return ServeSelect(query);
-}
-
-SelectBatchResult ReplayEndpoint::SelectMany(
-    std::span<const SelectQuery> queries) {
-  // Per-slot serve: each slot keeps its own recorded status, so a batch
-  // with one recorded failure round-trips slot-for-slot.
-  SelectBatchResult batch = SelectBatchResult::Sized(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batch.Set(i, ServeSelect(queries[i]));
-  }
-  return batch;
-}
-
-StatusOr<bool> ReplayEndpoint::Ask(const SelectQuery& query) {
-  return ServeAsk(query);
-}
-
-AskBatchResult ReplayEndpoint::AskMany(std::span<const SelectQuery> queries) {
-  AskBatchResult batch = AskBatchResult::Sized(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    batch.Set(i, ServeAsk(queries[i]));
-  }
-  return batch;
 }
 
 TermId ReplayEndpoint::LookupTerm(const Term& term) const {

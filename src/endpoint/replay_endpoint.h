@@ -48,10 +48,12 @@ class ReplayEndpoint : public Endpoint, public CassetteJournal {
   const std::string& name() const override { return name_; }
   const std::string& base_iri() const override { return base_iri_; }
 
+  /// Serves one query: its cassette entry (recorded status included), or
+  /// a lenient fall-through that is appended, or a strict NotFound. The
+  /// inherited SelectMany/AskMany serve a batch slot by slot, so each slot
+  /// keeps its own recorded status.
   StatusOr<ResultSet> Select(const SelectQuery& query) override;
-  SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override;
   StatusOr<bool> Ask(const SelectQuery& query) override;
-  AskBatchResult AskMany(std::span<const SelectQuery> queries) override;
 
   TermId EncodeTerm(const Term& term) override { return dict_.Intern(term); }
 
@@ -95,16 +97,6 @@ class ReplayEndpoint : public Endpoint, public CassetteJournal {
   Status Save(const std::string& path) const;
 
  private:
-  /// Serves one SELECT slot: cassette hit, or fall-through/append, or
-  /// strict NotFound.
-  StatusOr<ResultSet> ServeSelect(const SelectQuery& query);
-  StatusOr<bool> ServeAsk(const SelectQuery& query);
-
-  /// Finds an entry by (kind, key); marks it served. Returns nullptr when
-  /// unrecorded. Caller holds no lock.
-  const CassetteEntry* FindAndMarkServed(CassetteEntryKind kind,
-                                         const std::string& key) const;
-
   /// Appends a fall-through outcome (lenient mode) and marks it served.
   void Append(CassetteEntry entry) const;
 

@@ -15,9 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "endpoint/endpoint.h"
 #include "endpoint/retry_policy.h"
@@ -25,80 +23,31 @@
 namespace sofya {
 
 /// Decorator; wraps any Endpoint (typically a ThrottledEndpoint).
-class RetryingEndpoint : public Endpoint {
+class RetryingEndpoint : public EndpointDecorator {
  public:
   /// `inner` is not owned and must outlive this object.
   RetryingEndpoint(Endpoint* inner, RetryOptions options = {})
-      : inner_(inner), options_(std::move(options)) {}
-
-  const std::string& name() const override { return inner_->name(); }
-  const std::string& base_iri() const override { return inner_->base_iri(); }
-
-  StatusOr<ResultSet> Select(const SelectQuery& query) override {
-    return Retry([&] { return inner_->Select(query); });
-  }
+      : EndpointDecorator(inner), options_(std::move(options)) {}
 
   /// Forwards the whole batch to the inner endpoint so a batching/caching
   /// layer beneath keeps its intra-batch dedup. The per-sub-query contract
   /// makes recovery surgical: sub-queries that came back Unavailable are
   /// re-issued individually with backoff, while every answer that already
   /// succeeded is kept as-is — a recovered result is NEVER bought twice
-  /// (against a live endpoint each re-buy is a real round trip). The
-  /// recovery pass trickles one query at a time, deliberately: those
-  /// sub-queries just failed because the server is struggling, and
-  /// one-at-a-time is the gentle regime. Non-transient failures pass
-  /// through untouched in their slots.
+  /// (against a live endpoint each re-buy is a real round trip). The batch
+  /// is each slot's attempt 1; the schedule is the one a single call gets
+  /// (a single call is a one-slot batch). The recovery pass trickles one
+  /// query at a time, deliberately: those sub-queries just failed because
+  /// the server is struggling, and one-at-a-time is the gentle regime.
+  /// Non-transient failures pass through untouched in their slots.
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override {
-    SelectBatchResult batch = inner_->SelectMany(queries);
-    // Systemic-failure short-circuit: the first slot whose OWN full backoff
-    // schedule still ends Unavailable means the endpoint is down, not
-    // flaky — stop burning retry schedules (and hammering the server) on
-    // the remaining slots; they already carry their Unavailable statuses.
-    bool endpoint_down = false;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.statuses[i].IsUnavailable() || endpoint_down) continue;
-      auto recovered = Retry(StatusOr<ResultSet>(batch.statuses[i]),
-                             [&] { return inner_->Select(queries[i]); });
-      endpoint_down = !recovered.ok() && recovered.status().IsUnavailable();
-      batch.Set(i, std::move(recovered));
-    }
-    return batch;
+    return RecoverMany(queries, &Endpoint::SelectMany);
   }
 
-  /// Forwards ASK (preserving the inner early-exit path) with retries.
-  StatusOr<bool> Ask(const SelectQuery& query) override {
-    return Retry([&] { return inner_->Ask(query); });
-  }
-
-  /// Batched ASK with the same surgical recovery (and short-circuit) as
-  /// SelectMany.
+  /// Batched ASK with the same surgical recovery (and short-circuit).
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override {
-    AskBatchResult batch = inner_->AskMany(queries);
-    bool endpoint_down = false;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!batch.statuses[i].IsUnavailable() || endpoint_down) continue;
-      auto recovered = Retry(StatusOr<bool>(batch.statuses[i]),
-                             [&] { return inner_->Ask(queries[i]); });
-      endpoint_down = !recovered.ok() && recovered.status().IsUnavailable();
-      batch.Set(i, std::move(recovered));
-    }
-    return batch;
+    return RecoverMany(queries, &Endpoint::AskMany);
   }
-
-  TermId EncodeTerm(const Term& term) override {
-    return inner_->EncodeTerm(term);
-  }
-  TermId LookupTerm(const Term& term) const override {
-    return inner_->LookupTerm(term);
-  }
-  StatusOr<Term> DecodeTerm(TermId id) const override {
-    return inner_->DecodeTerm(id);
-  }
-
-  uint64_t data_epoch() const override { return inner_->data_epoch(); }
-
-  EndpointStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
 
   /// Transient failures absorbed so far.
   uint64_t retries_performed() const {
@@ -106,22 +55,34 @@ class RetryingEndpoint : public Endpoint {
   }
 
  private:
-  /// Shared policy driver (retry_policy.h), counting each re-issue.
-  template <typename Fn>
-  auto Retry(Fn&& attempt) -> decltype(attempt()) {
-    return Retry(attempt(), attempt);
+  /// The one batch path behind SelectMany and AskMany: `many` sends the
+  /// batch, then each Unavailable slot is re-issued as a one-slot `many`
+  /// batch on the shared policy (retry_policy.h), counting each re-issue.
+  template <typename T>
+  BatchResult<T> RecoverMany(
+      std::span<const SelectQuery> queries,
+      BatchResult<T> (Endpoint::*many)(std::span<const SelectQuery>)) {
+    BatchResult<T> batch = (inner_->*many)(queries);
+    // Systemic-failure short-circuit: the first slot whose OWN full backoff
+    // schedule still ends Unavailable means the endpoint is down, not
+    // flaky — stop burning retry schedules (and hammering the server) on
+    // the remaining slots; they already carry their Unavailable statuses.
+    bool endpoint_down = false;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!batch.statuses[i].IsUnavailable() || endpoint_down) continue;
+      StatusOr<T> recovered = RetryTransient(
+          StatusOr<T>(batch.statuses[i]),
+          [&] { return (inner_->*many)(queries.subspan(i, 1)).TakeSlot(0); },
+          options_,
+          [this] {
+            retries_performed_.fetch_add(1, std::memory_order_relaxed);
+          });
+      endpoint_down = !recovered.ok() && recovered.status().IsUnavailable();
+      batch.Set(i, std::move(recovered));
+    }
+    return batch;
   }
 
-  /// The same schedule, continued from an attempt that already failed (a
-  /// batch slot: the batch was attempt 1).
-  template <typename T, typename Fn>
-  StatusOr<T> Retry(StatusOr<T> first, Fn&& reissue) {
-    return RetryTransient(std::move(first), reissue, options_, [this] {
-      retries_performed_.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-
-  Endpoint* inner_;  // Not owned.
   RetryOptions options_;
   std::atomic<uint64_t> retries_performed_{0};
 };

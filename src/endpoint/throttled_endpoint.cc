@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "util/string_util.h"
 
@@ -50,38 +51,11 @@ void ThrottledEndpoint::ChargeLatency(uint64_t rows) {
   }
 }
 
-StatusOr<ResultSet> ThrottledEndpoint::Select(const SelectQuery& query) {
-  SOFYA_RETURN_IF_ERROR(AdmitQuery());
-
-  // Apply the row cap by tightening LIMIT before the server sees the query
-  // (equivalent to server-side truncation, but cheaper to simulate).
-  SelectQuery capped = query;
-  if (options_.max_rows_per_query > 0 &&
-      (query.limit() == kNoLimit ||
-       query.limit() > options_.max_rows_per_query)) {
-    capped.Limit(options_.max_rows_per_query);
-  }
-
-  auto result = inner_->Select(capped);
-  if (!result.ok()) return result.status();
-
-  ChargeLatency(result->rows.size());
-  return result;
-}
-
-StatusOr<bool> ThrottledEndpoint::Ask(const SelectQuery& query) {
-  SOFYA_RETURN_IF_ERROR(AdmitQuery());
-
-  auto result = inner_->Ask(query);
-  if (!result.ok()) return result.status();
-
-  ChargeLatency(/*rows=*/0);  // Boolean response: no rows.
-  return result;
-}
-
-void ThrottledEndpoint::RunBatchWaves(
-    size_t n, const std::function<StatusOr<uint64_t>(size_t)>& issue,
-    const std::function<void(size_t, Status)>& reject) {
+template <typename T, typename Issue>
+BatchResult<T> ThrottledEndpoint::RunBatchWaves(
+    std::span<const SelectQuery> queries, Issue issue) {
+  BatchResult<T> batch = BatchResult<T>::Sized(queries.size());
+  const size_t n = queries.size();
   const size_t width = std::max<size_t>(1, options_.batch_wave_width);
   for (size_t start = 0; start < n; start += width) {
     const size_t end = std::min(n, start + width);
@@ -92,13 +66,18 @@ void ThrottledEndpoint::RunBatchWaves(
     for (size_t i = start; i < end; ++i) {
       Status admitted = AdmitQuery();
       if (!admitted.ok()) {
-        reject(i, std::move(admitted));
+        batch.statuses[i] = std::move(admitted);
         continue;
       }
-      auto rows = issue(i);
-      if (!rows.ok()) continue;  // issue() recorded the slot's error.
-      wave_rows += *rows;
-      wave_reached_server = true;
+      StatusOr<T> result = issue(queries[i]);
+      if (result.ok()) {
+        // A boolean response ships no rows.
+        if constexpr (std::is_same_v<T, ResultSet>) {
+          wave_rows += result->rows.size();
+        }
+        wave_reached_server = true;
+      }
+      batch.Set(i, std::move(result));
     }
     // One base-latency (+jitter) unit per wave that produced an answer,
     // plus the per-row cost of everything the wave shipped. Never a
@@ -106,52 +85,29 @@ void ThrottledEndpoint::RunBatchWaves(
     // AND rng stream) to issuing the sub-queries sequentially.
     if (wave_reached_server) ChargeLatency(wave_rows);
   }
+  return batch;
 }
 
 SelectBatchResult ThrottledEndpoint::SelectMany(
     std::span<const SelectQuery> queries) {
-  SelectBatchResult batch = SelectBatchResult::Sized(queries.size());
-  RunBatchWaves(
-      queries.size(),
-      [&](size_t i) -> StatusOr<uint64_t> {
-        SelectQuery capped = queries[i];
-        if (options_.max_rows_per_query > 0 &&
-            (capped.limit() == kNoLimit ||
-             capped.limit() > options_.max_rows_per_query)) {
-          capped.Limit(options_.max_rows_per_query);
-        }
-        auto result = inner_->Select(capped);
-        if (!result.ok()) {
-          batch.statuses[i] = result.status();
-          return result.status();
-        }
-        const uint64_t rows = result->rows.size();
-        batch.values[i] = std::move(*result);
-        return rows;
-      },
-      [&](size_t i, Status status) {
-        batch.statuses[i] = std::move(status);
-      });
-  return batch;
+  return RunBatchWaves<ResultSet>(queries, [this](const SelectQuery& query) {
+    // Apply the row cap by tightening LIMIT before the server sees the
+    // query (equivalent to server-side truncation, but cheaper to
+    // simulate).
+    SelectQuery capped = query;
+    if (options_.max_rows_per_query > 0 &&
+        (capped.limit() == kNoLimit ||
+         capped.limit() > options_.max_rows_per_query)) {
+      capped.Limit(options_.max_rows_per_query);
+    }
+    return inner_->Select(capped);
+  });
 }
 
 AskBatchResult ThrottledEndpoint::AskMany(std::span<const SelectQuery> queries) {
-  AskBatchResult batch = AskBatchResult::Sized(queries.size());
-  RunBatchWaves(
-      queries.size(),
-      [&](size_t i) -> StatusOr<uint64_t> {
-        auto result = inner_->Ask(queries[i]);
-        if (!result.ok()) {
-          batch.statuses[i] = result.status();
-          return result.status();
-        }
-        batch.values[i] = *result;
-        return uint64_t{0};  // Boolean response: no rows.
-      },
-      [&](size_t i, Status status) {
-        batch.statuses[i] = std::move(status);
-      });
-  return batch;
+  return RunBatchWaves<bool>(queries, [this](const SelectQuery& query) {
+    return inner_->Ask(query);
+  });
 }
 
 EndpointStats ThrottledEndpoint::stats() const {

@@ -8,6 +8,10 @@
 // (like DBpedia's 10000-row cap), and failure injection exercises the
 // samplers' error paths.
 //
+// Like every EndpointDecorator it implements batches only: a single
+// Select/Ask is a one-slot batch, admitted, metered and charged exactly like
+// any batch slot, so both forms see one row cap and one rng stream.
+//
 // Thread safety: safe for concurrent callers. Budget admission, the jitter/
 // failure RNG, and the counters sit behind one mutex, but the inner call
 // runs *outside* it — concurrent requests are in flight simultaneously,
@@ -20,7 +24,6 @@
 #define SOFYA_ENDPOINT_THROTTLED_ENDPOINT_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -70,44 +73,27 @@ struct ThrottleOptions {
 };
 
 /// Decorator enforcing ThrottleOptions on an inner endpoint.
-class ThrottledEndpoint : public Endpoint {
+class ThrottledEndpoint : public EndpointDecorator {
  public:
   /// Wraps `inner` (not owned; must outlive this object).
   ThrottledEndpoint(Endpoint* inner, ThrottleOptions options)
-      : inner_(inner), options_(options), rng_(options.seed) {}
-
-  const std::string& name() const override { return inner_->name(); }
-
-  const std::string& base_iri() const override { return inner_->base_iri(); }
-
-  StatusOr<ResultSet> Select(const SelectQuery& query) override;
+      : EndpointDecorator(inner), options_(options), rng_(options.seed) {}
 
   /// Batch admission charges the budget and the failure model per
   /// *sub-query* (a remote provider meters requests, not batches) and
   /// latency per sub-query *wave* of `batch_wave_width` requests. Each
-  /// sub-query carries its own status: once the budget runs out mid-batch,
-  /// the remaining slots come back ResourceExhausted while every already
-  /// admitted answer is delivered.
+  /// admitted sub-query goes to the inner endpoint as its own request, with
+  /// its LIMIT tightened to the row cap. Each sub-query carries its own
+  /// status: once the budget runs out mid-batch, the remaining slots come
+  /// back ResourceExhausted while every already admitted answer is
+  /// delivered. A single Select is a one-slot batch: one query, one wave.
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override;
 
-  /// Forwards ASK to the inner endpoint so its early-exit evaluation
-  /// survives the throttle. Charged as one query with base latency only
-  /// (a boolean response ships no rows).
-  StatusOr<bool> Ask(const SelectQuery& query) override;
-
-  /// Batched ASK with the same wave admission/charging as SelectMany.
+  /// Batched ASK with the same wave admission/charging as SelectMany. Each
+  /// admitted probe is forwarded as ASK, so the inner early-exit evaluation
+  /// survives the throttle; a boolean response ships no rows, so a probe
+  /// costs base latency only.
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override;
-
-  TermId EncodeTerm(const Term& term) override {
-    return inner_->EncodeTerm(term);
-  }
-  TermId LookupTerm(const Term& term) const override {
-    return inner_->LookupTerm(term);
-  }
-  StatusOr<Term> DecodeTerm(TermId id) const override {
-    return inner_->DecodeTerm(id);
-  }
-  uint64_t data_epoch() const override { return inner_->data_epoch(); }
 
   /// This layer's own metering (queries admitted, failures injected,
   /// latency, rows after capping) composed with the server-side counters of
@@ -143,23 +129,21 @@ class ThrottledEndpoint : public Endpoint {
   }
 
  private:
-  /// Budget/failure preamble shared by Select and Ask (under mu_). Returns
-  /// non-OK when the request must not reach the inner endpoint.
+  /// Budget/failure preamble for one sub-query (under mu_). Returns non-OK
+  /// when the request must not reach the inner endpoint.
   Status AdmitQuery();
 
   /// Latency accounting (and, optionally, the real sleep) for one request.
   void ChargeLatency(uint64_t rows);
 
-  /// Runs one batch through per-sub-query admission and per-wave latency
-  /// charging. `issue(i)` executes the already-admitted sub-query i against
-  /// the inner endpoint, records its outcome, and returns the rows it
-  /// shipped (or its error). `reject(i, status)` records a sub-query the
-  /// admission gate turned away.
-  void RunBatchWaves(size_t n,
-                     const std::function<StatusOr<uint64_t>(size_t)>& issue,
-                     const std::function<void(size_t, Status)>& reject);
+  /// The one batch path behind SelectMany and AskMany: per-sub-query
+  /// admission and per-wave latency charging. `issue(query)` sends one
+  /// admitted sub-query to the inner endpoint; sub-queries the admission
+  /// gate turns away keep its status.
+  template <typename T, typename Issue>
+  BatchResult<T> RunBatchWaves(std::span<const SelectQuery> queries,
+                               Issue issue);
 
-  Endpoint* inner_;  // Not owned.
   ThrottleOptions options_;
   mutable std::mutex mu_;
   Rng rng_;                // Guarded by mu_.

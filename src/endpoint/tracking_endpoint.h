@@ -11,13 +11,15 @@
 //
 // The counters mirror the server's charging rules so that, over an
 // undecorated LocalEndpoint, tracked counts equal the server's counts
-// exactly: one query per Select/Ask, one query per *unique* query inside a
-// SelectMany batch (the server answers intra-batch duplicates from one
-// evaluation), one per unique normalized probe inside AskMany, and rows
-// counted once per unique evaluation. With a shared cache in the stack the
-// tracked `queries` is instead the number of requests issued to the cache —
-// an upper bound on what the server saw, since attribution of shared cache
-// hits to individual callers is inherently interleaving-dependent.
+// exactly: one query per *unique* query inside a SelectMany batch (the
+// server answers intra-batch duplicates from one evaluation), one per unique
+// normalized probe inside AskMany, and rows counted once per unique
+// evaluation. Like every EndpointDecorator it implements batches only: a
+// single Select/Ask is a one-slot batch, so it charges exactly one query.
+// With a shared cache in the stack the tracked `queries` is instead the
+// number of requests issued to the cache — an upper bound on what the
+// server saw, since attribution of shared cache hits to individual callers
+// is inherently interleaving-dependent.
 //
 // Thread safety: safe for concurrent callers. Under the phase-decomposed
 // scheduler one relation's subtasks (per-candidate sampling, reverse
@@ -29,8 +31,10 @@
 #ifndef SOFYA_ENDPOINT_TRACKING_ENDPOINT_H_
 #define SOFYA_ENDPOINT_TRACKING_ENDPOINT_H_
 
+#include <functional>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 
 #include "endpoint/endpoint.h"
@@ -38,68 +42,18 @@
 namespace sofya {
 
 /// Per-caller request attribution over a shared (thread-safe) endpoint.
-class TrackingEndpoint : public Endpoint {
+class TrackingEndpoint : public EndpointDecorator {
  public:
   /// `inner` is not owned and must outlive this object.
-  explicit TrackingEndpoint(Endpoint* inner) : inner_(inner) {}
-
-  const std::string& name() const override { return inner_->name(); }
-  const std::string& base_iri() const override { return inner_->base_iri(); }
-
-  StatusOr<ResultSet> Select(const SelectQuery& query) override {
-    auto result = inner_->Select(query);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-    if (result.ok()) stats_.rows_returned += result->rows.size();
-    return result;
-  }
+  explicit TrackingEndpoint(Endpoint* inner) : EndpointDecorator(inner) {}
 
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override {
-    SelectBatchResult results = inner_->SelectMany(queries);
-    // Charge one query per unique fingerprint, like the server's
-    // intra-batch dedup, so tracked counts match server-side accounting;
-    // rows only for sub-queries that actually produced an answer.
-    std::unordered_set<std::string> unique;
-    unique.reserve(queries.size());
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (!unique.insert(queries[i].Fingerprint()).second) continue;
-      ++stats_.queries;
-      if (results.statuses[i].ok()) {
-        stats_.rows_returned += results.values[i].rows.size();
-      }
-    }
-    return results;
-  }
-
-  StatusOr<bool> Ask(const SelectQuery& query) override {
-    auto result = inner_->Ask(query);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-    return result;
+    return TrackMany(queries, &SelectQuery::Fingerprint, &Endpoint::SelectMany);
   }
 
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override {
-    AskBatchResult results = inner_->AskMany(queries);
-    std::unordered_set<std::string> unique;
-    unique.reserve(queries.size());
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const SelectQuery& query : queries) {
-      if (unique.insert(AskFingerprint(query)).second) ++stats_.queries;
-    }
-    return results;
+    return TrackMany(queries, &AskFingerprint, &Endpoint::AskMany);
   }
-
-  TermId EncodeTerm(const Term& term) override {
-    return inner_->EncodeTerm(term);
-  }
-  TermId LookupTerm(const Term& term) const override {
-    return inner_->LookupTerm(term);
-  }
-  StatusOr<Term> DecodeTerm(TermId id) const override {
-    return inner_->DecodeTerm(id);
-  }
-  uint64_t data_epoch() const override { return inner_->data_epoch(); }
 
   /// This caller's own counters only — never the shared stack's (that is
   /// the whole point). Latency/cache/server-side fields stay zero; they are
@@ -114,7 +68,30 @@ class TrackingEndpoint : public Endpoint {
   }
 
  private:
-  Endpoint* inner_;  // Not owned; shared across tasks.
+  /// The one batch path behind SelectMany and AskMany: forwards the batch
+  /// via `many`, then charges one query per unique `key_of` key, like the
+  /// server's intra-batch dedup, and rows only for SELECT sub-queries that
+  /// actually produced an answer.
+  template <typename T, typename KeyFn>
+  BatchResult<T> TrackMany(
+      std::span<const SelectQuery> queries, KeyFn key_of,
+      BatchResult<T> (Endpoint::*many)(std::span<const SelectQuery>)) {
+    BatchResult<T> results = (inner_->*many)(queries);
+    std::unordered_set<std::string> unique;
+    unique.reserve(queries.size());
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!unique.insert(std::invoke(key_of, queries[i])).second) continue;
+      ++stats_.queries;
+      if constexpr (std::is_same_v<T, ResultSet>) {
+        if (results.statuses[i].ok()) {
+          stats_.rows_returned += results.values[i].rows.size();
+        }
+      }
+    }
+    return results;
+  }
+
   mutable std::mutex mu_;
   EndpointStats stats_;  // Guarded by mu_.
 };
