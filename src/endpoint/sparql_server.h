@@ -18,8 +18,8 @@
 // answered 429 + Retry-After (the budget regime of the paper's "few
 // queries" claim, enforced at the server door).
 //
-// Thread safety: Handle() is safe to call concurrently (HttpServer's worker
-// pool does); evaluation is lock-free over the store, admission state takes
+// Thread safety: Handle() is safe to call concurrently (HttpServer's threads
+// do); evaluation is lock-free over the store, admission state takes
 // a small mutex.
 
 #ifndef SOFYA_ENDPOINT_SPARQL_SERVER_H_

@@ -190,7 +190,8 @@ std::string SerializeHttpResponse(const HttpResponse& response) {
   return out;
 }
 
-StatusOr<size_t> TryParseHttpRequest(std::string_view data, HttpRequest* out) {
+StatusOr<size_t> TryParseHttpRequest(std::string_view data, HttpRequest* out,
+                                     size_t max_request_bytes) {
   const size_t eol = data.find(kCrlf);
   if (eol == std::string_view::npos) {
     if (data.size() > kMaxHeaderBytes) {
@@ -244,6 +245,14 @@ StatusOr<size_t> TryParseHttpRequest(std::string_view data, HttpRequest* out) {
     }
     return Status::Unimplemented(
         "http: Transfer-Encoding is not supported on requests");
+  }
+  if (body_start > max_request_bytes ||
+      length > max_request_bytes - body_start) {
+    return Status::ResourceExhausted(StrFormat(
+        "http: request declares a %llu-byte body after a %zu-byte head; "
+        "the limit is %zu bytes",
+        static_cast<unsigned long long>(length), body_start,
+        max_request_bytes));
   }
   if (data.size() - body_start < length) return size_t{0};
   request.body = std::string(data.substr(body_start, length));

@@ -16,6 +16,7 @@
 #define SOFYA_NET_HTTP_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,8 +70,12 @@ std::string SerializeHttpResponse(const HttpResponse& response);
 /// framed by Content-Length (absent => no body). Framing guards (see file
 /// comment): Transfer-Encoding on a request is Unimplemented; a request
 /// carrying both Transfer-Encoding and Content-Length, or duplicate
-/// Content-Length headers with conflicting values, is a ParseError.
-StatusOr<size_t> TryParseHttpRequest(std::string_view data, HttpRequest* out);
+/// Content-Length headers with conflicting values, is a ParseError. A request
+/// whose head plus declared body exceeds `max_request_bytes` is
+/// ResourceExhausted as soon as its head is parsed, before the body arrives.
+StatusOr<size_t> TryParseHttpRequest(
+    std::string_view data, HttpRequest* out,
+    size_t max_request_bytes = std::numeric_limits<size_t>::max());
 
 /// Incremental response parse; same contract as TryParseHttpRequest.
 /// Handles Content-Length and chunked framing. A response with neither is

@@ -26,14 +26,37 @@ std::string PeerString(const sockaddr_in& addr) {
   return StrFormat("%s:%u", ip, static_cast<unsigned>(ntohs(addr.sin_port)));
 }
 
-/// The canned response for a request the framing guards rejected: the parse
-/// status carries the RFC-mandated distinction (Unimplemented -> 501 for
-/// Transfer-Encoding requests, anything else -> 400).
-HttpResponse FramingErrorResponse(const Status& status) {
+/// Appends what the socket holds to `in`, stopping once `in` exceeds `limit`
+/// (the request loop then answers 413). A short read means the socket was
+/// drained: an EPOLLIN re-arm reports whatever arrives later. Returns false
+/// on EOF or a hard error.
+bool ReadAvailable(int fd, std::string* in, size_t limit) {
+  char chunk[kReadChunk];
+  while (in->size() <= limit) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      in->append(chunk, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(chunk)) return true;
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
+/// The canned response for a request the parser refused: the parse status
+/// carries the RFC-mandated distinction (Unimplemented -> 501 for
+/// Transfer-Encoding requests, ResourceExhausted -> 413 for an oversized
+/// request, anything else -> 400).
+HttpResponse RejectionResponse(const Status& status) {
   HttpResponse response;
   if (status.IsUnimplemented()) {
     response.status_code = 501;
     response.reason = "Not Implemented";
+  } else if (status.IsResourceExhausted()) {
+    response.status_code = 413;
+    response.reason = "Content Too Large";
   } else {
     response.status_code = 400;
     response.reason = "Bad Request";
@@ -121,96 +144,63 @@ Status HttpServer::Start() {
   }
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || stop_fd_ < 0) {
     Stop();
     return Status::Internal("epoll/eventfd creation failed");
   }
+  // Level-triggered, unlike the connections: every thread sees these. The
+  // tags tell them apart from a Connection* in WorkerLoop.
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
+  ev.data.ptr = nullptr;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ev.data.ptr = &stop_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev);
 
-  workers_ = std::make_unique<ThreadPool>(options_.worker_threads);
   running_.store(true, std::memory_order_release);
-  io_thread_ = std::thread([this] { EventLoop(); });
+  for (size_t i = 0; i < options_.worker_threads; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
+  }
   return Status::OK();
 }
 
 void HttpServer::Stop() {
-  if (!running_.load(std::memory_order_acquire) && !io_thread_.joinable()) {
-    // Start() may have half-initialized fds on failure; fall through to the
-    // cleanup below without a loop to stop.
-  } else {
-    stopping_.store(true, std::memory_order_release);
-    if (wake_fd_ >= 0) {
-      const uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-    }
-    if (io_thread_.joinable()) io_thread_.join();
+  stopping_.store(true, std::memory_order_release);
+  if (stop_fd_ >= 0) {
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(stop_fd_, &one, sizeof(one));
   }
-  // Drain in-flight handlers before tearing fds down (workers write only to
-  // the completion queue + wake_fd_, both still alive here).
-  workers_.reset();
-  for (auto& [id, conn] : connections_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
-  connections_.clear();
-  fd_to_id_.clear();
+  // Each thread returns after the event it is serving, so joining drains
+  // in-flight handlers.
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
   {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.clear();
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    for (auto& [id, conn] : connections_) ::close(conn->fd);
+    connections_.clear();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+  listen_fd_ = epoll_fd_ = stop_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 
-void HttpServer::EventLoop() {
-  epoll_event events[64];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+void HttpServer::WorkerLoop() {
+  while (true) {
+    // One event at a time: a batch would queue ready connections behind
+    // this thread's handlers while other threads sit idle.
+    epoll_event event{};
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, -1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 || event.data.ptr == &stop_fd_) return;
+    if (event.data.ptr == nullptr) {
+      AcceptPending();
+      continue;
     }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        AcceptPending();
-        continue;
-      }
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        [[maybe_unused]] ssize_t r =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        ApplyCompletions();
-        continue;
-      }
-      auto id_it = fd_to_id_.find(fd);
-      if (id_it == fd_to_id_.end()) continue;
-      Connection* conn = connections_[id_it->second].get();
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        if (conn->executing) {
-          conn->peer_closed = true;  // Worker still owns a request.
-        } else {
-          CloseConnection(conn);
-        }
-        continue;
-      }
-      if (events[i].events & EPOLLIN) {
-        HandleReadable(conn);
-        // HandleReadable may close; re-resolve before using again.
-        id_it = fd_to_id_.find(fd);
-        if (id_it == fd_to_id_.end()) continue;
-        conn = connections_[id_it->second].get();
-      }
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
-    }
+    auto* conn = static_cast<Connection*>(event.data.ptr);
+    if (!ServeEvent(conn)) CloseConnection(conn);
   }
 }
 
@@ -222,164 +212,119 @@ void HttpServer::AcceptPending() {
         ::accept4(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len,
                   SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN (or a transient accept error): done.
-    if (connections_.size() >= options_.max_connections) {
-      ::close(fd);  // Over capacity: refuse at the socket layer.
+    Connection* conn = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(connections_mu_);
+      if (connections_.size() >= options_.max_connections) {
+        ::close(fd);  // Over capacity: refuse at the socket layer.
+        continue;
+      }
+      auto owned = std::make_unique<Connection>();
+      conn = owned.get();
+      conn->id = next_connection_id_++;
+      connections_.emplace(conn->id, std::move(owned));
+    }
+    bool armed = false;
+    {
+      // Under mu, so the first thread to serve this connection sees its
+      // fields.
+      std::lock_guard<std::mutex> lock(conn->mu);
+      conn->fd = fd;
+      conn->peer = PeerString(peer);
+      const int enable = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+      epoll_event ev{};
+      ev.events = EPOLLIN | EPOLLONESHOT;
+      ev.data.ptr = conn;
+      armed = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+    }
+    if (!armed) {
+      CloseConnection(conn);
       continue;
     }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_connection_id_++;
-    conn->peer = PeerString(peer);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    fd_to_id_[fd] = conn->id;
-    connections_[conn->id] = std::move(conn);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void HttpServer::HandleReadable(Connection* conn) {
-  char chunk[kReadChunk];
+bool HttpServer::ServeEvent(Connection* conn) {
+  std::lock_guard<std::mutex> lock(conn->mu);
+  // A pending response means this is the EPOLLOUT wake; otherwise EPOLLIN.
+  const bool peer_open =
+      !conn->out.empty() ||
+      ReadAvailable(conn->fd, &conn->in, options_.max_request_bytes);
   while (true) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn->in.append(chunk, static_cast<size_t>(n));
-      if (conn->in.size() > options_.max_request_bytes) {
-        HttpResponse too_large;
-        too_large.status_code = 413;
-        too_large.reason = "Content Too Large";
-        too_large.headers = {{"Connection", "close"}};
-        FinishResponse(conn, SerializeHttpResponse(too_large),
-                       /*close_after_write=*/true);
-        return;
+    if (!conn->out.empty()) {
+      switch (Flush(conn)) {
+        case Flushed::kBlocked:
+          Rearm(conn, EPOLLOUT);
+          return true;
+        case Flushed::kFailed:
+          return false;
+        case Flushed::kDone:
+          if (conn->close_after_write) return false;
+          break;
       }
-      continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    // EOF or hard error.
-    if (conn->executing || !conn->out.empty()) {
-      conn->peer_closed = true;  // Let the in-flight response finish/fail.
-      break;
+    if (stopping_.load(std::memory_order_acquire)) return false;
+
+    HttpRequest request;
+    StatusOr<size_t> consumed =
+        TryParseHttpRequest(conn->in, &request, options_.max_request_bytes);
+    HttpResponse response;
+    if (consumed.ok() && *consumed > 0) {
+      conn->in.erase(0, *consumed);
+      response = handler_(request, HttpServerClient{conn->peer, conn->id});
+      requests_served_.fetch_add(1, std::memory_order_relaxed);
+      conn->close_after_write =
+          WantsClose(request.headers) || WantsClose(response.headers);
+    } else if (consumed.ok() &&
+               conn->in.size() <= options_.max_request_bytes) {
+      break;  // The next request is incomplete: wait for more bytes.
+    } else {
+      response = RejectionResponse(
+          consumed.ok() ? Status::ResourceExhausted(
+                              "http: request exceeds max_request_bytes")
+                        : consumed.status());
+      conn->close_after_write = true;
     }
-    CloseConnection(conn);
-    return;
+    conn->out = SerializeHttpResponse(response);
   }
-  PumpConnection(conn);
+  if (!peer_open) return false;
+  Rearm(conn, EPOLLIN);
+  return true;
 }
 
-void HttpServer::PumpConnection(Connection* conn) {
-  if (conn->executing || !conn->out.empty()) return;
-  HttpRequest request;
-  auto consumed = TryParseHttpRequest(conn->in, &request);
-  if (!consumed.ok()) {
-    FinishResponse(conn, SerializeHttpResponse(
-                             FramingErrorResponse(consumed.status())),
-                   /*close_after_write=*/true);
-    return;
-  }
-  if (*consumed == 0) {
-    if (conn->peer_closed) CloseConnection(conn);
-    return;
-  }
-  conn->in.erase(0, *consumed);
-  DispatchRequest(conn, std::move(request));
-}
-
-void HttpServer::DispatchRequest(Connection* conn, HttpRequest request) {
-  conn->executing = true;
-  UpdateEpoll(conn);
-  const bool request_wants_close = WantsClose(request.headers);
-  HttpServerClient client{conn->peer, conn->id};
-  const uint64_t connection_id = conn->id;
-  // From here the worker owns the request; it must not touch the Connection
-  // (the peer can vanish while the handler runs). Results come back through
-  // the completion queue.
-  workers_->Post([this, connection_id, client = std::move(client),
-                  request = std::move(request), request_wants_close] {
-    HttpResponse response = handler_(request, client);
-    const bool close = request_wants_close || WantsClose(response.headers);
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(Completion{
-          connection_id, SerializeHttpResponse(response), close});
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  });
-}
-
-void HttpServer::ApplyCompletions() {
-  std::vector<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
-  }
-  for (Completion& done : batch) {
-    auto it = connections_.find(done.connection_id);
-    if (it == connections_.end()) continue;  // Peer vanished mid-handler.
-    Connection* conn = it->second.get();
-    conn->executing = false;
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
-    FinishResponse(conn, std::move(done.wire_bytes), done.close_after_write);
-  }
-}
-
-void HttpServer::FinishResponse(Connection* conn, std::string wire_bytes,
-                                bool close_after_write) {
-  conn->out = std::move(wire_bytes);
-  conn->close_after_write = close_after_write;
-  // Optimistic immediate write: most responses fit the socket buffer, so
-  // the common path costs zero extra epoll round trips.
-  HandleWritable(conn);
-}
-
-void HttpServer::HandleWritable(Connection* conn) {
-  while (!conn->out.empty()) {
+HttpServer::Flushed HttpServer::Flush(Connection* conn) {
+  while (conn->out_sent < conn->out.size()) {
     const ssize_t n =
-        ::send(conn->fd, conn->out.data(), conn->out.size(), MSG_NOSIGNAL);
+        ::send(conn->fd, conn->out.data() + conn->out_sent,
+               conn->out.size() - conn->out_sent, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out.erase(0, static_cast<size_t>(n));
+      conn->out_sent += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      UpdateEpoll(conn);  // Wait for EPOLLOUT.
-      return;
-    }
     if (n < 0 && errno == EINTR) continue;
-    CloseConnection(conn);  // Peer gone: nothing left to deliver.
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Flushed::kBlocked;
+    }
+    return Flushed::kFailed;  // Peer gone: nothing left to deliver.
   }
-  if (conn->close_after_write || conn->peer_closed) {
-    CloseConnection(conn);
-    return;
-  }
-  UpdateEpoll(conn);
-  PumpConnection(conn);  // A pipelined request may already be buffered.
+  conn->out.clear();
+  conn->out_sent = 0;
+  return Flushed::kDone;
 }
 
-void HttpServer::UpdateEpoll(Connection* conn) {
+void HttpServer::Rearm(Connection* conn, uint32_t events) {
   epoll_event ev{};
-  ev.data.fd = conn->fd;
-  if (!conn->out.empty()) {
-    ev.events = EPOLLOUT;
-  } else if (conn->executing) {
-    ev.events = 0;  // Back-pressure: no reads until the response ships.
-  } else {
-    ev.events = EPOLLIN;
-  }
+  ev.events = events | EPOLLONESHOT;
+  ev.data.ptr = conn;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
 void HttpServer::CloseConnection(Connection* conn) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  fd_to_id_.erase(conn->fd);
-  connections_.erase(conn->id);  // Frees conn; do not touch it after this.
+  ::close(conn->fd);  // Also leaves the epoll set: the fd is never dup'd.
+  std::lock_guard<std::mutex> lock(connections_mu_);
+  connections_.erase(conn->id);  // Frees conn.
 }
 
 }  // namespace sofya

@@ -382,6 +382,17 @@ TEST(HttpFramingGuardTest, AgreeingDuplicateContentLengthParses) {
   EXPECT_EQ(request.body, "body");
 }
 
+TEST(HttpFramingGuardTest, DeclaredSizeOverLimitFailsOnTheHead) {
+  // The head alone decides: no body byte has arrived yet.
+  const std::string head = "POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
+  HttpRequest request;
+  auto over = TryParseHttpRequest(head, &request, head.size() + 99);
+  EXPECT_TRUE(over.status().IsResourceExhausted()) << over.status();
+  auto at_limit = TryParseHttpRequest(head, &request, head.size() + 100);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(*at_limit, 0u);  // Within the limit: wait for the body.
+}
+
 // ---------------------------------------- percent / form-urlencoded codecs
 
 TEST(UrlCodecTest, PercentEncodeCoversReservedAndPassesUnreserved) {

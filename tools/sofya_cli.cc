@@ -38,7 +38,9 @@
 //       --port-file writes the bound port for scripts. The admission knobs
 //       shed overload with 503/429 + Retry-After — exactly what the
 //       client-side retry stack (query --endpoint-url, align against a
-//       URL) backs off on and recovers from.
+//       URL) backs off on and recovers from. --workers N is the number of
+//       server threads in total (default 4); each one accepts, reads, runs
+//       queries and writes.
 //
 //   sofya explain --kb F --sparql 'SELECT ...' [--greedy-planner]
 //                 [--adaptive] [--execute] [--json]
