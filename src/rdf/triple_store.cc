@@ -660,26 +660,30 @@ PredicateHistograms TripleStore::HistogramFor(TermId p) const {
     return PredicateHistograms();
   }
 
-  // The memo key is the owning shard's epoch — the epoch sum for a group —
-  // exactly the keying StatsFor/GroupStatsFor use, so invalidation
-  // granularity matches: a write elsewhere leaves this entry valid.
+  // The memo key is (owner, epoch): the owning shard and its epoch, or the
+  // group's first shard and its epoch sum. A write elsewhere leaves this
+  // entry valid. The owner is part of the key because a promotion moves p
+  // to a fresh group whose epoch sum restarts low and can climb back to the
+  // hash shard's old epoch.
+  uint32_t owner = 0;
   uint64_t key = 0;
   if (info_it->second.group >= 0) {
     const PredGroup& g = *groups_[static_cast<size_t>(info_it->second.group)];
+    owner = g.first_shard;
     for (uint32_t k = 0; k < g.split; ++k) {
       EnsureShardSorted(*shards_[g.first_shard + k]);
       key += shards_[g.first_shard + k]->epoch.load(std::memory_order_acquire);
     }
   } else {
-    const uint32_t i =
-        HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
-    EnsureShardSorted(*shards_[i]);
-    key = shards_[i]->epoch.load(std::memory_order_acquire);
+    owner = HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
+    EnsureShardSorted(*shards_[owner]);
+    key = shards_[owner]->epoch.load(std::memory_order_acquire);
   }
   {
     std::lock_guard<std::mutex> lock(hist_mu_);
     auto it = hist_memo_.find(p);
-    if (it != hist_memo_.end() && it->second.key == key) {
+    if (it != hist_memo_.end() && it->second.owner == owner &&
+        it->second.key == key) {
       return it->second.hist;
     }
   }
@@ -704,6 +708,7 @@ PredicateHistograms TripleStore::HistogramFor(TermId p) const {
   {
     std::lock_guard<std::mutex> lock(hist_mu_);
     HistEntry& entry = hist_memo_[p];
+    entry.owner = owner;
     entry.key = key;
     entry.hist = hist;
   }

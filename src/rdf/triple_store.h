@@ -531,10 +531,12 @@ class TripleStore {
   mutable uint64_t global_stats_epoch_ = 0;
   mutable bool global_stats_valid_ = false;
 
-  /// Histogram memo: per predicate, keyed by the owning shard's epoch (sum
-  /// of sub-shard epochs for a group) — same invalidation granularity as
-  /// the predicate-stats memo. Guarded by hist_mu_.
+  /// Histogram memo: per predicate, keyed by the owning shard and its epoch
+  /// (the group's first shard and its sub-shard epoch sum for a promoted
+  /// predicate) — same invalidation granularity as the predicate-stats
+  /// memo. Guarded by hist_mu_.
   struct HistEntry {
+    uint32_t owner = 0;
     uint64_t key = 0;
     PredicateHistograms hist;
   };

@@ -291,6 +291,26 @@ TEST(HistogramMemoTest, RebuiltOnlyWhenThePredicatesShardsChange) {
   EXPECT_TRUE(absent.objects.empty());
 }
 
+TEST(HistogramMemoTest, NotServedStaleAcrossPromotion) {
+  // Promotion moves a predicate from its hash shard (epoch 4 after four
+  // inserts) into a fresh sub-shard group whose epoch sum starts low again:
+  // three more inserts bring that sum back to 4. Keyed on the epoch alone,
+  // the memo served the 4-row histogram built before the promotion.
+  StoreOptions options;
+  options.promote_threshold = 4;
+  options.split_factor = 2;
+  TripleStore store(options);
+  const TermId p = 10;
+  for (TermId i = 0; i < 4; ++i) store.Insert(100 + i, p, 200 + i);
+  EXPECT_EQ(store.HistogramFor(p).subjects.total_rows(), 4u);
+  for (TermId i = 4; i < 7; ++i) store.Insert(100 + i, p, 200 + i);
+  ASSERT_EQ(store.PromotedPredicates(), (std::vector<TermId>{p}));
+  ASSERT_EQ(store.StatsFor(p).facts, 7u);
+  const PredicateHistograms after = store.HistogramFor(p);
+  EXPECT_EQ(after.subjects.total_rows(), 7u);
+  EXPECT_EQ(after.objects.total_rows(), 7u);
+}
+
 TEST(HistogramMemoTest, FanoutSeesContiguousSkewButStaysNearUniformWhenFlat) {
   TripleStore store;
   const TermId flat = 10, skewed = 11;
