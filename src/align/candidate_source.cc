@@ -68,31 +68,11 @@ const char* CandidateSourceKindName(CandidateSourceKind kind) {
   return "unknown";
 }
 
+LexicalIndexCache::LexicalIndexCache() : memo_(kLexicalCacheCap) {}
+
 LexicalIndexCache::IndexPtr LexicalIndexCache::GetOrBuild(
     uint64_t key, const std::function<IndexPtr()>& build) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  // Build under the lock: one build per key, concurrent relations wait for
-  // it instead of racing duplicate O(P) builds.
-  IndexPtr index = build();
-  if (entries_.size() >= kLexicalCacheCap) entries_.clear();  // Stale keys.
-  entries_.emplace(key, index);
-  ++builds_;
-  return index;
-}
-
-uint64_t LexicalIndexCache::builds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return builds_;
-}
-
-uint64_t LexicalIndexCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
+  return memo_.GetOrCompute(key, /*version=*/0, build);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,16 +40,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "endpoint/endpoint.h"
 #include "sameas/translator.h"
 #include "similarity/literal_matcher.h"
 #include "similarity/minhash_lsh.h"
+#include "util/epoch_memo.h"
 #include "util/status.h"
 
 namespace sofya {
@@ -80,24 +79,24 @@ struct LexicalRelationIndex {
 /// one aligner run (AlignMany's child aligners copy the owning shared_ptr
 /// through AlignerOptions). Keys fold in the LSH shape and the sorted
 /// inventory hash, so an index is never served for an inventory it was not
-/// built from; a small cap bounds the tail of stale inventories.
+/// built from; a small capacity bounds the tail of stale inventories.
 class LexicalIndexCache {
  public:
   using IndexPtr = std::shared_ptr<const LexicalRelationIndex>;
 
+  LexicalIndexCache();
+
   /// Returns the cached index for `key`, building (and memoizing) it via
-  /// `build` on a miss. The build runs under the cache lock: concurrent
-  /// relations wait instead of duplicating the one-per-inventory build.
+  /// `build` on a miss. Concurrent relations asking for the same key wait
+  /// for the one build instead of duplicating it; other keys do not wait.
   IndexPtr GetOrBuild(uint64_t key, const std::function<IndexPtr()>& build);
 
-  uint64_t builds() const;
-  uint64_t hits() const;
+  uint64_t builds() const { return memo_.computes(); }
+  uint64_t hits() const { return memo_.hits(); }
 
  private:
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, IndexPtr> entries_;
-  uint64_t builds_ = 0;
-  uint64_t hits_ = 0;
+  /// The key already names the inventory, so every entry is at version 0.
+  EpochMemo<uint64_t, IndexPtr> memo_;
 };
 
 /// Candidate discovery configuration (the finder's options struct; lives

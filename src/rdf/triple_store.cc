@@ -95,13 +95,6 @@ TripleStore::TripleStore(const StoreOptions& options) : options_(options) {
 }
 
 void TripleStore::MoveFrom(TripleStore&& other) {
-  std::scoped_lock lock(global_mu_, other.global_mu_, hist_mu_,
-                        other.hist_mu_);
-  hist_memo_ = std::move(other.hist_memo_);
-  other.hist_memo_.clear();
-  histogram_recomputes_.store(
-      other.histogram_recomputes_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   options_ = other.options_;
   shards_ = std::move(other.shards_);
   groups_ = std::move(other.groups_);
@@ -113,14 +106,10 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   mapped_keepalive_ = std::move(other.mapped_keepalive_);
   bulk_depth_ = other.bulk_depth_;
   bulk_dirty_ = other.bulk_dirty_;
-  global_stats_ = other.global_stats_;
-  global_stats_epoch_ = other.global_stats_epoch_;
-  global_stats_valid_ = other.global_stats_valid_;
   epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
-  stats_recomputes_.store(
-      other.stats_recomputes_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  ClearMemos();
+  other.ClearMemos();
   // Leave `other` as a valid empty store.
   other.pred_info_.clear();
   other.distinct_preds_ = 0;
@@ -128,7 +117,6 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   other.mapped_ = false;
   other.bulk_depth_ = 0;
   other.bulk_dirty_ = false;
-  other.global_stats_valid_ = false;
   other.shards_.clear();
   for (size_t i = 0; i < other.options_.num_hash_shards; ++i) {
     other.shards_.push_back(std::make_unique<Shard>());
@@ -138,7 +126,7 @@ void TripleStore::MoveFrom(TripleStore&& other) {
 uint32_t TripleStore::ShardFor(const Triple& t) const {
   auto it = pred_info_.find(t.predicate);
   if (it != pred_info_.end() && it->second.group >= 0) {
-    const PredGroup& g = *groups_[static_cast<size_t>(it->second.group)];
+    const PredGroup& g = groups_[static_cast<size_t>(it->second.group)];
     return g.first_shard + HashId(t.subject) % g.split;
   }
   return HashId(t.predicate) %
@@ -283,12 +271,8 @@ void TripleStore::Promote(TermId p, PredInfo& info) {
     sh.epoch.fetch_add(1, std::memory_order_relaxed);
     sh.dirty.store(true, std::memory_order_release);
   }
-  auto group = std::make_unique<PredGroup>();
-  group->pred = p;
-  group->first_shard = first;
-  group->split = split;
   info.group = static_cast<int32_t>(groups_.size());
-  groups_.push_back(std::move(group));
+  groups_.push_back(PredGroup{p, first, split});
 }
 
 void TripleStore::Thaw() {
@@ -375,7 +359,7 @@ std::pair<uint32_t, uint32_t> TripleStore::ShardBounds(
     auto it = pred_info_.find(p.predicate);
     if (it == pred_info_.end() || it->second.facts == 0) return {0, 0};
     if (it->second.group >= 0) {
-      const PredGroup& g = *groups_[static_cast<size_t>(it->second.group)];
+      const PredGroup& g = groups_[static_cast<size_t>(it->second.group)];
       if (p.has_subject()) {
         const uint32_t i = g.first_shard + HashId(p.subject) % g.split;
         return {i, i + 1};
@@ -521,7 +505,7 @@ std::vector<TermId> TripleStore::Predicates() const {
 std::vector<TermId> TripleStore::PromotedPredicates() const {
   std::vector<TermId> out;
   out.reserve(groups_.size());
-  for (const auto& g : groups_) out.push_back(g->pred);
+  for (const PredGroup& g : groups_) out.push_back(g.pred);
   return out;
 }
 
@@ -531,22 +515,25 @@ TripleStore::MappedShardSegments TripleStore::ShardSegments(size_t i) const {
   return {sh.spo_v, sh.pos_v, sh.osp_v};
 }
 
-PredicateStats TripleStore::ShardStatsFor(uint32_t i, TermId p) const {
-  const Shard& sh = *shards_[i];
-  EnsureShardSorted(sh);
-  const uint64_t epoch = sh.epoch.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.stats_epoch != epoch) {
-      // First stats read after a write to this shard: only this shard's
-      // memo is stale; every other shard keeps its entries.
-      sh.stats.clear();
-      sh.stats_epoch = epoch;
-    }
-    auto it = sh.stats.find(p);
-    if (it != sh.stats.end()) return it->second;
+TripleStore::OwnerEpoch TripleStore::OwnerVersion(TermId p,
+                                                  const PredInfo& info) const {
+  if (info.group < 0) {
+    const uint32_t i =
+        HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
+    EnsureShardSorted(*shards_[i]);
+    return {i, shards_[i]->epoch.load(std::memory_order_acquire)};
   }
+  const PredGroup& g = groups_[static_cast<size_t>(info.group)];
+  OwnerEpoch version{g.first_shard, 0};
+  for (uint32_t k = 0; k < g.split; ++k) {
+    const Shard& sh = *shards_[g.first_shard + k];
+    EnsureShardSorted(sh);
+    version.epoch += sh.epoch.load(std::memory_order_acquire);
+  }
+  return version;
+}
 
+PredicateStats TripleStore::ComputeShardStats(uint32_t i, TermId p) const {
   PredicateStats stats;
   std::vector<TermId> subjects;
   // POS orders p's range by (object, subject): objects are transition
@@ -554,7 +541,7 @@ PredicateStats TripleStore::ShardStatsFor(uint32_t i, TermId p) const {
   TermId prev_object = kNullTermId;
   bool first = true;
   for (const Triple& t :
-       ShardRange(sh, TriplePattern(kNullTermId, p, kNullTermId))) {
+       ShardRange(*shards_[i], TriplePattern(kNullTermId, p, kNullTermId))) {
     ++stats.facts;
     subjects.push_back(t.subject);
     if (first || t.object != prev_object) ++stats.distinct_objects;
@@ -565,80 +552,44 @@ PredicateStats TripleStore::ShardStatsFor(uint32_t i, TermId p) const {
   subjects.erase(std::unique(subjects.begin(), subjects.end()),
                  subjects.end());
   stats.distinct_subjects = subjects.size();
-  stats_recomputes_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    // Only memoize into the epoch the scan was computed against.
-    if (sh.stats_epoch == epoch) sh.stats.emplace(p, stats);
-  }
   return stats;
 }
 
-PredicateStats TripleStore::GroupStatsFor(const PredGroup& g) const {
-  // Key the merged memo by the sum of sub-shard epochs: epochs only grow,
-  // so the sum strictly increases under any write to the group.
-  uint64_t key = 0;
-  for (uint32_t k = 0; k < g.split; ++k) {
-    EnsureShardSorted(*shards_[g.first_shard + k]);
-    key += shards_[g.first_shard + k]->epoch.load(std::memory_order_acquire);
-  }
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.memo_valid && g.memo_key == key) return g.memo;
-  }
+std::shared_ptr<const TripleStore::ShardAggregate>
+TripleStore::ShardAggregateFor(uint32_t i) const {
+  const Shard& sh = *shards_[i];
+  return aggregate_memo_.GetOrCompute(
+      i, sh.epoch.load(std::memory_order_acquire), [&] {
+        auto agg = std::make_shared<ShardAggregate>();
+        for (size_t k = 0; k < sh.spo_v.size(); ++k) {
+          if (k == 0 || sh.spo_v[k].subject != sh.spo_v[k - 1].subject) {
+            agg->subjects.push_back(sh.spo_v[k].subject);
+          }
+        }
+        for (size_t k = 0; k < sh.osp_v.size(); ++k) {
+          if (k == 0 || sh.osp_v[k].object != sh.osp_v[k - 1].object) {
+            agg->objects.push_back(sh.osp_v[k].object);
+          }
+        }
+        return agg;
+      });
+}
 
+PredicateStats TripleStore::ComputeGroupStats(const PredGroup& g) const {
+  // A sub-shard holds only g.pred, so its aggregate is that predicate's.
+  // Sub-shards partition by subject hash, so distinct subjects sum exactly;
+  // objects can repeat across sub-shards and are union-counted.
   PredicateStats stats;
-  // Sub-shards partition by subject hash, so per-sub distinct subjects are
-  // disjoint and sum exactly.
+  std::vector<std::shared_ptr<const ShardAggregate>> aggregates;
+  std::vector<std::span<const TermId>> object_lists;
   for (uint32_t k = 0; k < g.split; ++k) {
-    const PredicateStats sub = ShardStatsFor(g.first_shard + k, g.pred);
-    stats.facts += sub.facts;
-    stats.distinct_subjects += sub.distinct_subjects;
+    const uint32_t i = g.first_shard + k;
+    aggregates.push_back(ShardAggregateFor(i));
+    stats.facts += shards_[i]->spo_v.size();
+    stats.distinct_subjects += aggregates.back()->subjects.size();
+    object_lists.push_back(aggregates.back()->objects);
   }
-  // Objects can repeat across sub-shards: k-way distinct merge over the
-  // sorted object columns of each sub-shard's POS range.
-  const TriplePattern pat(kNullTermId, g.pred, kNullTermId);
-  std::vector<std::span<const Triple>> ranges;
-  ranges.reserve(g.split);
-  for (uint32_t k = 0; k < g.split; ++k) {
-    auto r = ShardRange(*shards_[g.first_shard + k], pat);
-    if (!r.empty()) ranges.push_back(r);
-  }
-  std::vector<size_t> pos(ranges.size(), 0);
-  while (true) {
-    TermId min_obj = kMaxTermId;
-    bool any = false;
-    for (size_t k = 0; k < ranges.size(); ++k) {
-      if (pos[k] < ranges[k].size()) {
-        any = true;
-        min_obj = std::min(min_obj, ranges[k][pos[k]].object);
-      }
-    }
-    if (!any) break;
-    ++stats.distinct_objects;
-    for (size_t k = 0; k < ranges.size(); ++k) {
-      if (pos[k] >= ranges[k].size() ||
-          ranges[k][pos[k]].object != min_obj) {
-        continue;
-      }
-      if (min_obj == kMaxTermId) {
-        pos[k] = ranges[k].size();
-        continue;
-      }
-      // Skip past every (p, min_obj, *) entry in this sub-range.
-      const Triple next_key(0, g.pred, min_obj + 1);
-      auto it = std::lower_bound(ranges[k].begin() + pos[k], ranges[k].end(),
-                                 next_key, PosLess());
-      pos[k] = static_cast<size_t>(it - ranges[k].begin());
-    }
-  }
-  stats_recomputes_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    g.memo = stats;
-    g.memo_key = key;
-    g.memo_valid = true;
-  }
+  stats.distinct_objects = CountDistinctUnion(object_lists);
   return stats;
 }
 
@@ -647,11 +598,13 @@ PredicateStats TripleStore::StatsFor(TermId p) const {
   if (it == pred_info_.end() || it->second.facts == 0) {
     return PredicateStats();
   }
-  if (it->second.group >= 0) {
-    return GroupStatsFor(*groups_[static_cast<size_t>(it->second.group)]);
-  }
-  return ShardStatsFor(
-      HashId(p) % static_cast<uint32_t>(options_.num_hash_shards), p);
+  const PredInfo& info = it->second;
+  const OwnerEpoch version = OwnerVersion(p, info);
+  return stats_memo_.GetOrCompute(p, version, [&] {
+    return info.group >= 0
+               ? ComputeGroupStats(groups_[static_cast<size_t>(info.group)])
+               : ComputeShardStats(version.owner, p);
+  });
 }
 
 PredicateHistograms TripleStore::HistogramFor(TermId p) const {
@@ -659,119 +612,58 @@ PredicateHistograms TripleStore::HistogramFor(TermId p) const {
   if (info_it == pred_info_.end() || info_it->second.facts == 0) {
     return PredicateHistograms();
   }
-
-  // The memo key is (owner, epoch): the owning shard and its epoch, or the
-  // group's first shard and its epoch sum. A write elsewhere leaves this
-  // entry valid. The owner is part of the key because a promotion moves p
-  // to a fresh group whose epoch sum restarts low and can climb back to the
-  // hash shard's old epoch.
-  uint32_t owner = 0;
-  uint64_t key = 0;
-  if (info_it->second.group >= 0) {
-    const PredGroup& g = *groups_[static_cast<size_t>(info_it->second.group)];
-    owner = g.first_shard;
-    for (uint32_t k = 0; k < g.split; ++k) {
-      EnsureShardSorted(*shards_[g.first_shard + k]);
-      key += shards_[g.first_shard + k]->epoch.load(std::memory_order_acquire);
-    }
-  } else {
-    owner = HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
-    EnsureShardSorted(*shards_[owner]);
-    key = shards_[owner]->epoch.load(std::memory_order_acquire);
-  }
-  {
-    std::lock_guard<std::mutex> lock(hist_mu_);
-    auto it = hist_memo_.find(p);
-    if (it != hist_memo_.end() && it->second.owner == owner &&
-        it->second.key == key) {
-      return it->second.hist;
-    }
-  }
-
-  // One walk of p's facts; both columns are collected and sorted here
-  // rather than k-way merged — the rebuild is memoized, so simplicity wins.
-  std::vector<TermId> subjects, objects;
-  subjects.reserve(info_it->second.facts);
-  objects.reserve(info_it->second.facts);
-  ForEachMatch(TriplePattern(kNullTermId, p, kNullTermId),
-               [&](const Triple& t) {
-                 subjects.push_back(t.subject);
-                 objects.push_back(t.object);
-                 return true;
-               });
-  std::sort(subjects.begin(), subjects.end());
-  std::sort(objects.begin(), objects.end());
-  PredicateHistograms hist;
-  hist.subjects = BuildEquiDepth(subjects, options_.histogram_buckets);
-  hist.objects = BuildEquiDepth(objects, options_.histogram_buckets);
-  histogram_recomputes_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(hist_mu_);
-    HistEntry& entry = hist_memo_[p];
-    entry.owner = owner;
-    entry.key = key;
-    entry.hist = hist;
-  }
-  return hist;
+  const size_t facts = info_it->second.facts;
+  return *hist_memo_.GetOrCompute(
+      p, OwnerVersion(p, info_it->second), [&] {
+        // One walk of p's facts; both columns are collected and sorted here
+        // rather than k-way merged — the rebuild is memoized, so simplicity
+        // wins.
+        std::vector<TermId> subjects, objects;
+        subjects.reserve(facts);
+        objects.reserve(facts);
+        ForEachMatch(TriplePattern(kNullTermId, p, kNullTermId),
+                     [&](const Triple& t) {
+                       subjects.push_back(t.subject);
+                       objects.push_back(t.object);
+                       return true;
+                     });
+        std::sort(subjects.begin(), subjects.end());
+        std::sort(objects.begin(), objects.end());
+        auto hist = std::make_shared<PredicateHistograms>();
+        hist->subjects = BuildEquiDepth(subjects, options_.histogram_buckets);
+        hist->objects = BuildEquiDepth(objects, options_.histogram_buckets);
+        return hist;
+      });
 }
 
 StoreStats TripleStore::GlobalStats() const {
-  const uint64_t epoch = mutation_epoch();
-  {
-    std::lock_guard<std::mutex> lock(global_mu_);
-    if (global_stats_valid_ && global_stats_epoch_ == epoch) {
-      return global_stats_;
+  return global_memo_.GetOrCompute(0, mutation_epoch(), [&] {
+    // Each shard's sorted distinct-subject/object lists are memoized at its
+    // epoch, so an untouched shard reuses them; then count the unions.
+    // Values are identical to a global-index walk: a distinct id is counted
+    // once no matter how many shards it spans.
+    std::vector<std::shared_ptr<const ShardAggregate>> aggregates;
+    std::vector<std::span<const TermId>> subject_lists, object_lists;
+    for (uint32_t i = 0; i < shards_.size(); ++i) {
+      EnsureShardSorted(*shards_[i]);
+      aggregates.push_back(ShardAggregateFor(i));
+      subject_lists.push_back(aggregates.back()->subjects);
+      object_lists.push_back(aggregates.back()->objects);
     }
-  }
+    StoreStats stats;
+    stats.triples = size_;
+    stats.distinct_predicates = distinct_preds_;
+    stats.distinct_subjects = CountDistinctUnion(subject_lists);
+    stats.distinct_objects = CountDistinctUnion(object_lists);
+    return stats;
+  });
+}
 
-  // Refresh each shard's sorted distinct-subject/object aggregates (keyed
-  // by that shard's epoch, so an untouched shard reuses its lists), then
-  // count the unions. Values are identical to a global-index walk: a
-  // distinct id is counted once no matter how many shards it spans.
-  std::vector<std::span<const TermId>> subject_lists;
-  std::vector<std::span<const TermId>> object_lists;
-  subject_lists.reserve(shards_.size());
-  object_lists.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    const Shard& sh = *shard;
-    EnsureShardSorted(sh);
-    const uint64_t shard_epoch = sh.epoch.load(std::memory_order_acquire);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (!sh.agg_valid || sh.agg_epoch != shard_epoch) {
-      sh.agg_subjects.clear();
-      sh.agg_objects.clear();
-      for (size_t i = 0; i < sh.spo_v.size(); ++i) {
-        if (i == 0 || sh.spo_v[i].subject != sh.spo_v[i - 1].subject) {
-          sh.agg_subjects.push_back(sh.spo_v[i].subject);
-        }
-      }
-      for (size_t i = 0; i < sh.osp_v.size(); ++i) {
-        if (i == 0 || sh.osp_v[i].object != sh.osp_v[i - 1].object) {
-          sh.agg_objects.push_back(sh.osp_v[i].object);
-        }
-      }
-      sh.agg_epoch = shard_epoch;
-      sh.agg_valid = true;
-      stats_recomputes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Safe to read outside the lock: an agg valid for the current epoch is
-    // only rewritten after a store write, which cannot overlap reads.
-    subject_lists.push_back({sh.agg_subjects.data(), sh.agg_subjects.size()});
-    object_lists.push_back({sh.agg_objects.data(), sh.agg_objects.size()});
-  }
-
-  StoreStats stats;
-  stats.triples = size_;
-  stats.distinct_predicates = distinct_preds_;
-  stats.distinct_subjects = CountDistinctUnion(subject_lists);
-  stats.distinct_objects = CountDistinctUnion(object_lists);
-  {
-    std::lock_guard<std::mutex> lock(global_mu_);
-    global_stats_ = stats;
-    global_stats_epoch_ = epoch;
-    global_stats_valid_ = true;
-  }
-  return stats;
+void TripleStore::ClearMemos() const {
+  stats_memo_.Clear();
+  hist_memo_.Clear();
+  aggregate_memo_.Clear();
+  global_memo_.Clear();
 }
 
 Status TripleStore::AttachMapped(MappedLayout layout) {
@@ -814,21 +706,20 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
   }
   // Dedicated groups, in file (= promotion) order.
   for (size_t gi = 0; gi < layout.group_preds.size(); ++gi) {
-    auto group = std::make_unique<PredGroup>();
-    group->pred = layout.group_preds[gi];
-    group->first_shard = static_cast<uint32_t>(opts.num_hash_shards +
-                                               gi * opts.split_factor);
-    group->split = static_cast<uint32_t>(opts.split_factor);
-    PredInfo& info = pred_info_[group->pred];
+    const PredGroup group{
+        layout.group_preds[gi],
+        static_cast<uint32_t>(opts.num_hash_shards + gi * opts.split_factor),
+        static_cast<uint32_t>(opts.split_factor)};
+    PredInfo& info = pred_info_[group.pred];
     if (info.facts > 0 || info.group >= 0) {
       return Status::InvalidArgument("duplicate promoted predicate in snapshot");
     }
     info.group = static_cast<int32_t>(gi);
-    for (uint32_t k = 0; k < group->split; ++k) {
-      info.facts += shards_[group->first_shard + k]->spo_v.size();
+    for (uint32_t k = 0; k < group.split; ++k) {
+      info.facts += shards_[group.first_shard + k]->spo_v.size();
     }
     if (info.facts > 0) ++distinct_preds_;
-    groups_.push_back(std::move(group));
+    groups_.push_back(group);
   }
   // Hash shards: rebuild the routing map by skip-scanning each POS segment.
   for (size_t i = 0; i < opts.num_hash_shards; ++i) {
@@ -863,10 +754,7 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
   mapped_keepalive_ = std::move(layout.keepalive);
   bulk_depth_ = 0;
   bulk_dirty_ = false;
-  {
-    std::lock_guard<std::mutex> lock(global_mu_);
-    global_stats_valid_ = false;
-  }
+  ClearMemos();
   // Attaching replaces the (empty) contents: bump so epoch-keyed consumers
   // re-derive.
   epoch_.fetch_add(1, std::memory_order_release);

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "rdf/triple.h"
+#include "util/epoch_memo.h"
 #include "util/status.h"
 
 namespace sofya {
@@ -261,18 +262,15 @@ class TripleStore {
   /// All distinct predicates present (ascending id order).
   std::vector<TermId> Predicates() const;
 
-  /// Statistics for predicate `p` (zeroes if absent). Memoized per shard and
-  /// keyed off that shard's epoch, so a write to one predicate invalidates
-  /// only its own shard's entries — and a stale value still can never
-  /// survive a write.
+  /// Statistics for predicate `p` (zeroes if absent). Memoized at the
+  /// version of the shards that hold `p` (OwnerVersion), so a write to one
+  /// shard invalidates only the predicates living there — and a stale value
+  /// still can never survive a write.
   PredicateStats StatsFor(TermId p) const;
 
   /// Equi-depth per-term histograms over predicate `p`'s subject and object
-  /// columns (empty histograms if `p` is absent). Memoized like StatsFor:
-  /// the entry is keyed off the owning shard's epoch (sum of sub-shard
-  /// epochs for a promoted group), so a write to one shard invalidates only
-  /// the histograms living there and an untouched predicate keeps its
-  /// entry across writes elsewhere.
+  /// columns (empty histograms if `p` is absent). Memoized like StatsFor, so
+  /// an untouched predicate keeps its entry across writes elsewhere.
   PredicateHistograms HistogramFor(TermId p) const;
 
   /// Whole-store aggregates (total triples, distinct s/p/o). Distinct
@@ -362,18 +360,16 @@ class TripleStore {
   /// Used by the snapshot writer; spans valid until the next write.
   MappedShardSegments ShardSegments(size_t i) const;
 
-  /// Number of per-shard / merged stats recomputations since construction —
-  /// a diagnostic for "writes to one predicate no longer invalidate
-  /// everything else" regression tests.
+  /// Number of predicate-stats and per-shard aggregate recomputations by
+  /// this object — a diagnostic for "writes to one predicate no longer
+  /// invalidate everything else" regression tests.
   uint64_t stats_recomputes() const {
-    return stats_recomputes_.load(std::memory_order_relaxed);
+    return stats_memo_.computes() + aggregate_memo_.computes();
   }
 
-  /// Number of histogram rebuilds since construction — the diagnostic the
-  /// histogram epoch-invalidation tests pin, mirroring stats_recomputes().
-  uint64_t histogram_recomputes() const {
-    return histogram_recomputes_.load(std::memory_order_relaxed);
-  }
+  /// Number of histogram rebuilds by this object — the diagnostic the
+  /// histogram invalidation tests pin, mirroring stats_recomputes().
+  uint64_t histogram_recomputes() const { return hist_memo_.computes(); }
 
  private:
   // Orderings for the three index vectors.
@@ -399,9 +395,9 @@ class TripleStore {
     }
   };
 
-  /// One shard: owned index vectors (or mapped spans), lazy-merge state, its
-  /// own epoch, and epoch-keyed memos. Heap-allocated so the shard list can
-  /// grow on promotion without moving mutexes/atomics.
+  /// One shard: owned index vectors (or mapped spans), lazy-merge state and
+  /// its own epoch. Heap-allocated so the shard list can grow on promotion
+  /// without moving mutexes/atomics.
   struct Shard {
     // Owned storage; empty while `mapped`. Mutable (with the views below)
     // because the lazy tail merge runs on the const read path.
@@ -419,19 +415,8 @@ class TripleStore {
 
     mutable std::mutex mu;
     mutable std::atomic<bool> dirty{false};
-    /// Per-shard write version; memos below are keyed off it.
+    /// Per-shard write version; the stats memos are keyed off it.
     std::atomic<uint64_t> epoch{0};
-
-    /// Predicate-stats memo for predicates living in this shard. Guarded by
-    /// `mu`; valid only while `stats_epoch` matches `epoch`.
-    mutable std::unordered_map<TermId, PredicateStats> stats;
-    mutable uint64_t stats_epoch = 0;
-
-    /// Sorted distinct subject/object lists for GlobalStats merging.
-    /// Guarded by `mu`; valid only while `agg_epoch` matches `epoch`.
-    mutable std::vector<TermId> agg_subjects, agg_objects;
-    mutable uint64_t agg_epoch = 0;
-    mutable bool agg_valid = false;
   };
 
   /// A promoted predicate's dedicated sub-shard group.
@@ -439,13 +424,6 @@ class TripleStore {
     TermId pred = kNullTermId;
     uint32_t first_shard = 0;  // Index into shards_.
     uint32_t split = 1;
-
-    /// Merged PredicateStats memo, keyed by the sum of sub-shard epochs
-    /// (strictly increasing under writes). Guarded by `mu`.
-    mutable std::mutex mu;
-    mutable PredicateStats memo;
-    mutable uint64_t memo_key = 0;
-    mutable bool memo_valid = false;
   };
 
   /// Routing entry for one predicate present (now or previously) in the
@@ -499,17 +477,44 @@ class TripleStore {
   /// set; called on the first write after AttachMapped.
   void Thaw();
 
-  /// Per-shard stats for predicate `p` inside shard `i` (memoized).
-  PredicateStats ShardStatsFor(uint32_t i, TermId p) const;
+  /// The version a predicate's derived statistics are memoized at: the
+  /// owning hash shard and its epoch, or, for a promoted predicate, the
+  /// group's first shard and the sum of its sub-shard epochs. Epochs only
+  /// grow and a predicate is promoted at most once, so a version never
+  /// repeats for different contents. The owner is needed because a fresh
+  /// group's epoch sum restarts low and can climb back to the hash shard's
+  /// old epoch.
+  struct OwnerEpoch {
+    uint32_t owner = 0;
+    uint64_t epoch = 0;
+    bool operator==(const OwnerEpoch&) const = default;
+  };
 
-  /// k-way merged stats for a promoted group (memoized on the group).
-  PredicateStats GroupStatsFor(const PredGroup& g) const;
+  /// `p`'s OwnerEpoch (`info` is its routing entry), after sorting the
+  /// shards that hold it.
+  OwnerEpoch OwnerVersion(TermId p, const PredInfo& info) const;
+
+  /// One shard's sorted distinct subjects and objects.
+  struct ShardAggregate {
+    std::vector<TermId> subjects, objects;
+  };
+  /// Shard `i`'s aggregate (the shard must be sorted), memoized at its epoch.
+  std::shared_ptr<const ShardAggregate> ShardAggregateFor(uint32_t i) const;
+
+  /// Stats for hash-ring predicate `p`, read from its (sorted) shard `i`.
+  PredicateStats ComputeShardStats(uint32_t i, TermId p) const;
+  /// Stats for a promoted predicate, from its sub-shards' aggregates.
+  PredicateStats ComputeGroupStats(const PredGroup& g) const;
+
+  /// Drops every derived-data memo: their keys name shard slots, and a move
+  /// or an attach puts different shards in those slots.
+  void ClearMemos() const;
 
   void MoveFrom(TripleStore&& other);
 
   StoreOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<PredGroup>> groups_;
+  std::vector<PredGroup> groups_;
   /// Routing map over every predicate ever inserted. Read-only during
   /// queries; mutated only by writes (the store's write contract).
   std::unordered_map<TermId, PredInfo> pred_info_;
@@ -525,26 +530,20 @@ class TripleStore {
   size_t bulk_depth_ = 0;
   bool bulk_dirty_ = false;
 
-  /// Guards the merged GlobalStats memo.
-  mutable std::mutex global_mu_;
-  mutable StoreStats global_stats_;
-  mutable uint64_t global_stats_epoch_ = 0;
-  mutable bool global_stats_valid_ = false;
+  static constexpr size_t kPredicateMemoCapacity = 1 << 16;
+  static constexpr size_t kShardMemoCapacity = 1 << 12;
 
-  /// Histogram memo: per predicate, keyed by the owning shard and its epoch
-  /// (the group's first shard and its sub-shard epoch sum for a promoted
-  /// predicate) — same invalidation granularity as the predicate-stats
-  /// memo. Guarded by hist_mu_.
-  struct HistEntry {
-    uint32_t owner = 0;
-    uint64_t key = 0;
-    PredicateHistograms hist;
-  };
-  mutable std::mutex hist_mu_;
-  mutable std::unordered_map<TermId, HistEntry> hist_memo_;
-
-  mutable std::atomic<uint64_t> stats_recomputes_{0};
-  mutable std::atomic<uint64_t> histogram_recomputes_{0};
+  // Derived-data memos (util/epoch_memo.h): per predicate at
+  // OwnerVersion(p), per shard index at its epoch, and the merged
+  // GlobalStats as one entry at mutation_epoch().
+  mutable EpochMemo<TermId, PredicateStats, OwnerEpoch> stats_memo_{
+      kPredicateMemoCapacity};
+  mutable EpochMemo<TermId, std::shared_ptr<const PredicateHistograms>,
+                    OwnerEpoch>
+      hist_memo_{kPredicateMemoCapacity};
+  mutable EpochMemo<uint32_t, std::shared_ptr<const ShardAggregate>>
+      aggregate_memo_{kShardMemoCapacity};
+  mutable EpochMemo<int, StoreStats> global_memo_{1};
 };
 
 }  // namespace sofya

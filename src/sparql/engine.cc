@@ -17,6 +17,9 @@ namespace {
 
 using Row = std::vector<TermId>;  // Indexed by VarId; 0 = unbound.
 
+// Plan cache entries before the memo drops them all and starts over.
+constexpr size_t kPlanCacheCapacity = 256;
+
 // Filters are attached to the earliest pipeline stage where every variable
 // they mention is bound, so applicability is established statically and this
 // only evaluates the predicate.
@@ -487,41 +490,26 @@ StatusOr<bool> RunAsk(const TripleStore& store, const CompiledPlan& plan,
 // ---------------------------------------------------------------------------
 // Engine: plan cache + evaluation.
 
+Engine::Engine(const TripleStore* store, const Dictionary* dict,
+               Options options)
+    : store_(store), dict_(dict), options_(options),
+      plans_(kPlanCacheCapacity) {}
+
 std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
                                                     bool* cache_hit) const {
-  const uint64_t epoch = store_->mutation_epoch();
-  if (options_.plan_cache_capacity == 0) {
-    if (cache_hit != nullptr) *cache_hit = false;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<const CompiledPlan>(
-        CompilePlan(query, *store_, options_.planner));
-  }
-
   // The key excludes solution modifiers (PlanFingerprint): Ask(q),
   // Select(q LIMIT 10), and every page of an OFFSET walk share one plan —
   // which is also what makes the walk's enumeration order consistent.
-  const std::string key = query.PlanFingerprint();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end() && it->second->store_epoch == epoch) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-
-  // Plan outside the lock: planning reads memoized store statistics and can
-  // run concurrently; last writer for a key wins (same epoch ⇒ same plan).
-  auto plan = std::make_shared<const CompiledPlan>(
-      CompilePlan(query, *store_, options_.planner));
-  if (cache_hit != nullptr) *cache_hit = false;
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (plans_.size() >= options_.plan_cache_capacity) plans_.clear();
-    plans_[key] = plan;
-  }
+  // Planning runs outside the memo's lock: it reads memoized store
+  // statistics and can run concurrently for different queries.
+  bool compiled = false;
+  auto plan = plans_.GetOrCompute(
+      query.PlanFingerprint(), store_->mutation_epoch(), [&] {
+        compiled = true;
+        return std::make_shared<const CompiledPlan>(
+            CompilePlan(query, *store_, options_.planner));
+      });
+  *cache_hit = !compiled;
   return plan;
 }
 
@@ -557,16 +545,9 @@ StatusOr<PlanExplain> Engine::Explain(const SelectQuery& query) const {
   // diagnostic, not a query. A valid cached plan is reused as-is — the
   // plan is a pure function of (fingerprint, epoch, options), so
   // recompiling could only reproduce it.
-  std::shared_ptr<const CompiledPlan> plan;
-  if (options_.plan_cache_capacity > 0) {
-    const std::string key = query.PlanFingerprint();
-    const uint64_t epoch = store_->mutation_epoch();
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end() && it->second->store_epoch == epoch) {
-      plan = it->second;
-    }
-  }
+  std::shared_ptr<const CompiledPlan> plan =
+      plans_.Peek(query.PlanFingerprint(), store_->mutation_epoch())
+          .value_or(nullptr);
   const bool cached = plan != nullptr;
   if (!cached) {
     plan = std::make_shared<const CompiledPlan>(

@@ -33,15 +33,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
 #include "sparql/planner.h"
 #include "sparql/query.h"
+#include "util/epoch_memo.h"
 #include "util/status.h"
 
 namespace sofya {
@@ -75,13 +74,11 @@ struct EvalStats {
 
 /// Compiled-plan evaluator bound to one store. Thread-safe for concurrent
 /// Select/Ask/Explain as long as nobody writes to the store concurrently
-/// (the store's own read contract); the plan cache takes a small mutex.
+/// (the store's own read contract); the plan cache is an EpochMemo.
 class Engine {
  public:
   struct Options {
     PlannerOptions planner;
-    /// Plan cache entries before wholesale eviction; 0 disables caching.
-    size_t plan_cache_capacity = 256;
     /// When set, SELECTs without a LIMIT whose driver clause covers at
     /// least `parallel_scan_min_rows` index entries fan the driver's
     /// per-shard spans (chunked) onto this pool and merge per-chunk rows in
@@ -116,8 +113,7 @@ class Engine {
     int adaptive_max_replans = 2;
   };
 
-  Engine(const TripleStore* store, const Dictionary* dict, Options options)
-      : store_(store), dict_(dict), options_(options) {}
+  Engine(const TripleStore* store, const Dictionary* dict, Options options);
   explicit Engine(const TripleStore* store) : Engine(store, nullptr) {}
   Engine(const TripleStore* store, const Dictionary* dict)
       : Engine(store, dict, Options()) {}
@@ -143,19 +139,16 @@ class Engine {
   const Options& options() const { return options_; }
 
   /// Plan-cache accounting since construction.
-  uint64_t plan_cache_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t plan_cache_misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  uint64_t plan_cache_hits() const { return plans_.hits(); }
+  uint64_t plan_cache_misses() const { return plans_.computes(); }
 
   /// Adaptive mid-execution re-plans since construction.
   uint64_t replans() const { return replans_.load(std::memory_order_relaxed); }
 
  private:
   /// Returns the cached plan for `query` (same PlanFingerprint, same store
-  /// epoch) or compiles, caches, and returns a fresh one.
+  /// epoch) or compiles, caches, and returns a fresh one; `*cache_hit`
+  /// says which.
   std::shared_ptr<const CompiledPlan> PlanFor(const SelectQuery& query,
                                               bool* cache_hit) const;
 
@@ -163,11 +156,8 @@ class Engine {
   const Dictionary* dict_;    // Not owned; may be null.
   Options options_;
 
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::string, std::shared_ptr<const CompiledPlan>>
-      plans_;  // Guarded by mu_; entries validated against store epoch.
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
+  /// Compiled plans by PlanFingerprint, at the store's mutation_epoch().
+  mutable EpochMemo<std::string, std::shared_ptr<const CompiledPlan>> plans_;
   mutable std::atomic<uint64_t> replans_{0};
 };
 

@@ -120,9 +120,9 @@ struct CompiledPlan {
   /// key — the engine answers it from the store's predicate directory
   /// instead of scanning: see UsesPredicateDirectory.
   bool predicate_directory = false;
-  /// TripleStore::mutation_epoch() the statistics were read at. The
-  /// engine's plan cache compares this to the live epoch: same epoch ⇒ same
-  /// data ⇒ the plan is still valid.
+  /// TripleStore::mutation_epoch() the statistics were read at — the
+  /// version the engine's plan cache holds the plan at: same epoch ⇒ same
+  /// data ⇒ the plan is still valid. EXPLAIN prints it.
   uint64_t store_epoch = 0;
 };
 
