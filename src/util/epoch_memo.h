@@ -47,12 +47,13 @@ class EpochMemo {
   Value GetOrCompute(const Key& key, const Version& version,
                      Compute&& compute) {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    while (it != entries_.end() && it->second.version == version &&
-           !it->second.value.has_value()) {
-      done_.wait(lock);  // Another caller is computing this (key, version).
+    auto it = entries_.end();
+    // Wait while another caller is computing this (key, version).
+    done_.wait(lock, [&] {
       it = entries_.find(key);
-    }
+      return it == entries_.end() || it->second.version != version ||
+             it->second.value.has_value();
+    });
     if (it != entries_.end() && it->second.version == version) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return *it->second.value;
@@ -91,12 +92,6 @@ class EpochMemo {
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-  }
-
-  /// Entries held, including computations in flight.
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
   }
 
   /// Calls answered from the memo (including callers that waited for a

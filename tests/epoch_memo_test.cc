@@ -40,7 +40,7 @@ TEST(EpochMemoTest, NewVersionRecomputes) {
   EXPECT_EQ(memo.GetOrCompute("a", 1, compute), 3);
   EXPECT_EQ(memo.computes(), 3u);
   EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_FALSE(memo.Peek("a", 2).has_value());
 }
 
 TEST(EpochMemoTest, KeysAreIndependent) {
@@ -58,14 +58,15 @@ TEST(EpochMemoTest, KeysAreIndependent) {
 TEST(EpochMemoTest, ReachingCapacityClearsTheMemo) {
   EpochMemo<int, int> memo(3);
   for (int k = 0; k < 3; ++k) memo.GetOrCompute(k, 1, [k] { return k; });
-  EXPECT_EQ(memo.size(), 3u);
   // A stale version of a present key replaces its entry in place.
   memo.GetOrCompute(0, 2, [] { return 0; });
-  EXPECT_EQ(memo.size(), 3u);
+  for (int k = 1; k < 3; ++k) EXPECT_EQ(memo.Peek(k, 1), k);
+  EXPECT_EQ(memo.Peek(0, 2), 0);
   // A fourth key finds the memo full and starts it over.
   memo.GetOrCompute(3, 1, [] { return 3; });
-  EXPECT_EQ(memo.size(), 1u);
-  EXPECT_FALSE(memo.Peek(1, 1).has_value());
+  EXPECT_EQ(memo.Peek(3, 1), 3);
+  for (int k = 1; k < 3; ++k) EXPECT_FALSE(memo.Peek(k, 1).has_value());
+  EXPECT_FALSE(memo.Peek(0, 2).has_value());
   const uint64_t computes = memo.computes();
   EXPECT_EQ(memo.GetOrCompute(1, 1, [] { return 1; }), 1);
   EXPECT_EQ(memo.computes(), computes + 1);
@@ -135,8 +136,10 @@ TEST(EpochMemoTest, ThrowingComputeMemoizesNothing) {
                                    throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
-  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(memo.Peek(1, 1).has_value());
+  // The failed computation left no in-flight marker to wait on.
   EXPECT_EQ(memo.GetOrCompute(1, 1, [] { return 9; }), 9);
+  EXPECT_EQ(memo.computes(), 2u);
 }
 
 }  // namespace
