@@ -23,7 +23,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -31,8 +30,7 @@
 
 namespace sofya {
 
-template <typename Key, typename Value, typename Version = uint64_t,
-          typename Hash = std::hash<Key>>
+template <typename Key, typename Value, typename Version = uint64_t>
 class EpochMemo {
  public:
   explicit EpochMemo(size_t capacity)
@@ -131,7 +129,7 @@ class EpochMemo {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable done_;
-  std::unordered_map<Key, Entry, Hash> entries_;  // Guarded by mu_.
+  std::unordered_map<Key, Entry> entries_;  // Guarded by mu_.
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> computes_{0};
 };
