@@ -54,7 +54,7 @@ struct ConceptSpec {
   /// probability `correlation_rho` copy an object of x from the (earlier
   /// declared) concept `correlate_with` instead of sampling fresh. This is
   /// the producer-also-directs trap of Section 2.2.
-  std::string correlate_with;
+  std::string correlate_with = {};
   double correlation_rho = 0.0;
 
   /// Rotates the Zipf subject distribution to start at this fraction of the
