@@ -10,10 +10,10 @@ namespace {
 
 constexpr TermId kMaxTermId = std::numeric_limits<TermId>::max();
 
-// Counts |union| of k sorted, de-duplicated id lists by synchronized
-// min-scans. k is the shard count (small), so the linear min probe beats a
-// heap.
-size_t CountDistinctUnion(const std::vector<std::span<const TermId>>& lists) {
+// Counts the distinct objects across k OSP-sorted spans by synchronized
+// min-scans, skipping each span's whole run of the current minimum. k is a
+// group's split factor (small), so the linear min probe beats a heap.
+size_t CountDistinctUnion(const std::vector<std::span<const Triple>>& lists) {
   std::vector<size_t> pos(lists.size(), 0);
   size_t distinct = 0;
   while (true) {
@@ -22,16 +22,25 @@ size_t CountDistinctUnion(const std::vector<std::span<const TermId>>& lists) {
     for (size_t k = 0; k < lists.size(); ++k) {
       if (pos[k] < lists[k].size()) {
         any = true;
-        min_id = std::min(min_id, lists[k][pos[k]]);
+        min_id = std::min(min_id, lists[k][pos[k]].object);
       }
     }
     if (!any) break;
     ++distinct;
     for (size_t k = 0; k < lists.size(); ++k) {
-      if (pos[k] < lists[k].size() && lists[k][pos[k]] == min_id) ++pos[k];
+      while (pos[k] < lists[k].size() && lists[k][pos[k]].object == min_id) {
+        ++pos[k];
+      }
     }
   }
   return distinct;
+}
+
+// Uncounts one fact of `term` (known counted); a term with no facts left
+// leaves the map.
+void DropRef(std::unordered_map<TermId, size_t>& refs, TermId term) {
+  auto it = refs.find(term);
+  if (--it->second == 0) refs.erase(it);
 }
 
 // Builds an equi-depth histogram over a sorted (duplicate-bearing) column.
@@ -102,6 +111,8 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   distinct_preds_ = other.distinct_preds_;
   set_ = std::move(other.set_);
   size_ = other.size_;
+  subject_refs_ = std::move(other.subject_refs_);
+  object_refs_ = std::move(other.object_refs_);
   mapped_ = other.mapped_;
   mapped_keepalive_ = std::move(other.mapped_keepalive_);
   bulk_depth_ = other.bulk_depth_;
@@ -114,6 +125,8 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   other.pred_info_.clear();
   other.distinct_preds_ = 0;
   other.size_ = 0;
+  other.subject_refs_.clear();
+  other.object_refs_.clear();
   other.mapped_ = false;
   other.bulk_depth_ = 0;
   other.bulk_dirty_ = false;
@@ -182,6 +195,8 @@ bool TripleStore::Insert(const Triple& t) {
   }
   if (!set_.insert(t).second) return false;
   ++size_;
+  ++subject_refs_[t.subject];
+  ++object_refs_[t.object];
   PredInfo& info = pred_info_[t.predicate];
   if (info.facts == 0) ++distinct_preds_;
   ++info.facts;
@@ -206,6 +221,8 @@ bool TripleStore::Erase(const Triple& t) {
   }
   if (set_.erase(t) == 0) return false;
   --size_;
+  DropRef(subject_refs_, t.subject);
+  DropRef(object_refs_, t.object);
   auto it = pred_info_.find(t.predicate);
   // The set held the triple, so routing info must exist.
   --it->second.facts;
@@ -322,7 +339,11 @@ void TripleStore::EndBulkLoad() {
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
-void TripleStore::Reserve(size_t n) { set_.reserve(n); }
+void TripleStore::Reserve(size_t n) {
+  set_.reserve(n);
+  subject_refs_.reserve(n);
+  object_refs_.reserve(n);
+}
 
 void TripleStore::EnsureShardSorted(const Shard& sh) const {
   if (sh.mapped) return;  // Snapshot segments are written sorted.
@@ -555,41 +576,23 @@ PredicateStats TripleStore::ComputeShardStats(uint32_t i, TermId p) const {
   return stats;
 }
 
-std::shared_ptr<const TripleStore::ShardAggregate>
-TripleStore::ShardAggregateFor(uint32_t i) const {
-  const Shard& sh = *shards_[i];
-  return aggregate_memo_.GetOrCompute(
-      i, sh.epoch.load(std::memory_order_acquire), [&] {
-        auto agg = std::make_shared<ShardAggregate>();
-        for (size_t k = 0; k < sh.spo_v.size(); ++k) {
-          if (k == 0 || sh.spo_v[k].subject != sh.spo_v[k - 1].subject) {
-            agg->subjects.push_back(sh.spo_v[k].subject);
-          }
-        }
-        for (size_t k = 0; k < sh.osp_v.size(); ++k) {
-          if (k == 0 || sh.osp_v[k].object != sh.osp_v[k - 1].object) {
-            agg->objects.push_back(sh.osp_v[k].object);
-          }
-        }
-        return agg;
-      });
-}
-
 PredicateStats TripleStore::ComputeGroupStats(const PredGroup& g) const {
-  // A sub-shard holds only g.pred, so its aggregate is that predicate's.
-  // Sub-shards partition by subject hash, so distinct subjects sum exactly;
-  // objects can repeat across sub-shards and are union-counted.
+  // A sub-shard holds only g.pred. Sub-shards partition by subject hash, so
+  // the SPO subject runs sum to the distinct subjects exactly; objects can
+  // repeat across sub-shards and are union-counted over the OSP spans.
   PredicateStats stats;
-  std::vector<std::shared_ptr<const ShardAggregate>> aggregates;
-  std::vector<std::span<const TermId>> object_lists;
+  std::vector<std::span<const Triple>> osp_spans;
   for (uint32_t k = 0; k < g.split; ++k) {
-    const uint32_t i = g.first_shard + k;
-    aggregates.push_back(ShardAggregateFor(i));
-    stats.facts += shards_[i]->spo_v.size();
-    stats.distinct_subjects += aggregates.back()->subjects.size();
-    object_lists.push_back(aggregates.back()->objects);
+    const Shard& sh = *shards_[g.first_shard + k];
+    stats.facts += sh.spo_v.size();
+    for (size_t i = 0; i < sh.spo_v.size(); ++i) {
+      if (i == 0 || sh.spo_v[i].subject != sh.spo_v[i - 1].subject) {
+        ++stats.distinct_subjects;
+      }
+    }
+    osp_spans.push_back(sh.osp_v);
   }
-  stats.distinct_objects = CountDistinctUnion(object_lists);
+  stats.distinct_objects = CountDistinctUnion(osp_spans);
   return stats;
 }
 
@@ -636,34 +639,9 @@ PredicateHistograms TripleStore::HistogramFor(TermId p) const {
       });
 }
 
-StoreStats TripleStore::GlobalStats() const {
-  return global_memo_.GetOrCompute(0, mutation_epoch(), [&] {
-    // Each shard's sorted distinct-subject/object lists are memoized at its
-    // epoch, so an untouched shard reuses them; then count the unions.
-    // Values are identical to a global-index walk: a distinct id is counted
-    // once no matter how many shards it spans.
-    std::vector<std::shared_ptr<const ShardAggregate>> aggregates;
-    std::vector<std::span<const TermId>> subject_lists, object_lists;
-    for (uint32_t i = 0; i < shards_.size(); ++i) {
-      EnsureShardSorted(*shards_[i]);
-      aggregates.push_back(ShardAggregateFor(i));
-      subject_lists.push_back(aggregates.back()->subjects);
-      object_lists.push_back(aggregates.back()->objects);
-    }
-    StoreStats stats;
-    stats.triples = size_;
-    stats.distinct_predicates = distinct_preds_;
-    stats.distinct_subjects = CountDistinctUnion(subject_lists);
-    stats.distinct_objects = CountDistinctUnion(object_lists);
-    return stats;
-  });
-}
-
 void TripleStore::ClearMemos() const {
   stats_memo_.Clear();
   hist_memo_.Clear();
-  aggregate_memo_.Clear();
-  global_memo_.Clear();
 }
 
 Status TripleStore::AttachMapped(MappedLayout layout) {
@@ -695,6 +673,8 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
   pred_info_.clear();
   distinct_preds_ = 0;
   size_ = 0;
+  subject_refs_.clear();
+  object_refs_.clear();
   for (size_t i = 0; i < layout.shards.size(); ++i) {
     auto sh = std::make_unique<Shard>();
     sh->spo_v = layout.shards[i].spo;
@@ -748,6 +728,23 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
       ++distinct_preds_;
       at = end;
     }
+  }
+  // Per-term fact counts: one pass over each shard's SPO runs (subjects)
+  // and OSP runs (objects).
+  auto count_runs = [](std::span<const Triple> v, TermId Triple::* term,
+                       std::unordered_map<TermId, size_t>& refs) {
+    for (size_t i = 0; i < v.size();) {
+      size_t end = i + 1;
+      while (end < v.size() && v[end].*term == v[i].*term) ++end;
+      refs[v[i].*term] += end - i;
+      i = end;
+    }
+  };
+  subject_refs_.reserve(size_);
+  object_refs_.reserve(size_);
+  for (const auto& sh : shards_) {
+    count_runs(sh->spo_v, &Triple::subject, subject_refs_);
+    count_runs(sh->osp_v, &Triple::object, object_refs_);
   }
 
   mapped_ = true;

@@ -273,17 +273,19 @@ class TripleStore {
   /// an untouched predicate keeps its entry across writes elsewhere.
   PredicateHistograms HistogramFor(TermId p) const;
 
-  /// Whole-store aggregates (total triples, distinct s/p/o). Distinct
-  /// counts merge per-shard sorted aggregates that are memoized per shard
-  /// epoch, so after a write only the touched shard recomputes; the merged
-  /// result is memoized per mutation_epoch(). Values are identical to a
-  /// global-index walk.
-  StoreStats GlobalStats() const;
+  /// Whole-store aggregates (total triples, distinct s/p/o) in O(1): every
+  /// write keeps a fact count per subject and per object, so the distinct
+  /// counts are the number of terms counted. No shard is read, and the
+  /// values are identical to a walk of the whole store.
+  StoreStats GlobalStats() const {
+    return {size_, subject_refs_.size(), distinct_preds_,
+            object_refs_.size()};
+  }
 
   /// Monotonic write version: bumped on every successful Insert/Erase (once
   /// per bulk-load scope, not per triple — see BulkLoadScope). Derived
-  /// artifacts (predicate stats, global stats, compiled query plans) are
-  /// keyed off this, so "same epoch" means "same data, same plan".
+  /// artifacts such as compiled query plans are keyed off this, so "same
+  /// epoch" means "same data, same plan".
   uint64_t mutation_epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -316,7 +318,8 @@ class TripleStore {
     TripleStore* store_;
   };
 
-  /// Reserves hash-set capacity for `n` triples.
+  /// Reserves hash capacity for `n` triples (the triple set and the
+  /// per-term fact counts).
   void Reserve(size_t n);
 
   // --- Snapshot plumbing (src/rdf/store_snapshot.h) ------------------------
@@ -360,12 +363,10 @@ class TripleStore {
   /// Used by the snapshot writer; spans valid until the next write.
   MappedShardSegments ShardSegments(size_t i) const;
 
-  /// Number of predicate-stats and per-shard aggregate recomputations by
-  /// this object — a diagnostic for "writes to one predicate no longer
-  /// invalidate everything else" regression tests.
-  uint64_t stats_recomputes() const {
-    return stats_memo_.computes() + aggregate_memo_.computes();
-  }
+  /// Number of predicate-stats recomputations by this object — a
+  /// diagnostic for "writes to one predicate no longer invalidate
+  /// everything else" regression tests. GlobalStats never recomputes.
+  uint64_t stats_recomputes() const { return stats_memo_.computes(); }
 
   /// Number of histogram rebuilds by this object — the diagnostic the
   /// histogram invalidation tests pin, mirroring stats_recomputes().
@@ -494,16 +495,9 @@ class TripleStore {
   /// shards that hold it.
   OwnerEpoch OwnerVersion(TermId p, const PredInfo& info) const;
 
-  /// One shard's sorted distinct subjects and objects.
-  struct ShardAggregate {
-    std::vector<TermId> subjects, objects;
-  };
-  /// Shard `i`'s aggregate (the shard must be sorted), memoized at its epoch.
-  std::shared_ptr<const ShardAggregate> ShardAggregateFor(uint32_t i) const;
-
   /// Stats for hash-ring predicate `p`, read from its (sorted) shard `i`.
   PredicateStats ComputeShardStats(uint32_t i, TermId p) const;
-  /// Stats for a promoted predicate, from its sub-shards' aggregates.
+  /// Stats for a promoted predicate, read from its (sorted) sub-shards.
   PredicateStats ComputeGroupStats(const PredGroup& g) const;
 
   /// Drops every derived-data memo: their keys name shard slots, and a move
@@ -522,6 +516,9 @@ class TripleStore {
 
   std::unordered_set<Triple, TripleHash> set_;
   size_t size_ = 0;
+  /// Facts per subject and per object. A term whose count reaches 0 is
+  /// dropped, so each map's size is the store's distinct-term count.
+  std::unordered_map<TermId, size_t> subject_refs_, object_refs_;
   bool mapped_ = false;
   std::shared_ptr<const void> mapped_keepalive_;
 
@@ -531,19 +528,14 @@ class TripleStore {
   bool bulk_dirty_ = false;
 
   static constexpr size_t kPredicateMemoCapacity = 1 << 16;
-  static constexpr size_t kShardMemoCapacity = 1 << 12;
 
-  // Derived-data memos (util/epoch_memo.h): per predicate at
-  // OwnerVersion(p), per shard index at its epoch, and the merged
-  // GlobalStats as one entry at mutation_epoch().
+  // Derived-data memos (util/epoch_memo.h), per predicate at
+  // OwnerVersion(p).
   mutable EpochMemo<TermId, PredicateStats, OwnerEpoch> stats_memo_{
       kPredicateMemoCapacity};
   mutable EpochMemo<TermId, std::shared_ptr<const PredicateHistograms>,
                     OwnerEpoch>
       hist_memo_{kPredicateMemoCapacity};
-  mutable EpochMemo<uint32_t, std::shared_ptr<const ShardAggregate>>
-      aggregate_memo_{kShardMemoCapacity};
-  mutable EpochMemo<int, StoreStats> global_memo_{1};
 };
 
 }  // namespace sofya

@@ -180,7 +180,7 @@ TEST(TripleStoreTest, GlobalStatsTrackMutations) {
   EXPECT_EQ(global.distinct_objects, 2u);
 
   store.Insert(3, 7, 102);
-  global = store.GlobalStats();  // Memo invalidated by the epoch bump.
+  global = store.GlobalStats();  // The write updated the counts.
   EXPECT_EQ(global.triples, 4u);
   EXPECT_EQ(global.distinct_subjects, 3u);
   EXPECT_EQ(global.distinct_predicates, 3u);
@@ -348,6 +348,117 @@ TEST(ShardedStoreTest, BulkLoadBumpsEpochOnce) {
   const uint64_t epoch1 = store.mutation_epoch();
   { TripleStore::BulkLoadScope bulk(&store); }
   EXPECT_EQ(store.mutation_epoch(), epoch1);
+}
+
+/// GlobalStats against distinct counts taken from a full scan.
+void ExpectGlobalStatsMatchFullWalk(const TripleStore& store) {
+  std::set<TermId> subjects, predicates, objects;
+  const std::vector<Triple> all = store.Match(TriplePattern());
+  for (const Triple& t : all) {
+    subjects.insert(t.subject);
+    predicates.insert(t.predicate);
+    objects.insert(t.object);
+  }
+  const StoreStats global = store.GlobalStats();
+  EXPECT_EQ(global.triples, all.size());
+  EXPECT_EQ(global.distinct_subjects, subjects.size());
+  EXPECT_EQ(global.distinct_predicates, predicates.size());
+  EXPECT_EQ(global.distinct_objects, objects.size());
+}
+
+TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
+  constexpr TermId kS = 16, kP = 4, kO = 16;
+  Rng rng(13);
+  TripleStore store(TinyShards());
+  auto random_triple = [&] {
+    return Triple(static_cast<TermId>(1 + rng.Below(kS)),
+                  static_cast<TermId>(1 + rng.Below(kP)),
+                  static_cast<TermId>(1 + rng.Below(kO)));
+  };
+  for (int i = 0; i < 300; ++i) {
+    const Triple t = random_triple();
+    if (rng.Below(3) == 0) {
+      store.Erase(t);
+    } else {
+      store.Insert(t);
+    }
+    ExpectGlobalStatsMatchFullWalk(store);
+    if (::testing::Test::HasFailure()) return;
+  }
+  ASSERT_FALSE(store.PromotedPredicates().empty());
+
+  // A duplicate insert and an erase of an absent triple change nothing.
+  const StoreStats settled = store.GlobalStats();
+  EXPECT_FALSE(store.Insert(store.Match(TriplePattern()).front()));
+  EXPECT_FALSE(store.Erase(Triple(kS + 1, 1, kO + 1)));
+  ExpectGlobalStatsMatchFullWalk(store);
+  EXPECT_EQ(store.GlobalStats().distinct_subjects, settled.distinct_subjects);
+  EXPECT_EQ(store.GlobalStats().distinct_objects, settled.distinct_objects);
+
+  // A subject and an object with two facts each: the first erase keeps
+  // them, erasing the last fact drops them.
+  const TermId s = kS + 2, o = kO + 2;
+  ASSERT_TRUE(store.Insert(s, 1, o));
+  ASSERT_TRUE(store.Insert(s, 2, o));
+  ExpectGlobalStatsMatchFullWalk(store);
+  EXPECT_EQ(store.GlobalStats().distinct_subjects,
+            settled.distinct_subjects + 1);
+  ASSERT_TRUE(store.Erase(Triple(s, 1, o)));
+  ExpectGlobalStatsMatchFullWalk(store);
+  ASSERT_TRUE(store.Erase(Triple(s, 2, o)));
+  ExpectGlobalStatsMatchFullWalk(store);
+  EXPECT_EQ(store.GlobalStats().distinct_subjects, settled.distinct_subjects);
+  EXPECT_EQ(store.GlobalStats().distinct_objects, settled.distinct_objects);
+
+  // A bulk load that promotes a new predicate at scope end.
+  {
+    TripleStore::BulkLoadScope bulk(&store, /*expected=*/32);
+    for (TermId i = 1; i <= 12; ++i) store.Insert(i, kP + 1, kO + i);
+    store.Insert(1, kP + 1, kO + 1);  // Duplicate inside the scope.
+    ExpectGlobalStatsMatchFullWalk(store);
+  }
+  EXPECT_EQ(store.PromotedPredicates().back(), kP + 1);
+  ExpectGlobalStatsMatchFullWalk(store);
+
+  // A move carries the counts and leaves an empty store behind.
+  TripleStore moved(std::move(store));
+  ExpectGlobalStatsMatchFullWalk(moved);
+  ExpectGlobalStatsMatchFullWalk(store);
+  EXPECT_EQ(store.GlobalStats().distinct_subjects, 0u);
+  ASSERT_TRUE(store.Insert(1, 1, 1));
+  ExpectGlobalStatsMatchFullWalk(store);
+
+  // Attaching `moved`'s segments as a mapped snapshot counts every term;
+  // the first write that changes the data thaws and keeps counting.
+  TripleStore::MappedLayout layout;
+  layout.options = moved.options();
+  layout.group_preds = moved.PromotedPredicates();
+  for (size_t i = 0; i < moved.num_shards(); ++i) {
+    layout.shards.push_back(moved.ShardSegments(i));
+  }
+  TripleStore attached;
+  ASSERT_TRUE(attached.AttachMapped(std::move(layout)).ok());
+  ASSERT_TRUE(attached.is_mapped());
+  ExpectGlobalStatsMatchFullWalk(attached);
+  EXPECT_FALSE(attached.Insert(moved.Match(TriplePattern()).front()));
+  ASSERT_TRUE(attached.is_mapped());
+  ASSERT_TRUE(attached.Insert(kS + 3, 1, kO + 3));
+  EXPECT_FALSE(attached.is_mapped());
+  ExpectGlobalStatsMatchFullWalk(attached);
+  ASSERT_TRUE(attached.Erase(attached.Match(TriplePattern()).front()));
+  ExpectGlobalStatsMatchFullWalk(attached);
+}
+
+TEST(ShardedStoreTest, GlobalStatsAfterWriteComputesNothing) {
+  TripleStore store(TinyShards());
+  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);  // Promoted.
+  store.Insert(1, 6, 300);
+  (void)store.GlobalStats();
+  const uint64_t warm = store.stats_recomputes();
+  store.Insert(21, 5, 121);
+  store.Insert(2, 6, 300);
+  EXPECT_EQ(store.GlobalStats().distinct_subjects, 21u);
+  EXPECT_EQ(store.stats_recomputes(), warm);
 }
 
 TEST(ShardedStoreTest, StatsParityAcrossShardGeometries) {
