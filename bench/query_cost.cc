@@ -12,16 +12,10 @@
 //      is flat while a full SELECT scales linearly;
 //   3. a repeated-alignment workload with and without CachingEndpoint —
 //      cache hits replace server queries, so the cached run issues strictly
-//      fewer;
-//   4. join-order planning A/B — star, chain, skewed-predicate and
-//      misestimate-adversarial query shapes under the v1 greedy planner,
-//      the Selinger DP planner, and DP with adaptive re-planning. Result
-//      sets must be identical (the bench exits nonzero otherwise); wall
-//      time and triples scanned quantify what each planner buys.
+//      fewer.
 //
 // Pass --json (or set SOFYA_JSON=1) for a machine-readable summary (CI).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,80 +33,6 @@ struct AskPoint {
   uint64_t limit1_scanned;
   uint64_t select_scanned;
 };
-
-/// One planner arm of the v2 comparison: wall time, scan volume, adaptive
-/// re-plan count, and the sorted result rows for parity checking.
-struct PlannerArm {
-  double ms = 0;
-  uint64_t scanned = 0;
-  uint64_t replans = 0;
-  std::vector<std::vector<sofya::TermId>> rows;
-  std::string error;
-};
-
-struct PlannerV2Result {
-  std::string name;
-  PlannerArm greedy, dp, adaptive;
-  size_t rows = 0;
-  bool identical = false;
-  std::string error;
-  double dp_vs_greedy() const {
-    return dp.ms > 0 ? greedy.ms / dp.ms : 0.0;
-  }
-  double adaptive_speedup() const {
-    return adaptive.ms > 0 ? dp.ms / adaptive.ms : 0.0;
-  }
-};
-
-/// Runs `query` under three planner arms — v1 greedy, v2 Selinger DP, and
-/// DP + adaptive re-planning — timing `iterations` evaluations each after
-/// an untimed warm-up (plan cache, stats memos, histograms). Result-set
-/// parity across all three arms is the hard gate.
-PlannerV2Result RunPlannerV2Shape(const std::string& name,
-                                  sofya::KnowledgeBase* kb,
-                                  const sofya::SelectQuery& query,
-                                  int iterations) {
-  PlannerV2Result out;
-  out.name = name;
-
-  auto run = [&](bool use_dp, bool adaptive, PlannerArm* arm) {
-    sofya::LocalEndpointOptions options;
-    options.estimate_bytes = false;
-    options.engine.planner.use_dp = use_dp;
-    options.engine.adaptive = adaptive;
-    sofya::LocalEndpoint endpoint(kb, options);
-    auto warm = endpoint.Select(query);
-    if (!warm.ok()) {
-      arm->error = warm.status().ToString();
-      return false;
-    }
-    arm->rows = warm->rows;
-    std::sort(arm->rows.begin(), arm->rows.end());
-    endpoint.ResetStats();
-    sofya::WallTimer timer;
-    for (int i = 0; i < iterations; ++i) {
-      auto repeat = endpoint.Select(query);
-      if (!repeat.ok()) {
-        arm->error = repeat.status().ToString();
-        return false;
-      }
-    }
-    arm->ms = timer.ElapsedMillis();
-    arm->scanned = endpoint.stats().triples_scanned;
-    arm->replans = endpoint.stats().replans;
-    return true;
-  };
-
-  const bool ok = run(false, false, &out.greedy) &&
-                  run(true, false, &out.dp) && run(true, true, &out.adaptive);
-  for (const PlannerArm* arm : {&out.greedy, &out.dp, &out.adaptive}) {
-    if (!arm->error.empty()) out.error = arm->error;
-  }
-  out.rows = out.dp.rows.size();
-  out.identical = ok && out.greedy.rows == out.dp.rows &&
-                  out.dp.rows == out.adaptive.rows;
-  return out;
-}
 
 }  // namespace
 
@@ -291,179 +211,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(cache_hits + cached_server_queries));
   }
 
-  // ----------------------------------------------------------------------
-  // Section 4: join-order planning — Selinger DP vs greedy on three
-  // canonical shapes, plus a misestimate-adversarial shape built so the
-  // equi-depth histograms *cannot* see the skew (hub fan-outs below bucket
-  // depth) and the initial DP plan is provably wrong: only adaptive
-  // execution escapes, by observing the blow-up mid-query and re-planning.
-  // Every canonical query lists its clauses in the adversarial (big-first)
-  // order, which the planners must repair.
-  sofya::KnowledgeBase join_kb("joinbench", "http://join.org/");
-  {
-    // Skewed predicates: 100k-fact "hot" vs 50-fact "cold" over overlapping
-    // subjects — the PARIS-style probe shape where ordering matters most.
-    for (int i = 0; i < 100000; ++i) {
-      join_kb.AddFact("hs" + std::to_string(i), "hot",
-                      "hv" + std::to_string(i % 997));
-    }
-    for (int i = 0; i < 50; ++i) {
-      join_kb.AddFact("hs" + std::to_string(i * 20), "cold",
-                      "cv" + std::to_string(i));
-    }
-    // Star: one subject variable, three predicates of shrinking size.
-    for (int i = 0; i < 20000; ++i) {
-      join_kb.AddFact("ss" + std::to_string(i % 10000), "pa",
-                      "av" + std::to_string(i));
-    }
-    for (int i = 0; i < 2000; ++i) {
-      join_kb.AddFact("ss" + std::to_string(i % 1000), "pb",
-                      "bv" + std::to_string(i));
-    }
-    for (int i = 0; i < 100; ++i) {
-      join_kb.AddFact("ss" + std::to_string(i % 50), "pc",
-                      "cv" + std::to_string(i));
-    }
-    // Chain: x -p1-> y -p2-> z -p3-> w with shrinking cardinalities, so the
-    // cheap end is the *last* clause and the planner must walk backward.
-    for (int i = 0; i < 60000; ++i) {
-      join_kb.AddFact("c1_" + std::to_string(i), "p1",
-                      "c2_" + std::to_string(i % 6000));
-    }
-    for (int i = 0; i < 6000; ++i) {
-      join_kb.AddFact("c2_" + std::to_string(i), "p2",
-                      "c3_" + std::to_string(i % 600));
-    }
-    for (int i = 0; i < 120; ++i) {
-      join_kb.AddFact("c3_" + std::to_string(i), "p3",
-                      "c4_" + std::to_string(i));
-    }
-  }
-  auto pred = [&](const char* local) {
-    return join_kb.dict().LookupIri("http://join.org/" + std::string(local));
-  };
-
-  sofya::KnowledgeBase adv_kb("advbench", "http://adv.org/");
-  {
-    // pfan: 50k subjects with fan-out 2 plus 4 "hub" subjects with fan-out
-    // 3000 — below the 32-bucket equi-depth resolution (~3.5k facts per
-    // bucket). The hubs are *interspersed* across the dictionary-id range
-    // (interned mid-stream), so each hub run shares its bucket with ~1k
-    // ordinary subjects and the frequency-weighted fan-out estimate stays
-    // near the uniform value: no static plan can see the skew, and the
-    // planner walks straight into the hubs.
-    for (int i = 0; i < 50000; ++i) {
-      const std::string s = "fs" + std::to_string(i);
-      adv_kb.AddFact(s, "pfan", "no" + std::to_string(2 * i));
-      adv_kb.AddFact(s, "pfan", "no" + std::to_string(2 * i + 1));
-      if (i % 12500 == 6250) {
-        const int h = i / 12500;
-        const std::string hub = "hub" + std::to_string(h);
-        for (int j = 0; j < 3000; ++j) {
-          adv_kb.AddFact(hub, "pfan",
-                         "ho" + std::to_string(h) + "_" + std::to_string(j));
-        }
-      }
-    }
-    // psel selects exactly the hubs; pobjsel selects 50 of hub0's objects.
-    for (int h = 0; h < 4; ++h) {
-      adv_kb.AddFact("hub" + std::to_string(h), "psel", "sel");
-    }
-    for (int k = 0; k < 50; ++k) {
-      adv_kb.AddFact("pw" + std::to_string(k), "pobjsel",
-                     "ho0_" + std::to_string(k));
-    }
-  }
-  auto adv_pred = [&](const char* local) {
-    return adv_kb.dict().LookupIri("http://adv.org/" + std::string(local));
-  };
-
-  std::vector<PlannerV2Result> v2_results;
-  {
-    sofya::SelectQuery q;  // ?x hot ?y . ?x cold ?z   (hot listed first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId y = q.NewVar("y");
-    const sofya::VarId z = q.NewVar("z");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("hot")),
-            sofya::NodeRef::Variable(y));
-    q.Where(sofya::NodeRef::Variable(x),
-            sofya::NodeRef::Constant(pred("cold")),
-            sofya::NodeRef::Variable(z));
-    v2_results.push_back(RunPlannerV2Shape("skewed", &join_kb, q, 20));
-  }
-  {
-    sofya::SelectQuery q;  // ?x pa ?a . ?x pb ?b . ?x pc ?c  (big first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId a = q.NewVar("a");
-    const sofya::VarId b = q.NewVar("b");
-    const sofya::VarId c = q.NewVar("c");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pa")),
-            sofya::NodeRef::Variable(a));
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pb")),
-            sofya::NodeRef::Variable(b));
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("pc")),
-            sofya::NodeRef::Variable(c));
-    v2_results.push_back(RunPlannerV2Shape("star", &join_kb, q, 20));
-  }
-  {
-    sofya::SelectQuery q;  // ?x p1 ?y . ?y p2 ?z . ?z p3 ?w  (big first)
-    const sofya::VarId x = q.NewVar("x");
-    const sofya::VarId y = q.NewVar("y");
-    const sofya::VarId z = q.NewVar("z");
-    const sofya::VarId w = q.NewVar("w");
-    q.Where(sofya::NodeRef::Variable(x), sofya::NodeRef::Constant(pred("p1")),
-            sofya::NodeRef::Variable(y));
-    q.Where(sofya::NodeRef::Variable(y), sofya::NodeRef::Constant(pred("p2")),
-            sofya::NodeRef::Variable(z));
-    q.Where(sofya::NodeRef::Variable(z), sofya::NodeRef::Constant(pred("p3")),
-            sofya::NodeRef::Variable(w));
-    v2_results.push_back(RunPlannerV2Shape("chain", &join_kb, q, 20));
-  }
-  {
-    sofya::SelectQuery q;  // ?h psel ?m . ?h pfan ?v . ?w pobjsel ?v
-    const sofya::VarId h = q.NewVar("h");
-    const sofya::VarId m = q.NewVar("m");
-    const sofya::VarId v = q.NewVar("v");
-    const sofya::VarId w = q.NewVar("w");
-    q.Where(sofya::NodeRef::Variable(h),
-            sofya::NodeRef::Constant(adv_pred("psel")),
-            sofya::NodeRef::Variable(m));
-    q.Where(sofya::NodeRef::Variable(h),
-            sofya::NodeRef::Constant(adv_pred("pfan")),
-            sofya::NodeRef::Variable(v));
-    q.Where(sofya::NodeRef::Variable(w),
-            sofya::NodeRef::Constant(adv_pred("pobjsel")),
-            sofya::NodeRef::Variable(v));
-    v2_results.push_back(RunPlannerV2Shape("adversarial", &adv_kb, q, 20));
-  }
-
-  bool v2_identical = true;
-  for (const PlannerV2Result& r : v2_results) {
-    if (!r.identical) v2_identical = false;
-  }
-
-  if (!json) {
-    std::printf("\n=== planner v2: Selinger DP vs greedy (+ adaptive) "
-                "===\n\n");
-    sofya::TableWriter v2_table({"shape", "greedy ms", "dp ms", "adaptive ms",
-                                 "dp replans", "rows"});
-    for (const PlannerV2Result& r : v2_results) {
-      v2_table.AddRow({r.name, sofya::FormatDouble(r.greedy.ms, 1),
-                       sofya::FormatDouble(r.dp.ms, 1),
-                       sofya::FormatDouble(r.adaptive.ms, 1),
-                       std::to_string(r.adaptive.replans),
-                       std::to_string(r.rows)});
-    }
-    v2_table.Print(std::cout);
-    std::printf(
-        "\nidentical result sets across all three arms: %s\n"
-        "adversarial shape: the histograms cannot see the hub skew, so "
-        "every static plan walks into it; adaptive execution re-plans "
-        "after ~1k rows and finishes %.1fx faster\n",
-        v2_identical ? "yes" : "NO (BUG)",
-        v2_results.back().adaptive_speedup());
-  }
-
   if (json) {
     std::printf("{");
     std::printf("\"scale\": %.3f, \"aligned\": %zu, ", scale, aligned);
@@ -483,52 +230,10 @@ int main(int argc, char** argv) {
     }
     std::printf("], ");
     std::printf("\"cache\": {\"baseline_queries\": %llu, "
-                "\"cached_queries\": %llu, \"cache_hits\": %llu}, ",
+                "\"cached_queries\": %llu, \"cache_hits\": %llu}}\n",
                 static_cast<unsigned long long>(baseline_queries),
                 static_cast<unsigned long long>(cached_server_queries),
                 static_cast<unsigned long long>(cache_hits));
-    std::printf("\"planner_v2\": [");
-    for (size_t i = 0; i < v2_results.size(); ++i) {
-      const PlannerV2Result& r = v2_results[i];
-      std::string escaped_error;
-      for (char c : r.error) {
-        if (c == '"' || c == '\\') escaped_error += '\\';
-        escaped_error += (c == '\n') ? ' ' : c;
-      }
-      std::printf(
-          "%s{\"shape\": \"%s\", \"greedy_ms\": %.3f, \"dp_ms\": %.3f, "
-          "\"adaptive_ms\": %.3f, \"greedy_scanned\": %llu, "
-          "\"dp_scanned\": %llu, \"adaptive_scanned\": %llu, "
-          "\"dp_vs_greedy\": %.2f, \"adaptive_speedup\": %.2f, "
-          "\"adaptive_replans\": %llu, \"rows\": %zu, \"identical\": %s, "
-          "\"error\": \"%s\"}",
-          i == 0 ? "" : ", ", r.name.c_str(), r.greedy.ms, r.dp.ms,
-          r.adaptive.ms, static_cast<unsigned long long>(r.greedy.scanned),
-          static_cast<unsigned long long>(r.dp.scanned),
-          static_cast<unsigned long long>(r.adaptive.scanned),
-          r.dp_vs_greedy(), r.adaptive_speedup(),
-          static_cast<unsigned long long>(r.adaptive.replans), r.rows,
-          r.identical ? "true" : "false", escaped_error.c_str());
-    }
-    std::printf("]");
-    std::printf("}\n");
-  }
-  // A planner that changes answers is a correctness bug, not a perf story:
-  // fail the bench (and the CI smoke run) loudly — but report an outright
-  // query failure as what it is, never as a parity mismatch.
-  if (!v2_identical) {
-    for (const PlannerV2Result& r : v2_results) {
-      if (!r.error.empty()) {
-        std::fprintf(stderr, "FATAL: planner_v2 shape '%s' failed: %s\n",
-                     r.name.c_str(), r.error.c_str());
-      } else if (!r.identical) {
-        std::fprintf(stderr,
-                     "FATAL: planner arms disagree on result sets for "
-                     "planner_v2 shape '%s'\n",
-                     r.name.c_str());
-      }
-    }
-    return 1;
   }
   return 0;
 }

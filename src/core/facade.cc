@@ -8,12 +8,8 @@ namespace sofya {
 
 Sofya::Sofya(KnowledgeBase* candidate_kb, KnowledgeBase* reference_kb,
              const SameAsIndex* links, SofyaOptions options) {
-  LocalEndpointOptions local_options;
-  local_options.engine.planner = options.planner;
-  candidate_local_ =
-      std::make_unique<LocalEndpoint>(candidate_kb, local_options);
-  reference_local_ =
-      std::make_unique<LocalEndpoint>(reference_kb, local_options);
+  candidate_local_ = std::make_unique<LocalEndpoint>(candidate_kb);
+  reference_local_ = std::make_unique<LocalEndpoint>(reference_kb);
   BuildStack(candidate_local_.get(), reference_local_.get(),
              /*always_retry=*/false, links, options);
 }

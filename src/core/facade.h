@@ -29,11 +29,6 @@ namespace sofya {
 struct SofyaOptions {
   AlignerOptions aligner;
 
-  /// Join-order planner for the in-process engines (KB constructor only —
-  /// a remote endpoint plans server-side). `use_dp = false` selects the
-  /// greedy planner, the A/B baseline.
-  PlannerOptions planner;
-
   /// When true, both endpoints are wrapped in ThrottledEndpoint with the
   /// options below — the realistic remote-access regime (for real remote
   /// bases the throttle acts as a client-side budget/row-cap guard).

@@ -37,7 +37,10 @@ struct EndpointStats {
   uint64_t cache_hits = 0;            ///< Requests answered from a cache.
   uint64_t cache_misses = 0;          ///< Requests that had to go through.
   uint64_t failures_injected = 0;     ///< Simulated faults raised.
-  uint64_t replans = 0;               ///< Adaptive mid-execution re-plans.
+  /// Always 0: the engine plans each query once. Kept only because
+  /// perfbench/perfbench.cc reports it as `local.replans`; drop both
+  /// together at the next benchmark edit.
+  uint64_t replans = 0;
   double simulated_latency_ms = 0.0;  ///< Modeled network+server time.
 
   /// Adds another stats block (for fleet-level reporting).

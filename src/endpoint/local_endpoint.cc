@@ -29,7 +29,6 @@ StatusOr<ResultSet> LocalEndpoint::Select(const SelectQuery& query) {
     ++stats_.queries;
     stats_.index_probes += eval_stats.index_probes;
     stats_.triples_scanned += eval_stats.triples_scanned;
-    stats_.replans += eval_stats.replans;
     if (result.ok()) {
       stats_.rows_returned += result->rows.size();
       stats_.bytes_estimated += bytes;
@@ -67,7 +66,6 @@ StatusOr<bool> LocalEndpoint::Ask(const SelectQuery& query) {
     ++stats_.queries;
     stats_.index_probes += eval_stats.index_probes;
     stats_.triples_scanned += eval_stats.triples_scanned;
-    stats_.replans += eval_stats.replans;
     // A boolean response: no rows shipped, one byte of payload.
     if (result.ok() && estimate_bytes_) ++stats_.bytes_estimated;
   }

@@ -27,9 +27,7 @@ struct LocalEndpointOptions {
   /// size of every shipped cell (slower; keep on for query-cost experiments).
   bool estimate_bytes = true;
 
-  /// Join-order planner + plan-cache configuration for the served engine.
-  /// `engine.planner.use_dp = false` selects the greedy planner (the A/B
-  /// baseline for bench/query_cost).
+  /// Scan-pool configuration for the served engine.
   Engine::Options engine;
 };
 

@@ -322,9 +322,7 @@ std::string SparqlServer::StatusJson() {
         static_cast<unsigned long long>(c.served), c.client_inflight,
         remaining);
   }
-  json += "]},\"planner\":{";
-  field("replans", local_->engine().replans(), /*last=*/true);
-  json += "},\"plan_cache\":{";
+  json += "]},\"plan_cache\":{";
   field("hits", local_->engine().plan_cache_hits());
   field("misses", local_->engine().plan_cache_misses(), /*last=*/true);
   json += "},\"store\":{";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
-#include <limits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -66,20 +65,14 @@ struct RowHash {
 // instead of probing the store — the parallel scan path injects one chunk
 // of the driver clause's sharded range per task.
 //
-// `stage_rows`, when non-null, points at `plan.clauses.size()` counters that
-// receive per-stage accepted-row counts (the EXPLAIN `actual` column).
-// `stage_quota`, when non-null (adaptive execution), caps each stage's
-// count; the first stage to exceed its quota aborts the whole pipeline,
-// `*violated_level` reports which. Returns false only on a quota abort —
-// emit-initiated stops (LIMIT/ASK) and normal drains return true.
+// `stage_rows` points at `plan.clauses.size()` counters that receive
+// per-stage accepted-row counts (the EXPLAIN `actual` column).
 template <typename Emit>
-bool RunPlan(const TripleStore& store, const CompiledPlan& plan,
+void RunPlan(const TripleStore& store, const CompiledPlan& plan,
              size_t num_vars, const Dictionary* dict, EvalStats& stats,
-             Emit&& emit, const std::span<const Triple>* driver = nullptr,
-             uint64_t* stage_rows = nullptr,
-             const double* stage_quota = nullptr,
-             size_t* violated_level = nullptr) {
-  if (plan.dangling_filter || plan.clauses.empty()) return true;
+             Emit&& emit, const std::span<const Triple>* driver,
+             uint64_t* stage_rows) {
+  if (plan.dangling_filter || plan.clauses.empty()) return;
 
   // A cursor walks the per-shard spans of one MatchView in shard order;
   // `cur` caches the active span so the inner loop stays branch-cheap.
@@ -166,25 +159,18 @@ bool RunPlan(const TripleStore& store, const CompiledPlan& plan,
       }
       if (!accepted) continue;
       ++stats.intermediate_rows;
-      if (stage_rows != nullptr) {
-        ++stage_rows[level];
-        if (stage_quota != nullptr &&
-            static_cast<double>(stage_rows[level]) > stage_quota[level]) {
-          if (violated_level != nullptr) *violated_level = level;
-          return false;  // Estimate blown: caller re-plans and restarts.
-        }
-      }
+      ++stage_rows[level];
       advanced = true;
       break;
     }
 
     if (!advanced) {
-      if (level == 0) return true;  // Pipeline drained.
+      if (level == 0) return;  // Pipeline drained.
       --level;
       continue;
     }
     if (level + 1 == depth) {
-      if (!emit(bindings)) return true;  // LIMIT/ASK pushdown.
+      if (!emit(bindings)) return;  // LIMIT/ASK pushdown.
     } else {
       ++level;
       open(level);
@@ -238,21 +224,6 @@ void FillClauseRows(const CompiledPlan& plan,
   }
 }
 
-// The binding context clause `cc` scans in under its plan: bit 0/1/2 set
-// when the subject/predicate/object slot is fixed (constant or upstream-
-// bound variable) before the scan. Must mirror the planner's BoundSig so a
-// pinned CardinalityOverride re-applies in exactly the measured context.
-uint8_t SlotBoundSig(const CompiledClause& cc) {
-  uint8_t sig = 0;
-  for (int i = 0; i < 3; ++i) {
-    if (cc.slots[i].kind == SlotKind::kConst ||
-        cc.slots[i].kind == SlotKind::kBoundVar) {
-      sig |= static_cast<uint8_t>(1 << i);
-    }
-  }
-  return sig;
-}
-
 // `SELECT DISTINCT ?p { ?s ?p ?o }` from the store's predicate directory:
 // O(predicates) instead of a full scan. The directory lists ascending term
 // ids, an order fixed within an epoch, so OFFSET/LIMIT pages still split one
@@ -284,16 +255,6 @@ ResultSet RunPredicateDirectory(const TripleStore& store,
 // buffers; chunks are then merged in span order through the very same
 // DISTINCT/OFFSET consumer, so rows AND EvalStats are bit-identical to the
 // sequential path (the work is a partition of the same index ranges).
-//
-// With `options.adaptive` (and no LIMIT), execution instead starts as a
-// sequential quota-checked pass: each stage may emit at most
-// max(estimate·factor, min_rows) rows before the pipeline aborts, pins the
-// observed cardinality as a CardinalityOverride, re-plans, and restarts.
-// After `adaptive_max_replans` re-plans the current plan runs to completion
-// without quotas (and may then use the scan pool). The emitted row set is
-// plan-invariant, so results match non-adaptive execution exactly; work
-// counters include abandoned attempts and stay deterministic across scan
-// thread counts because every quota-checked pass is sequential.
 StatusOr<ResultSet> RunSelect(const TripleStore& store,
                               const CompiledPlan& plan,
                               const SelectQuery& query, const Dictionary* dict,
@@ -325,75 +286,9 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
   };
 
   if (limit != 0) {
-    // `active` is the plan being executed; adaptive re-planning swaps in
-    // locally-owned recompiles (never cached — overrides are one execution's
-    // observations, and the cache must stay a pure function of the
-    // fingerprint so pagination never changes enumeration order).
-    const CompiledPlan* active = &plan;
-    CompiledPlan replanned;
-
-    const bool adaptive_eligible =
-        options.adaptive && limit == kNoLimit && !plan.dangling_filter &&
-        !plan.clauses.empty();
-    if (adaptive_eligible) {
-      std::vector<CardinalityOverride> overrides;
-      for (int replan = 0; replan < options.adaptive_max_replans; ++replan) {
-        const size_t depth = active->clauses.size();
-        std::vector<double> quota(depth);
-        for (size_t k = 0; k < depth; ++k) {
-          const double est = active->clauses[k].estimated_output_rows;
-          quota[k] = est < 0.0
-                         ? std::numeric_limits<double>::infinity()
-                         : std::max(est * options.adaptive_replan_factor,
-                                    static_cast<double>(
-                                        options.adaptive_min_rows));
-        }
-        std::vector<uint64_t> stage_counts(depth, 0);
-        std::vector<Row> buffer;
-        size_t violated = 0;
-        const bool completed = RunPlan(
-            store, *active, query.num_vars(), dict, stats,
-            [&](const Row& bindings) {
-              Row out;
-              out.reserve(active->projection.size());
-              for (VarId v : active->projection) out.push_back(bindings[v]);
-              buffer.push_back(std::move(out));
-              return true;
-            },
-            /*driver=*/nullptr, stage_counts.data(), quota.data(), &violated);
-        if (completed) {
-          FillClauseRows(*active, stage_counts, stats);
-          bool more = true;
-          for (Row& row : buffer) {
-            if (!more) break;
-            more = consume(std::move(row));
-          }
-          stats.result_rows = result.rows.size();
-          return result;
-        }
-        // Estimate blown at `violated`: pin the observation (observed /
-        // estimated, at least the trigger factor) for that clause in the
-        // binding context it was measured in, re-plan, restart from scratch.
-        const CompiledClause& cc = active->clauses[violated];
-        CardinalityOverride ov;
-        ov.source_index = cc.source_index;
-        ov.bound_sig = SlotBoundSig(cc);
-        ov.scale =
-            std::max(static_cast<double>(stage_counts[violated]) /
-                         std::max(cc.estimated_output_rows, 1.0),
-                     options.adaptive_replan_factor);
-        overrides.push_back(ov);
-        ++stats.replans;
-        replanned = CompilePlan(query, store, options.planner, overrides);
-        active = &replanned;
-      }
-      // Out of re-plans: run `active` to completion below, quota-free.
-    }
-
     std::vector<ScanChunk> chunks;
-    if (pool != nullptr && !active->dangling_filter &&
-        !active->clauses.empty()) {
-      const CompiledClause& cc = active->clauses[0];
+    if (pool != nullptr && !plan.dangling_filter && !plan.clauses.empty()) {
+      const CompiledClause& cc = plan.clauses[0];
       auto resolve = [&](const CompiledSlot& slot) -> TermId {
         // Level 0 binds from nothing: slots are consts, binds or wildcards.
         return slot.kind == SlotKind::kConst ? slot.constant : kNullTermId;
@@ -414,13 +309,13 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
         for (const ScanChunk& chunk : chunks) {
           futures.push_back(pool->Submit([&, chunk] {
             ChunkResult cr;
-            cr.stage_counts.assign(active->clauses.size(), 0);
+            cr.stage_counts.assign(plan.clauses.size(), 0);
             RunPlan(
-                store, *active, query.num_vars(), dict, cr.stats,
+                store, plan, query.num_vars(), dict, cr.stats,
                 [&](const Row& bindings) {
                   Row out;
-                  out.reserve(active->projection.size());
-                  for (VarId v : active->projection) {
+                  out.reserve(plan.projection.size());
+                  for (VarId v : plan.projection) {
                     out.push_back(bindings[v]);
                   }
                   cr.rows.push_back(std::move(out));
@@ -430,7 +325,7 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
             return cr;
           }));
         }
-        std::vector<uint64_t> stage_counts(active->clauses.size(), 0);
+        std::vector<uint64_t> stage_counts(plan.clauses.size(), 0);
         bool more = true;
         for (auto& future : futures) {
           // Always drain every future (workers borrow spans and the plan);
@@ -447,22 +342,22 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
             more = consume(std::move(row));
           }
         }
-        FillClauseRows(*active, stage_counts, stats);
+        FillClauseRows(plan, stage_counts, stats);
         stats.result_rows = result.rows.size();
         return result;
       }
     }
-    std::vector<uint64_t> stage_counts(active->clauses.size(), 0);
+    std::vector<uint64_t> stage_counts(plan.clauses.size(), 0);
     RunPlan(
-        store, *active, query.num_vars(), dict, stats,
+        store, plan, query.num_vars(), dict, stats,
         [&](const Row& bindings) {
           Row out;
-          out.reserve(active->projection.size());
-          for (VarId v : active->projection) out.push_back(bindings[v]);
+          out.reserve(plan.projection.size());
+          for (VarId v : plan.projection) out.push_back(bindings[v]);
           return consume(std::move(out));
         },
         /*driver=*/nullptr, stage_counts.data());
-    FillClauseRows(*active, stage_counts, stats);
+    FillClauseRows(plan, stage_counts, stats);
   }
   stats.result_rows = result.rows.size();
   return result;
@@ -507,7 +402,7 @@ std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
       query.PlanFingerprint(), store_->mutation_epoch(), [&] {
         compiled = true;
         return std::make_shared<const CompiledPlan>(
-            CompilePlan(query, *store_, options_.planner));
+            CompilePlan(query, *store_));
       });
   *cache_hit = !compiled;
   return plan;
@@ -521,9 +416,6 @@ StatusOr<ResultSet> Engine::Select(const SelectQuery& query,
   const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, &hit);
   (hit ? local.plan_cache_hits : local.plan_cache_misses) = 1;
   auto result = RunSelect(*store_, *plan, query, dict_, local, options_);
-  if (local.replans > 0) {
-    replans_.fetch_add(local.replans, std::memory_order_relaxed);
-  }
   if (stats != nullptr) *stats = local;
   return result;
 }
@@ -543,15 +435,14 @@ StatusOr<PlanExplain> Engine::Explain(const SelectQuery& query) const {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   // Peek at the cache without charging a hit/miss: EXPLAIN is a
   // diagnostic, not a query. A valid cached plan is reused as-is — the
-  // plan is a pure function of (fingerprint, epoch, options), so
-  // recompiling could only reproduce it.
+  // plan is a pure function of (fingerprint, epoch), so recompiling could
+  // only reproduce it.
   std::shared_ptr<const CompiledPlan> plan =
       plans_.Peek(query.PlanFingerprint(), store_->mutation_epoch())
           .value_or(nullptr);
   const bool cached = plan != nullptr;
   if (!cached) {
-    plan = std::make_shared<const CompiledPlan>(
-        CompilePlan(query, *store_, options_.planner));
+    plan = std::make_shared<const CompiledPlan>(CompilePlan(query, *store_));
   }
   PlanExplain explain = ExplainPlan(*plan, query, dict_);
   explain.from_cache = cached;
@@ -563,24 +454,20 @@ StatusOr<PlanExplain> Engine::Explain(const SelectQuery& query) const {
 
 StatusOr<ResultSet> Evaluate(const TripleStore& store,
                              const SelectQuery& query, EvalStats* stats,
-                             const Dictionary* dict,
-                             const PlannerOptions& planner) {
+                             const Dictionary* dict) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, store, planner);
-  Engine::Options one_shot;
-  one_shot.planner = planner;
-  auto result = RunSelect(store, plan, query, dict, local, one_shot);
+  const CompiledPlan plan = CompilePlan(query, store);
+  auto result = RunSelect(store, plan, query, dict, local, Engine::Options());
   if (stats != nullptr) *stats = local;
   return result;
 }
 
 StatusOr<bool> EvaluateAsk(const TripleStore& store, const SelectQuery& query,
-                           EvalStats* stats, const Dictionary* dict,
-                           const PlannerOptions& planner) {
+                           EvalStats* stats, const Dictionary* dict) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, store, planner);
+  const CompiledPlan plan = CompilePlan(query, store);
   auto result = RunAsk(store, plan, query, dict, local);
   if (stats != nullptr) *stats = local;
   return result;

@@ -13,8 +13,8 @@
 // in planner.h).
 //
 // Results are deterministic: the plan is a pure function of (query
-// PlanFingerprint, store mutation_epoch, planner options) and the store's
-// index order fixes the row order under a fixed plan, which keeps sampling
+// PlanFingerprint, store mutation_epoch) and the store's index order fixes
+// the row order under a fixed plan, which keeps sampling
 // and OFFSET pagination reproducible across runs and across pages.
 //
 // Two entry points:
@@ -29,7 +29,6 @@
 #ifndef SOFYA_SPARQL_ENGINE_H_
 #define SOFYA_SPARQL_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,7 +47,7 @@ namespace sofya {
 class ThreadPool;
 
 /// Estimated-vs-actual rows for one executed pipeline stage (EXPLAIN's
-/// `actual` column; how adaptive execution decides a plan went wrong).
+/// `actual` column).
 struct ClauseRowStats {
   size_t source_index = 0;  ///< Clause position in the original WHERE list.
   double estimated_rows = -1.0;         ///< Planner per-stage fan-out estimate.
@@ -64,11 +63,7 @@ struct EvalStats {
   uint64_t result_rows = 0;        ///< Final row count (after LIMIT).
   uint64_t plan_cache_hits = 0;    ///< 1 when the plan came from the cache.
   uint64_t plan_cache_misses = 0;  ///< 1 when this call had to plan.
-  uint64_t replans = 0;            ///< Adaptive mid-execution re-plans.
-  /// Per-stage estimated-vs-actual for the finally-executed plan, in planned
-  /// order. Work counters above count *all* work (including abandoned
-  /// adaptive attempts); this table describes only the plan that produced
-  /// the result.
+  /// Per-stage estimated-vs-actual for the executed plan, in planned order.
   std::vector<ClauseRowStats> clause_rows;
 };
 
@@ -78,7 +73,6 @@ struct EvalStats {
 class Engine {
  public:
   struct Options {
-    PlannerOptions planner;
     /// When set, SELECTs without a LIMIT whose driver clause covers at
     /// least `parallel_scan_min_rows` index entries fan the driver's
     /// per-shard spans (chunked) onto this pool and merge per-chunk rows in
@@ -88,29 +82,6 @@ class Engine {
     ThreadPool* scan_pool = nullptr;
     /// Driver-range row threshold below which scans stay sequential.
     size_t parallel_scan_min_rows = 1 << 15;
-    /// Adaptive execution: SELECTs without a LIMIT run a sequential
-    /// quota-checked pass; when a stage's observed output exceeds its
-    /// planner estimate by `adaptive_replan_factor`, execution bails,
-    /// re-plans the query with the observed cardinality pinned
-    /// (CardinalityOverride), and restarts — so a mis-estimated join order
-    /// costs at most the quota it was given, not the full blown-up
-    /// intermediate. Results are bit-identical to non-adaptive execution
-    /// (the row set is plan-invariant and the restart replays from
-    /// scratch); work counters honestly include abandoned attempts and are
-    /// deterministic across scan-thread counts because quota-checked
-    /// passes are always sequential. LIMIT queries are excluded so the
-    /// plan stays a pure function of the PlanFingerprint and OFFSET/LIMIT
-    /// pagination never changes enumeration order mid-walk. Re-planned
-    /// plans are never cached.
-    bool adaptive = false;
-    /// Observed/estimated divergence factor that triggers a re-plan.
-    double adaptive_replan_factor = 8.0;
-    /// Stages with estimates below this never trigger (absolute floor on
-    /// the quota) — tiny estimates would otherwise thrash on noise.
-    uint64_t adaptive_min_rows = 1024;
-    /// Re-plans per query before running the current plan to completion
-    /// without quota checks (bounds total work at max_replans+1 attempts).
-    int adaptive_max_replans = 2;
   };
 
   Engine(const TripleStore* store, const Dictionary* dict, Options options);
@@ -142,9 +113,6 @@ class Engine {
   uint64_t plan_cache_hits() const { return plans_.hits(); }
   uint64_t plan_cache_misses() const { return plans_.computes(); }
 
-  /// Adaptive mid-execution re-plans since construction.
-  uint64_t replans() const { return replans_.load(std::memory_order_relaxed); }
-
  private:
   /// Returns the cached plan for `query` (same PlanFingerprint, same store
   /// epoch) or compiles, caches, and returns a fresh one; `*cache_hit`
@@ -158,18 +126,16 @@ class Engine {
 
   /// Compiled plans by PlanFingerprint, at the store's mutation_epoch().
   mutable EpochMemo<std::string, std::shared_ptr<const CompiledPlan>> plans_;
-  mutable std::atomic<uint64_t> replans_{0};
 };
 
-/// One-shot evaluation of `query` against `store` (fresh plan, default
-/// planner). `stats`, when non-null, receives evaluation metering. `dict`,
-/// when non-null, enables the isIRI/isLiteral filters (they pass
-/// conservatively without it). `planner` selects the join-order planner.
+/// One-shot evaluation of `query` against `store` (fresh plan). `stats`,
+/// when non-null, receives evaluation metering. `dict`, when non-null,
+/// enables the isIRI/isLiteral filters (they pass conservatively without
+/// it).
 StatusOr<ResultSet> Evaluate(const TripleStore& store,
                              const SelectQuery& query,
                              EvalStats* stats = nullptr,
-                             const Dictionary* dict = nullptr,
-                             const PlannerOptions& planner = {});
+                             const Dictionary* dict = nullptr);
 
 /// One-shot ASK: true iff `query` has at least one solution. The pipeline
 /// stops at the first solution, so the cost is O(first match) and
@@ -177,8 +143,7 @@ StatusOr<ResultSet> Evaluate(const TripleStore& store,
 /// modifiers are irrelevant to existence and ignored).
 StatusOr<bool> EvaluateAsk(const TripleStore& store, const SelectQuery& query,
                            EvalStats* stats = nullptr,
-                           const Dictionary* dict = nullptr,
-                           const PlannerOptions& planner = {});
+                           const Dictionary* dict = nullptr);
 
 }  // namespace sofya
 

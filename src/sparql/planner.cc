@@ -18,22 +18,10 @@ bool IsBound(const NodeRef& ref, const std::vector<bool>& bound) {
 
 /// The binding context a clause would be costed/scanned in: bit 0/1/2 set
 /// when the subject/predicate/object position is fixed (constant or bound
-/// variable) before the clause scans. This is the signature adaptive
-/// cardinality overrides are keyed on.
+/// variable) before the clause scans.
 uint8_t BoundSig(bool s_bound, bool p_bound, bool o_bound) {
   return static_cast<uint8_t>((s_bound ? 1 : 0) | (p_bound ? 2 : 0) |
                               (o_bound ? 4 : 0));
-}
-
-/// Multiplies `est` by any adaptive override pinned for (clause, context).
-double ApplyOverrides(double est, size_t source_index, uint8_t sig,
-                      const std::vector<CardinalityOverride>& overrides) {
-  for (const CardinalityOverride& ov : overrides) {
-    if (ov.source_index == source_index && ov.bound_sig == sig) {
-      est *= ov.scale;
-    }
-  }
-  return est;
 }
 
 /// v1 statistics-driven row estimate for `clause` given which positions are
@@ -45,14 +33,11 @@ double ApplyOverrides(double est, size_t source_index, uint8_t sig,
 /// provably-empty case (absent predicate), which estimates 0 so the planner
 /// front-loads it and the pipeline drains immediately.
 double EstimateRowsV1(const PatternClause& clause, bool s_bound, bool p_bound,
-                      bool o_bound, size_t source_index,
-                      const TripleStore& store, const StoreStats& global,
-                      const std::vector<CardinalityOverride>& overrides) {
+                      bool o_bound, const TripleStore& store,
+                      const StoreStats& global) {
   auto shrink = [](double est, size_t distinct) {
     return est / static_cast<double>(distinct > 0 ? distinct : 1);
   };
-  const uint8_t sig = BoundSig(s_bound, !clause.predicate.is_var() || p_bound,
-                               o_bound);
 
   if (!clause.predicate.is_var()) {
     const PredicateStats stats = store.StatsFor(clause.predicate.term());
@@ -60,7 +45,6 @@ double EstimateRowsV1(const PatternClause& clause, bool s_bound, bool p_bound,
     double est = static_cast<double>(stats.facts);
     if (s_bound) est = shrink(est, stats.distinct_subjects);
     if (o_bound) est = shrink(est, stats.distinct_objects);
-    est = ApplyOverrides(est, source_index, sig, overrides);
     return std::max(est, 1.0);
   }
 
@@ -69,7 +53,6 @@ double EstimateRowsV1(const PatternClause& clause, bool s_bound, bool p_bound,
   if (p_bound) est = shrink(est, global.distinct_predicates);
   if (s_bound) est = shrink(est, global.distinct_subjects);
   if (o_bound) est = shrink(est, global.distinct_objects);
-  est = ApplyOverrides(est, source_index, sig, overrides);
   return std::max(est, 1.0);
 }
 
@@ -82,14 +65,12 @@ double EstimateRowsV1(const PatternClause& clause, bool s_bound, bool p_bound,
 /// arrive weighted by their frequency), falling back to the uniform
 /// facts/distinct average when a histogram side is empty.
 double EstimateRowsV2(const PatternClause& clause, bool s_bound, bool p_bound,
-                      bool o_bound, size_t source_index,
-                      const TripleStore& store, const StoreStats& global,
-                      const std::vector<CardinalityOverride>& overrides) {
+                      bool o_bound, const TripleStore& store,
+                      const StoreStats& global) {
   if (clause.predicate.is_var()) {
     // No per-predicate index prefix to probe; the v1 global fallback is
     // the best available input.
-    return EstimateRowsV1(clause, s_bound, p_bound, o_bound, source_index,
-                          store, global, overrides);
+    return EstimateRowsV1(clause, s_bound, p_bound, o_bound, store, global);
   }
   const TermId p = clause.predicate.term();
   const bool s_const = !clause.subject.is_var();
@@ -118,9 +99,6 @@ double EstimateRowsV2(const PatternClause& clause, bool s_bound, bool p_bound,
     if (s_join) est = shrink(est, stats.distinct_subjects, hist.subjects);
     if (o_join) est = shrink(est, stats.distinct_objects, hist.objects);
   }
-  est = ApplyOverrides(est, source_index,
-                       BoundSig(s_const || s_bound, true, o_const || o_bound),
-                       overrides);
   return std::max(est, 1.0);
 }
 
@@ -179,16 +157,16 @@ struct OrderChoice {
   double estimated_output_rows = -1.0;  // Cumulative chain cardinality.
 };
 
-/// v1 greedy min-cost ordering with three tiers: a provably-empty clause
-/// always wins (executing it first drains the pipeline for free), clauses
-/// joined to the bound set come before cross products, and within a tier
-/// the cheapest estimate wins. Strict lexicographic < over (tier, estimate)
-/// with in-order iteration makes the first minimum win ties — the planner
-/// is a pure function of (query, epoch).
-std::vector<OrderChoice> ChooseOrderGreedy(
-    const SelectQuery& query, const TripleStore& store,
-    const StoreStats& global,
-    const std::vector<CardinalityOverride>& overrides) {
+/// Greedy min-cost ordering (the DP's fallback) with three tiers: a
+/// provably-empty clause always wins (executing it first drains the
+/// pipeline for free), clauses joined to the bound set come before cross
+/// products, and within a tier the cheapest estimate wins. Strict
+/// lexicographic < over (tier, estimate) with in-order iteration makes the
+/// first minimum win ties — the planner is a pure function of (query,
+/// epoch).
+std::vector<OrderChoice> ChooseOrderGreedy(const SelectQuery& query,
+                                           const TripleStore& store,
+                                           const StoreStats& global) {
   std::vector<size_t> pending;
   pending.reserve(query.clauses().size());
   for (size_t i = 0; i < query.clauses().size(); ++i) pending.push_back(i);
@@ -214,7 +192,7 @@ std::vector<OrderChoice> ChooseOrderGreedy(
       const double est = EstimateRowsV1(
           clause, IsBound(clause.subject, bound),
           IsBound(clause.predicate, bound), IsBound(clause.object, bound),
-          pending[i], store, global, overrides);
+          store, global);
       const bool connected = !have_connected || SharesBoundVar(clause, bound);
       const int tier = est == 0.0 ? 0 : (connected ? 1 : 2);
       if (tier < best_tier || (tier == best_tier && est < best_cost)) {
@@ -250,12 +228,11 @@ std::vector<OrderChoice> ChooseOrderGreedy(
 /// inflates the intermediate is charged for everything downstream of it.
 /// Determinism: masks and clauses iterate ascending with strict <, so the
 /// first minimum wins every tie and the result is a pure function of
-/// (query, store epoch, overrides). Sets *ok=false (caller falls
-/// back to greedy) when a variable id exceeds the 64-bit mask width.
-std::vector<OrderChoice> ChooseOrderDp(
-    const SelectQuery& query, const TripleStore& store,
-    const StoreStats& global,
-    const std::vector<CardinalityOverride>& overrides, bool* ok) {
+/// (query, store epoch). Sets *ok=false (caller falls back to greedy) when
+/// a variable id exceeds the 64-bit mask width.
+std::vector<OrderChoice> ChooseOrderDp(const SelectQuery& query,
+                                       const TripleStore& store,
+                                       const StoreStats& global, bool* ok) {
   *ok = true;
   const auto& clauses = query.clauses();
   const size_t n = clauses.size();
@@ -296,7 +273,7 @@ std::vector<OrderChoice> ChooseOrderDp(
     const bool ob = !c.object.is_var() || ((vars >> c.object.var()) & 1);
     double& slot = memo[j][BoundSig(sb, pb, ob)];
     if (slot < 0.0) {
-      slot = EstimateRowsV2(c, sb, pb, ob, j, store, global, overrides);
+      slot = EstimateRowsV2(c, sb, pb, ob, store, global);
     }
     return slot;
   };
@@ -348,25 +325,20 @@ std::vector<OrderChoice> ChooseOrderDp(
 
 }  // namespace
 
-CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
-                         const PlannerOptions& options,
-                         const std::vector<CardinalityOverride>& overrides) {
+CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store) {
   CompiledPlan plan;
   const size_t num_vars = query.num_vars();
   plan.store_epoch = store.mutation_epoch();
   const StoreStats global = store.GlobalStats();
 
   std::vector<OrderChoice> order;
-  if (options.use_dp && query.clauses().size() <= kDpMaxClauses) {
-    order = ChooseOrderDp(query, store, global, overrides, &plan.used_dp);
+  if (query.clauses().size() <= kDpMaxClauses) {
+    order = ChooseOrderDp(query, store, global, &plan.used_dp);
   }
-  if (!plan.used_dp) {
-    order = ChooseOrderGreedy(query, store, global, overrides);
-  }
+  if (!plan.used_dp) order = ChooseOrderGreedy(query, store, global);
 
-  // Shared assembly: classify slots, attach filters, resolve projection.
-  // Runs identically whatever planner produced the order, so the executed
-  // pipeline differs between planners only in clause sequence.
+  // Assembly: classify slots, attach filters, resolve projection. Runs
+  // identically whichever search produced the order.
   std::vector<bool> bound(num_vars, false);
   std::vector<bool> filter_attached(query.filters().size(), false);
   for (const OrderChoice& oc : order) {
@@ -477,11 +449,6 @@ std::string PlanExplain::ToString() const {
   if (predicate_directory) {
     out += "  access: predicate directory (distinct predicates, no scan)\n";
   }
-  if (replans > 0) {
-    out += StrFormat("  !! adaptive: %llu re-plan%s during execution\n",
-                     static_cast<unsigned long long>(replans),
-                     replans == 1 ? "" : "s");
-  }
   if (dangling_filter) {
     out +=
         "  !! dangling filter (mentions a never-bound variable): "
@@ -547,13 +514,12 @@ std::string PlanExplain::ToJson() const {
   std::string out = "{";
   out += StrFormat(
       "\"used_dp\":%s,\"access\":\"%s\",\"from_cache\":%s,"
-      "\"store_epoch\":%llu,\"dangling_filter\":%s,\"replans\":%llu,",
+      "\"store_epoch\":%llu,\"dangling_filter\":%s,",
       used_dp ? "true" : "false",
       predicate_directory ? "predicate_directory" : "pipeline",
       from_cache ? "true" : "false",
       static_cast<unsigned long long>(store_epoch),
-      dangling_filter ? "true" : "false",
-      static_cast<unsigned long long>(replans));
+      dangling_filter ? "true" : "false");
   out += "\"clauses\":[";
   for (size_t i = 0; i < clauses.size(); ++i) {
     const ClauseExplain& ce = clauses[i];

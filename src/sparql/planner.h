@@ -8,27 +8,25 @@
 // stage, so putting a 50-row clause ahead of a 150k-row clause changes the
 // probe count by orders of magnitude on SOFYA's probe-shaped queries.
 //
-// Two planners share the machinery:
-//
-//   * Selinger-style DP (default): dynamic programming over clause subsets
-//     minimizing *cumulative* cost — the sum of estimated intermediate
-//     cardinalities propagated through the join chain — fed by exact
-//     range-width probes (TripleStore::CountMatches: two binary searches
-//     per shard) for constant-prefix clauses and skew-aware equi-depth
-//     per-term histograms (TripleStore::HistogramFor) for join fan-outs.
-//     Falls back to greedy above kDpMaxClauses clauses;
-//   * greedy min-cost (v1, the fallback and A/B baseline): one clause at a
-//     time using TripleStore::StatsFor (facts, distinct subjects/objects)
-//     for clauses with a constant predicate and TripleStore::GlobalStats as
-//     the fallback for variable predicates, preferring clauses connected to
-//     the already-bound variable set so cross products are a last resort.
+// One planner orders the clauses: a Selinger-style dynamic program over
+// clause subsets minimizing *cumulative* cost — the sum of estimated
+// intermediate cardinalities propagated through the join chain — fed by
+// exact range-width probes (TripleStore::CountMatches: two binary searches
+// per shard) for constant-prefix clauses and skew-aware equi-depth per-term
+// histograms (TripleStore::HistogramFor) for join fan-outs. Above
+// kDpMaxClauses clauses, or when a variable id does not fit the DP's 64-bit
+// variable masks, a greedy min-cost pass orders them instead: one clause at
+// a time using TripleStore::StatsFor (facts, distinct subjects/objects) for
+// clauses with a constant predicate and TripleStore::GlobalStats for
+// variable predicates, preferring clauses connected to the already-bound
+// variable set so cross products are a last resort.
 //
 // Determinism: a plan is a pure function of (query PlanFingerprint, store
-// mutation_epoch, PlannerOptions). Estimates come from memoized store
-// statistics, ties break on the clause's position in the original query,
-// and solution modifiers are not consulted — so every page of a LIMIT/OFFSET
-// walk runs the same plan and pagination stays disjoint and exhaustive
-// (the invariant documented in docs/QUERY_ENGINE.md).
+// mutation_epoch). Estimates come from memoized store statistics, ties
+// break on the clause's position in the original query, and solution
+// modifiers are not consulted — so every page of a LIMIT/OFFSET walk runs
+// the same plan and pagination stays disjoint and exhaustive (the invariant
+// documented in docs/QUERY_ENGINE.md).
 
 #ifndef SOFYA_SPARQL_PLANNER_H_
 #define SOFYA_SPARQL_PLANNER_H_
@@ -45,33 +43,8 @@
 namespace sofya {
 
 /// Clause count beyond which DP (O(2^n · n) states) falls back to the
-/// greedy planner. 12 clauses = 4096 states, well under a millisecond.
+/// greedy pass. 12 clauses = 4096 states, well under a millisecond.
 inline constexpr size_t kDpMaxClauses = 12;
-
-/// Planner configuration, threaded from the CLI / facade down to the engine.
-struct PlannerOptions {
-  /// When true (default), Selinger-style dynamic programming over clause
-  /// orders with *cumulative* cost (the estimated intermediate cardinality
-  /// propagated through the join chain), fed by exact range-width probes
-  /// for constant-prefix clauses and per-term histograms, picks the order.
-  /// When false — or above kDpMaxClauses — the v1 greedy min-cost planner
-  /// orders the clauses (the A/B baseline).
-  bool use_dp = true;
-};
-
-/// A pinned cardinality observation from adaptive execution: when the
-/// engine re-plans mid-query, the observed blow-up of one clause is carried
-/// into the new plan as a multiplicative scale on that clause's estimate.
-/// The scale applies only when the clause is costed in the *same binding
-/// context* it was measured in (`bound_sig`: bit 0/1/2 set when the
-/// subject/predicate/object position is fixed before the clause scans) —
-/// an observation made with only the subject bound says nothing about the
-/// fully-bound containment-check placement of the same clause.
-struct CardinalityOverride {
-  size_t source_index = 0;  ///< Clause position in the original WHERE list.
-  uint8_t bound_sig = 0;    ///< Binding context the observation was made in.
-  double scale = 1.0;       ///< observed / estimated (≥ the replan factor).
-};
 
 /// Classification of one clause position, fixed at compile time so the
 /// engine's inner loop does no NodeRef dispatch.
@@ -98,9 +71,8 @@ struct CompiledClause {
   /// is the per-outer-row fan-out estimate, not a cumulative cardinality.
   double estimated_rows = -1.0;
   /// Estimated cardinality of the join *after* this stage (the DP chain's
-  /// propagated intermediate estimate; the greedy planner fills it with the
-  /// running product of its per-stage estimates). This is the number
-  /// adaptive execution compares against observed stage output.
+  /// propagated intermediate estimate; the greedy fallback fills it with
+  /// the running product of its per-stage estimates).
   double estimated_output_rows = -1.0;
 };
 
@@ -111,8 +83,8 @@ struct CompiledPlan {
   /// True when some filter mentions a variable no clause ever binds: SPARQL
   /// treats the filter as an error for every row, so the result is empty.
   bool dangling_filter = false;
-  /// True when the order came from the Selinger-style DP search (as opposed
-  /// to the v1 greedy pass; explain/debug surface).
+  /// True when the order came from the Selinger-style DP search, false when
+  /// the greedy fallback ordered the clauses (explain/debug surface).
   bool used_dp = false;
   /// True when the query is one all-variable clause `{ ?s ?p ?o }` (three
   /// distinct variables, no filters) projected on its predicate variable
@@ -127,13 +99,9 @@ struct CompiledPlan {
 };
 
 /// Compiles `query` into an ordered pipeline. `store` supplies statistics.
-/// `overrides` pins adaptively observed cardinalities (engine re-plans;
-/// empty for a fresh compile). Never fails: structural validity is
-/// SelectQuery::Validate's job and is checked by the engine before
-/// execution.
-CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store,
-                         const PlannerOptions& options = {},
-                         const std::vector<CardinalityOverride>& overrides = {});
+/// Never fails: structural validity is SelectQuery::Validate's job and is
+/// checked by the engine before execution.
+CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store);
 
 /// True when `query`, compiled as `plan`, is answered from the store's
 /// predicate directory (TripleStore::Predicates(): ascending term ids, no
@@ -168,9 +136,6 @@ struct PlanExplain {
   bool from_cache = false;  ///< Filled by the engine, not the planner.
   uint64_t store_epoch = 0;
   bool dangling_filter = false;
-  /// Adaptive re-plans observed while executing (CLI --execute fills this;
-  /// a plain EXPLAIN never executes, so it stays 0).
-  uint64_t replans = 0;
   std::vector<ClauseExplain> clauses;
   std::vector<std::string> projection;  ///< Projected variable names.
 

@@ -233,6 +233,44 @@ TEST_F(EngineTest, StatsReported) {
   EXPECT_GE(stats.intermediate_rows, 3u);
 }
 
+TEST_F(EngineTest, ClauseRowsDescribeTheExecutedPlan) {
+  // ?x knows ?y . ?y knows ?z . ?x age ?n  => (a, b, c, "30") only.
+  SelectQuery q;
+  const VarId x = q.NewVar("x");
+  const VarId y = q.NewVar("y");
+  const VarId z = q.NewVar("z");
+  const VarId n = q.NewVar("n");
+  q.Where(NodeRef::Variable(x), NodeRef::Constant(knows_),
+          NodeRef::Variable(y));
+  q.Where(NodeRef::Variable(y), NodeRef::Constant(knows_),
+          NodeRef::Variable(z));
+  q.Where(NodeRef::Variable(x), NodeRef::Constant(age_), NodeRef::Variable(n));
+  Engine engine(&store_, &dict_);
+  EvalStats stats;
+  auto result = engine.Select(q, &stats);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->rows.size(), 1u);
+
+  // One entry per pipeline stage, in the planned order EXPLAIN shows, with
+  // the planner's estimates alongside the observed rows.
+  auto explain = engine.Explain(q);
+  ASSERT_TRUE(explain.ok());
+  ASSERT_EQ(stats.clause_rows.size(), 3u);
+  ASSERT_EQ(explain->clauses.size(), 3u);
+  std::set<size_t> sources;
+  for (size_t k = 0; k < 3; ++k) {
+    const ClauseRowStats& stage = stats.clause_rows[k];
+    sources.insert(stage.source_index);
+    EXPECT_EQ(stage.source_index, explain->clauses[k].source_index);
+    EXPECT_EQ(stage.estimated_rows, explain->clauses[k].estimated_rows);
+    EXPECT_GE(stage.estimated_output_rows, 0.0);
+    EXPECT_GT(stage.actual_rows, 0u);
+  }
+  EXPECT_EQ(sources, (std::set<size_t>{0, 1, 2}));
+  // The last stage's observed output is the result cardinality.
+  EXPECT_EQ(stats.clause_rows.back().actual_rows, result->rows.size());
+}
+
 TEST_F(EngineTest, ToSparqlRendersReadably) {
   SelectQuery q;
   const VarId x = q.NewVar("x");
@@ -336,8 +374,7 @@ class PredicateDirectoryParity
     } else {
       store_ = std::move(built);
     }
-    options_.adaptive = true;  // The directory path precedes both.
-    options_.scan_pool = &pool_;
+    options_.scan_pool = &pool_;  // The directory path precedes the pool.
     options_.parallel_scan_min_rows = 16;
   }
 

@@ -42,19 +42,16 @@
 //       server threads in total (default 4); each one accepts, reads, runs
 //       queries and writes.
 //
-//   sofya explain --kb F --sparql 'SELECT ...' [--greedy-planner]
-//                 [--adaptive] [--execute] [--json]
+//   sofya explain --kb F --sparql 'SELECT ...' [--execute] [--json]
 //       Show the join-order plan the engine would run the query with:
 //       chosen clause order, per-clause cardinality estimates (per-stage
-//       fan-out and cumulative), attached filters. --greedy-planner shows
-//       the v1 greedy min-cost order (the A/B baseline for the default
-//       Selinger-style DP); --execute also runs the query and merges the
-//       observed per-clause row counts into the table (estimated-vs-actual)
-//       plus the evaluation metering; --adaptive enables mid-execution
-//       re-planning during --execute (re-plan count reported); --json
-//       emits the whole report as one machine-readable JSON object.
+//       fan-out and cumulative), attached filters. --execute also runs the
+//       query and merges the observed per-clause row counts into the table
+//       (estimated-vs-actual) plus the evaluation metering; --json emits
+//       the whole report as one machine-readable JSON object.
 //
-//   query (local datasets) also takes --greedy-planner / --adaptive.
+// Each subcommand accepts only its own flags: any other --flag exits 2
+// with "unknown flag --NAME".
 
 #include <charconv>
 #include <chrono>
@@ -65,6 +62,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -100,14 +98,13 @@ int Usage() {
                "dataset; strict mode fails on unrecorded queries)\n"
                "  sofya manifest diff A.manifest B.manifest\n"
                "  sofya query (--kb FILE | --endpoint-url URL) "
-               "--sparql 'SELECT ...' [--greedy-planner] [--adaptive] "
-               "[--scan-threads N]\n"
+               "--sparql 'SELECT ...' [--scan-threads N]\n"
                "  sofya serve --kb FILE [--port N] [--address A] "
                "[--path /sparql] [--scan-threads N] [--workers N] "
                "[--max-concurrent N] [--per-client-concurrent N] "
                "[--quota N] [--retry-after-s S] [--port-file FILE]\n"
                "  sofya explain --kb FILE --sparql 'SELECT ...' "
-               "[--greedy-planner] [--adaptive] [--execute] [--json]\n"
+               "[--execute] [--json]\n"
                "  sofya snapshot save --kb FILE --out FILE.snap\n"
                "  sofya snapshot load --kb FILE.snap\n"
                "(--kb accepts N-Triples or .snap snapshots everywhere; "
@@ -115,21 +112,56 @@ int Usage() {
   return 2;
 }
 
-/// Minimal flag parser: --key value and boolean --key.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> flags;
+/// The flags `command` accepts; empty for an unknown command.
+std::set<std::string> KnownFlags(const std::string& command) {
+  std::set<std::string> align = {
+      "kb1",    "kb2",    "links", "relation", "threads", "tau", "measure",
+      "no-ubs", "sample", "seed",  "base1",    "base2",   "candidate-source"};
+  if (command == "align") return align;
+  if (command == "record" || command == "replay") {
+    align.insert("cassette-dir");
+    if (command == "replay") {
+      align.insert({"lenient", "update", "manifest-out", "expect-manifest"});
+    }
+    return align;
+  }
+  if (command == "generate") {
+    return {"preset", "out", "seed", "scale", "inverses"};
+  }
+  if (command == "query") {
+    return {"kb", "endpoint-url", "sparql", "scan-threads"};
+  }
+  if (command == "serve") {
+    return {"kb", "port", "address", "path", "workers", "scan-threads",
+            "quota", "retry-after-s", "port-file", "max-concurrent",
+            "per-client-concurrent"};
+  }
+  if (command == "explain") return {"kb", "sparql", "execute", "json"};
+  if (command == "snapshot") return {"kb", "out"};
+  return {};
+}
+
+/// Minimal flag parser: --key value and boolean --key. A flag outside
+/// `known` prints "unknown flag --NAME" and returns false (the caller exits
+/// 2), so a typo such as `--thread 4` fails instead of running a default.
+bool ParseFlags(int argc, char** argv, int start,
+                const std::set<std::string>& known,
+                std::map<std::string, std::string>* flags) {
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
     arg = arg.substr(2);
+    if (!known.count(arg)) {
+      std::fprintf(stderr, "unknown flag --%s\n", arg.c_str());
+      return false;
+    }
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[arg] = argv[++i];
+      (*flags)[arg] = argv[++i];
     } else {
-      flags[arg] = "true";
+      (*flags)[arg] = "true";
     }
   }
-  return flags;
+  return true;
 }
 
 /// Reads numeric flag `name` into `*out` when it is present. The whole value
@@ -711,10 +743,6 @@ int Query(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     LocalEndpointOptions local_options;
-    if (flags.count("greedy-planner")) {
-      local_options.engine.planner.use_dp = false;
-    }
-    if (flags.count("adaptive")) local_options.engine.adaptive = true;
     if (scan_threads > 1) {
       scan_pool = std::make_unique<ThreadPool>(scan_threads);
       local_options.engine.scan_pool = scan_pool.get();
@@ -757,10 +785,7 @@ int Explain(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  LocalEndpointOptions options;
-  if (flags.count("greedy-planner")) options.engine.planner.use_dp = false;
-  if (flags.count("adaptive")) options.engine.adaptive = true;
-  LocalEndpoint endpoint(&kb, options);
+  LocalEndpoint endpoint(&kb);
 
   const PrefixMap prefixes = PrefixMap::WithDefaults();
   TermInterner intern = [&endpoint](const Term& t) {
@@ -783,35 +808,19 @@ int Explain(const std::map<std::string, std::string>& flags) {
   if (flags.count("execute")) {
     // Run through the engine directly so the per-stage actual row counts
     // (EvalStats::clause_rows) come back with the result; merge them into
-    // the explain table by source clause index. Under --adaptive a re-plan
-    // may have reordered execution — actuals still attach to the right
-    // source clauses, and the re-plan count is surfaced.
+    // the explain table by source clause index.
     auto result = endpoint.engine().Select(*query, &eval_stats);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
     executed_rows = result->rows.size();
-    explain->replans = eval_stats.replans;
-    // EvalStats::clause_rows describes the finally-executed plan. When an
-    // adaptive re-plan changed the order, showing actuals against the
-    // static order would pair each stage with the wrong estimates — so the
-    // listing is rebuilt in executed order, estimates included.
-    std::vector<ClauseExplain> executed;
-    executed.reserve(eval_stats.clause_rows.size());
     for (const ClauseRowStats& cr : eval_stats.clause_rows) {
-      for (auto& ce : explain->clauses) {
+      for (ClauseExplain& ce : explain->clauses) {
         if (ce.source_index == cr.source_index) {
-          ce.estimated_rows = cr.estimated_rows;
-          ce.estimated_output_rows = cr.estimated_output_rows;
           ce.actual_rows = static_cast<int64_t>(cr.actual_rows);
-          executed.push_back(ce);
-          break;
         }
       }
-    }
-    if (executed.size() == explain->clauses.size()) {
-      explain->clauses = std::move(executed);
     }
   }
 
@@ -822,11 +831,9 @@ int Explain(const std::map<std::string, std::string>& flags) {
   }
   if (flags.count("execute") && !flags.count("json")) {
     std::printf(
-        "executed: %zu rows, %llu index probes, %llu triples scanned, "
-        "%llu replans\n",
+        "executed: %zu rows, %llu index probes, %llu triples scanned\n",
         executed_rows, static_cast<unsigned long long>(eval_stats.index_probes),
-        static_cast<unsigned long long>(eval_stats.triples_scanned),
-        static_cast<unsigned long long>(eval_stats.replans));
+        static_cast<unsigned long long>(eval_stats.triples_scanned));
   }
   return 0;
 }
@@ -954,15 +961,19 @@ int Snapshot(const std::string& action,
 int main(int argc, char** argv) {
   if (argc < 2) return sofya::Usage();
   const std::string command = argv[1];
-  if (command == "snapshot") {
-    if (argc < 3) return sofya::Usage();
-    return sofya::Snapshot(argv[2], sofya::ParseFlags(argc, argv, 3));
-  }
   if (command == "manifest") {
     if (argc < 5 || std::string(argv[2]) != "diff") return sofya::Usage();
     return sofya::ManifestDiff(argv[3], argv[4]);
   }
-  const auto flags = sofya::ParseFlags(argc, argv, 2);
+  const std::set<std::string> known = sofya::KnownFlags(command);
+  if (known.empty()) return sofya::Usage();
+  const bool snapshot = command == "snapshot";
+  if (snapshot && argc < 3) return sofya::Usage();
+  std::map<std::string, std::string> flags;
+  if (!sofya::ParseFlags(argc, argv, snapshot ? 3 : 2, known, &flags)) {
+    return 2;
+  }
+  if (snapshot) return sofya::Snapshot(argv[2], flags);
   if (command == "generate") return sofya::Generate(flags);
   if (command == "align") return sofya::Align(flags);
   if (command == "record") {
