@@ -1,18 +1,10 @@
-// Store bench — sharded scan parallelism and snapshot load, quantified.
+// Store bench — snapshot load vs N-Triples re-parse, quantified.
 //
-// Two sections, both with hard correctness gates (the bench exits nonzero
-// on any mismatch, so the CI smoke run doubles as an integration test):
-//
-//   1. parallel shard scan A/B — a skewed synthetic store (one promoted
-//      predicate dominating the tail) is scanned through the SPARQL engine
-//      sequentially and with a work-stealing pool at 2 and 4 threads.
-//      Result rows must be bit-identical (same order, not just same set);
-//      wall time quantifies what fanning per-shard spans out buys.
-//   2. snapshot load vs N-Triples re-parse — the same dataset is written
-//      both ways, then cold-loaded both ways. The snapshot path is a
-//      checksum pass + dictionary rebuild + mmap attach; the parse path
-//      re-tokenizes every line. Loaded stores must answer a probe query
-//      identically.
+// The same dataset is written both ways, then cold-loaded both ways. The
+// snapshot path is a checksum pass + dictionary rebuild + mmap attach; the
+// parse path re-tokenizes every line. Loaded stores must answer a probe
+// query identically: the bench exits nonzero on any mismatch, so the CI
+// smoke run doubles as an integration test.
 //
 // Pass --json (or set SOFYA_JSON=1) for a machine-readable summary (CI).
 
@@ -28,47 +20,6 @@
 #include "core/sofya.h"
 #include "rdf/store_snapshot.h"
 
-namespace {
-
-struct ScanPoint {
-  size_t threads = 1;
-  double ms = 0;
-  bool identical = true;
-};
-
-/// Times `iterations` evaluations of `query` on an engine using `pool`
-/// (nullptr = sequential), after one untimed warm-up that also forces the
-/// lazy shard sorts so no mode pays one-time costs.
-ScanPoint RunScan(const sofya::TripleStore& store,
-                  const sofya::Dictionary& dict,
-                  const sofya::SelectQuery& query, sofya::ThreadPool* pool,
-                  int iterations,
-                  const std::vector<std::vector<sofya::TermId>>& expect) {
-  ScanPoint out;
-  out.threads = pool ? pool->num_threads() : 1;
-  sofya::Engine::Options options;
-  options.scan_pool = pool;
-  options.parallel_scan_min_rows = 1 << 12;
-  sofya::Engine engine(&store, &dict, options);
-  auto warm = engine.Select(query);
-  if (!warm.ok()) {
-    out.identical = false;
-    return out;
-  }
-  out.identical = warm->rows == expect;  // Bit-identical, order included.
-  sofya::WallTimer timer;
-  for (int i = 0; i < iterations; ++i) {
-    auto repeat = engine.Select(query);
-    if (!repeat.ok() || repeat->rows.size() != expect.size()) {
-      out.identical = false;
-    }
-  }
-  out.ms = timer.ElapsedMillis();
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bool json = std::getenv("SOFYA_JSON") != nullptr;
   for (int i = 1; i < argc; ++i) {
@@ -78,17 +29,11 @@ int main(int argc, char** argv) {
       std::getenv("SOFYA_SCALE") ? std::atof(std::getenv("SOFYA_SCALE")) : 1.0;
 
   // ----------------------------------------------------------------------
-  // The dataset: one hot predicate big enough to promote and to dwarf the
-  // per-chunk dispatch overhead, plus a tail of cold predicates so the
-  // hash ring is populated too.
+  // The dataset: one hot predicate plus a tail of cold predicates, so
+  // several ring shards are populated.
   const size_t hot_facts = static_cast<size_t>(300000 * scale);
   const size_t subjects = hot_facts / 4;
   sofya::KnowledgeBase kb("scanbench", "http://scan.org/");
-  // Promote well below the default threshold so the dedicated-group scan
-  // path is exercised at every SOFYA_SCALE, not just full size.
-  kb.store() = sofya::TripleStore(
-      sofya::StoreOptions{/*num_hash_shards=*/8,
-                          /*promote_threshold=*/8192, /*split_factor=*/8});
   {
     sofya::TripleStore::BulkLoadScope bulk(&kb.store(), hot_facts + 20000);
     for (size_t i = 0; i < hot_facts; ++i) {
@@ -100,85 +45,7 @@ int main(int argc, char** argv) {
                  "cold" + std::to_string(i % 7), "c" + std::to_string(i % 31));
     }
   }
-  const sofya::TermId hot = kb.RelationId("hot");
-  const sofya::TermId cold0 = kb.RelationId("cold0");
 
-  if (!json) {
-    std::printf("=== store scan: sharded parallel vs sequential "
-                "(%zu triples, %zu shards, %zu promoted) ===\n\n",
-                kb.size(), kb.store().num_shards(),
-                kb.store().PromotedPredicates().size());
-  }
-
-  // Two query shapes: a pure driver scan and a join where only the driver
-  // clause parallelizes and the probe side rides along per worker.
-  sofya::SelectQuery scan_q;
-  {
-    const sofya::VarId s = scan_q.NewVar("s");
-    const sofya::VarId v = scan_q.NewVar("v");
-    scan_q.Where(sofya::NodeRef::Variable(s), sofya::NodeRef::Constant(hot),
-                 sofya::NodeRef::Variable(v));
-  }
-  sofya::SelectQuery join_q;
-  {
-    const sofya::VarId s = join_q.NewVar("s");
-    const sofya::VarId v = join_q.NewVar("v");
-    const sofya::VarId c = join_q.NewVar("c");
-    join_q.Where(sofya::NodeRef::Variable(s), sofya::NodeRef::Constant(hot),
-                 sofya::NodeRef::Variable(v));
-    join_q.Where(sofya::NodeRef::Variable(s), sofya::NodeRef::Constant(cold0),
-                 sofya::NodeRef::Variable(c));
-  }
-
-  const int iterations = 8;
-  bool all_identical = true;
-  struct Shape {
-    const char* name;
-    const sofya::SelectQuery* query;
-    std::vector<ScanPoint> points;
-  };
-  std::vector<Shape> shapes = {{"scan", &scan_q, {}}, {"join", &join_q, {}}};
-  sofya::ThreadPool pool2(2), pool4(4);
-  for (Shape& shape : shapes) {
-    // The sequential run is the oracle: parallel must reproduce its rows
-    // byte for byte, in order.
-    sofya::Engine seq(&kb.store(), &kb.dict());
-    auto oracle = seq.Select(*shape.query);
-    if (!oracle.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n",
-                   oracle.status().ToString().c_str());
-      return 1;
-    }
-    shape.points.push_back(RunScan(kb.store(), kb.dict(), *shape.query,
-                                   nullptr, iterations, oracle->rows));
-    shape.points.push_back(RunScan(kb.store(), kb.dict(), *shape.query,
-                                   &pool2, iterations, oracle->rows));
-    shape.points.push_back(RunScan(kb.store(), kb.dict(), *shape.query,
-                                   &pool4, iterations, oracle->rows));
-    for (const ScanPoint& p : shape.points) {
-      if (!p.identical) all_identical = false;
-    }
-  }
-
-  if (!json) {
-    sofya::TableWriter table(
-        {"shape", "threads", "ms/iter", "speedup", "identical"});
-    for (const Shape& shape : shapes) {
-      const double base = shape.points[0].ms;
-      for (const ScanPoint& p : shape.points) {
-        table.AddRow({shape.name, std::to_string(p.threads),
-                      sofya::FormatDouble(p.ms / iterations, 2),
-                      sofya::FormatDouble(base / p.ms, 2) + "x",
-                      p.identical ? "yes" : "NO (BUG)"});
-      }
-    }
-    table.Print(std::cout);
-    std::printf("\nthe parallel path merges per-chunk rows in shard order — "
-                "identical rows AND stats, or the bench fails\n");
-  }
-
-  // ----------------------------------------------------------------------
-  // Section 2: snapshot mmap load vs N-Triples re-parse, same dataset.
   const std::string dir =
       std::getenv("TMPDIR") ? std::getenv("TMPDIR") : "/tmp";
   const std::string nt_path = dir + "/sofya_bench_store.nt";
@@ -257,65 +124,11 @@ int main(int argc, char** argv) {
                   parse_triples == kb.size() && snap_triples == kb.size();
   }
 
-  // ----------------------------------------------------------------------
-  // Section 3: madvise readahead A/B on the snapshot path. The loader hints
-  // MADV_SEQUENTIAL + MADV_WILLNEED after mmap (store_snapshot.cc); here the
-  // same snapshot is loaded and fully scanned with the hints suppressed
-  // (SOFYA_SNAPSHOT_NO_MADVISE) and with them on. On a warm page cache the
-  // two converge — the numbers are recorded, not asserted; the interesting
-  // runs are cold-cache ones (drop caches, or a file bigger than RAM).
-  struct MadvisePoint {
-    double load_ms = 0;
-    double scan_ms = 0;
-    size_t rows = 0;
-  };
-  auto run_mapped = [&](bool hints) {
-    MadvisePoint point;
-    if (hints) {
-      ::unsetenv("SOFYA_SNAPSHOT_NO_MADVISE");
-    } else {
-      ::setenv("SOFYA_SNAPSHOT_NO_MADVISE", "1", 1);
-    }
-    sofya::KnowledgeBase cold("cold", "http://scan.org/");
-    sofya::WallTimer load_timer;
-    auto loaded = cold.LoadSnapshot(snap_path);
-    point.load_ms = load_timer.ElapsedMillis();
-    if (!loaded.ok()) return point;
-    const sofya::TermId h = cold.RelationId("hot");
-    sofya::SelectQuery q;
-    const sofya::VarId s = q.NewVar("s");
-    const sofya::VarId v = q.NewVar("v");
-    q.Where(sofya::NodeRef::Variable(s), sofya::NodeRef::Constant(h),
-            sofya::NodeRef::Variable(v));
-    sofya::WallTimer scan_timer;
-    auto rows = sofya::Evaluate(cold.store(), q);
-    point.scan_ms = scan_timer.ElapsedMillis();
-    if (rows.ok()) point.rows = rows->rows.size();
-    return point;
-  };
-  const MadvisePoint no_hints = run_mapped(/*hints=*/false);
-  const MadvisePoint with_hints = run_mapped(/*hints=*/true);
-  ::unsetenv("SOFYA_SNAPSHOT_NO_MADVISE");
-  const bool madvise_parity = no_hints.rows == with_hints.rows;
-  if (!json) {
-    std::printf("\n=== snapshot readahead hints (load + first full scan) "
-                "===\n\n");
-    sofya::TableWriter table({"hints", "load ms", "first-scan ms", "rows"});
-    table.AddRow({"off", sofya::FormatDouble(no_hints.load_ms, 1),
-                  sofya::FormatDouble(no_hints.scan_ms, 1),
-                  std::to_string(no_hints.rows)});
-    table.AddRow({"on", sofya::FormatDouble(with_hints.load_ms, 1),
-                  sofya::FormatDouble(with_hints.scan_ms, 1),
-                  std::to_string(with_hints.rows)});
-    table.Print(std::cout);
-    std::printf("\nwarm page cache converges; the hints pay on cold-cache "
-                "loads (recorded, not asserted)\n");
-  }
-
   const double load_speedup = snap_ms > 0 ? parse_ms / snap_ms : 0.0;
   if (!json) {
-    std::printf("\n=== cold start: snapshot mmap load vs N-Triples re-parse "
-                "===\n\n");
+    std::printf("=== cold start: snapshot mmap load vs N-Triples re-parse "
+                "(%zu triples, %zu shards) ===\n\n",
+                kb.size(), kb.store().num_shards());
     sofya::TableWriter table({"path", "triples", "ms", "speedup"});
     table.AddRow({"N-Triples parse", std::to_string(parse_triples),
                   sofya::FormatDouble(parse_ms, 1), "1.0x"});
@@ -331,56 +144,23 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{");
-    std::printf("\"triples\": %zu, \"shards\": %zu, \"promoted\": %zu, ",
-                kb.size(), kb.store().num_shards(),
-                kb.store().PromotedPredicates().size());
-    std::printf("\"scan\": [");
-    bool first = true;
-    for (const Shape& shape : shapes) {
-      const double base = shape.points[0].ms;
-      for (const ScanPoint& p : shape.points) {
-        std::printf("%s{\"shape\": \"%s\", \"threads\": %zu, "
-                    "\"ms_per_iter\": %.3f, \"speedup\": %.2f, "
-                    "\"identical\": %s}",
-                    first ? "" : ", ", shape.name, p.threads,
-                    p.ms / iterations, base / p.ms,
-                    p.identical ? "true" : "false");
-        first = false;
-      }
-    }
-    std::printf("], ");
+    std::printf("{\"triples\": %zu, \"shards\": %zu, ", kb.size(),
+                kb.store().num_shards());
     std::printf("\"snapshot\": {\"bytes\": %llu, \"parse_ms\": %.2f, "
                 "\"mmap_ms\": %.2f, \"load_speedup\": %.2f, "
-                "\"parity\": %s}, ",
+                "\"parity\": %s}}\n",
                 static_cast<unsigned long long>(saved->bytes), parse_ms,
                 snap_ms, load_speedup, load_parity ? "true" : "false");
-    std::printf("\"madvise\": {\"off\": {\"load_ms\": %.2f, "
-                "\"first_scan_ms\": %.2f}, \"on\": {\"load_ms\": %.2f, "
-                "\"first_scan_ms\": %.2f}, \"parity\": %s}",
-                no_hints.load_ms, no_hints.scan_ms, with_hints.load_ms,
-                with_hints.scan_ms, madvise_parity ? "true" : "false");
-    std::printf("}\n");
   }
 
   std::remove(nt_path.c_str());
   std::remove(snap_path.c_str());
 
-  // Correctness gates: parallelism and persistence must never change
-  // answers. Speedups are reported, not asserted — CI runners vary.
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FATAL: parallel scan rows differ from sequential\n");
-    return 1;
-  }
+  // Correctness gate: persistence must never change answers. The speedup is
+  // reported, not asserted — CI runners vary.
   if (!load_parity) {
     std::fprintf(stderr,
                  "FATAL: snapshot/parse cold loads disagree with source\n");
-    return 1;
-  }
-  if (!madvise_parity) {
-    std::fprintf(stderr,
-                 "FATAL: madvise hints changed scan results\n");
     return 1;
   }
   return 0;

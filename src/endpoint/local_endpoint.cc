@@ -15,7 +15,7 @@ StatusOr<ResultSet> LocalEndpoint::Select(const SelectQuery& query) {
   // Evaluation ran lock-free; fold its cost into the counters in one short
   // critical section so concurrent queries never tear the accounting.
   uint64_t bytes = 0;
-  if (result.ok() && estimate_bytes_) {
+  if (result.ok()) {
     for (const auto& row : result->rows) {
       for (TermId id : row) {
         auto term = kb_->dict().TryDecode(id);
@@ -67,7 +67,7 @@ StatusOr<bool> LocalEndpoint::Ask(const SelectQuery& query) {
     stats_.index_probes += eval_stats.index_probes;
     stats_.triples_scanned += eval_stats.triples_scanned;
     // A boolean response: no rows shipped, one byte of payload.
-    if (result.ok() && estimate_bytes_) ++stats_.bytes_estimated;
+    if (result.ok()) ++stats_.bytes_estimated;
   }
   if (!result.ok()) return result.status();
   return result;

@@ -21,26 +21,15 @@
 
 namespace sofya {
 
-/// Options for LocalEndpoint.
-struct LocalEndpointOptions {
-  /// When true, stats().bytes_estimated accumulates the N-Triples-serialized
-  /// size of every shipped cell (slower; keep on for query-cost experiments).
-  bool estimate_bytes = true;
-
-  /// Scan-pool configuration for the served engine.
-  Engine::Options engine;
-};
-
 /// Endpoint over an in-process KnowledgeBase. The KB must outlive the
 /// endpoint. Writes to the KB through kb() are allowed between queries
 /// (time-sensitive-data scenarios); the store re-indexes lazily.
+/// stats().bytes_estimated accumulates the N-Triples-serialized size of
+/// every shipped cell.
 class LocalEndpoint : public Endpoint {
  public:
-  explicit LocalEndpoint(KnowledgeBase* kb,
-                         LocalEndpointOptions options = {})
-      : kb_(kb),
-        estimate_bytes_(options.estimate_bytes),
-        engine_(&kb->store(), &kb->dict(), options.engine) {}
+  explicit LocalEndpoint(KnowledgeBase* kb)
+      : kb_(kb), engine_(&kb->store(), &kb->dict()) {}
 
   const std::string& name() const override { return kb_->name(); }
 
@@ -96,7 +85,7 @@ class LocalEndpoint : public Endpoint {
     return engine_.Explain(query);
   }
 
-  /// The served engine (plan-cache accounting, options inspection).
+  /// The served engine (plan-cache accounting).
   const Engine& engine() const { return engine_; }
 
   /// The underlying KB (server-side only; pipeline code must not call this).
@@ -105,9 +94,6 @@ class LocalEndpoint : public Endpoint {
 
  private:
   KnowledgeBase* kb_;  // Not owned.
-  bool estimate_bytes_;
-  // The engine owns the authoritative planner/plan-cache configuration
-  // (inspect via engine().options()); no separate copy is kept.
   Engine engine_;
   mutable std::mutex stats_mu_;
   EndpointStats stats_;  // Guarded by stats_mu_.

@@ -55,13 +55,7 @@ HttpResponse PlainError(int status_code, const char* reason,
 }  // namespace
 
 SparqlServer::SparqlServer(KnowledgeBase* kb, SparqlServerOptions options)
-    : options_(std::move(options)) {
-  if (options_.scan_threads > 0) {
-    scan_pool_ = std::make_unique<ThreadPool>(options_.scan_threads);
-    options_.local.engine.scan_pool = scan_pool_.get();
-  }
-  local_ = std::make_unique<LocalEndpoint>(kb, options_.local);
-}
+    : options_(std::move(options)), local_(kb) {}
 
 HttpServer::Handler SparqlServer::HttpHandler() {
   return [this](const HttpRequest& request, const HttpServerClient& client) {
@@ -219,7 +213,7 @@ HttpResponse SparqlServer::Evaluate(const std::string& query_text) {
   const std::string parse_text =
       is_ask ? "SELECT *" + query_text.substr(3) : query_text;
   auto query = ParseSelectQuery(
-      parse_text, [this](const Term& t) { return local_->EncodeTerm(t); });
+      parse_text, [this](const Term& t) { return local_.EncodeTerm(t); });
   if (!query.ok()) {
     return PlainError(400, "Bad Request", query.status().ToString());
   }
@@ -227,7 +221,7 @@ HttpResponse SparqlServer::Evaluate(const std::string& query_text) {
   HttpResponse response;
   response.headers = {{"Content-Type", "application/sparql-results+json"}};
   if (is_ask) {
-    auto result = local_->Ask(*query);
+    auto result = local_.Ask(*query);
     if (!result.ok()) {
       return PlainError(500, "Internal Server Error",
                         result.status().ToString());
@@ -235,12 +229,12 @@ HttpResponse SparqlServer::Evaluate(const std::string& query_text) {
     response.body = WriteSparqlAskJson(*result);
     return response;
   }
-  auto rows = local_->Select(*query);
+  auto rows = local_.Select(*query);
   if (!rows.ok()) {
     return PlainError(500, "Internal Server Error", rows.status().ToString());
   }
   auto body = WriteSparqlResultsJson(
-      *rows, [this](TermId id) { return local_->DecodeTerm(id); });
+      *rows, [this](TermId id) { return local_.DecodeTerm(id); });
   if (!body.ok()) {
     return PlainError(500, "Internal Server Error", body.status().ToString());
   }
@@ -285,7 +279,7 @@ std::string SparqlServer::StatusJson() {
                 return a.key < b.key;
               });
   }
-  const KnowledgeBase* kb = local_->kb();
+  const KnowledgeBase* kb = local_.kb();
   const TripleStore& store = kb->store();
   std::string json = "{";
   auto field = [&json](const char* key, uint64_t value, bool last = false) {
@@ -323,12 +317,11 @@ std::string SparqlServer::StatusJson() {
         remaining);
   }
   json += "]},\"plan_cache\":{";
-  field("hits", local_->engine().plan_cache_hits());
-  field("misses", local_->engine().plan_cache_misses(), /*last=*/true);
+  field("hits", local_.engine().plan_cache_hits());
+  field("misses", local_.engine().plan_cache_misses(), /*last=*/true);
   json += "},\"store\":{";
   field("triples", store.size());
   field("shards", store.num_shards());
-  field("promoted_predicates", store.PromotedPredicates().size());
   field("stats_recomputes", store.stats_recomputes());
   json += StrFormat("\"mapped\":%s,", store.is_mapped() ? "true" : "false");
   field("data_epoch", kb->data_epoch(), /*last=*/true);

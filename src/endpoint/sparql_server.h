@@ -5,7 +5,7 @@
 // percent-encoded ?query= parameter, POST with an application/sparql-query
 // body, or POST with an application/x-www-form-urlencoded form — evaluates
 // the query on a LocalEndpoint (full Engine: join-order planner, plan
-// cache, optional parallel scans), and answers in the W3C
+// cache), and answers in the W3C
 // application/sparql-results+json format that HttpSparqlEndpoint already
 // parses. The handler is transport-agnostic: plug it into HttpServer for a
 // real socket endpoint (`sofya_cli serve`) or into LoopbackTransport for
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -38,7 +37,6 @@
 #include "net/http_server.h"
 #include "net/loopback_transport.h"
 #include "rdf/knowledge_base.h"
-#include "util/thread_pool.h"
 
 namespace sofya {
 
@@ -68,13 +66,6 @@ struct SparqlServerOptions {
   /// to every 503/429 shed.
   double retry_after_seconds = 1.0;
 
-  /// Size of the engine's parallel scan pool; 0 evaluates single-threaded.
-  size_t scan_threads = 0;
-
-  /// Engine/planner configuration for the served LocalEndpoint. Its
-  /// `engine.scan_pool` is overridden when scan_threads > 0.
-  LocalEndpointOptions local;
-
   /// Test/fault-drill hook: runs after admission, before evaluation, while
   /// the in-flight slot is held. Lets tests pin deterministic overload
   /// (block one query here, assert the next is shed) the same way
@@ -102,8 +93,8 @@ class SparqlServer {
   LoopbackTransport::Handler LoopbackHandler(std::string client_label);
 
   /// The served endpoint (stats, EXPLAIN, plan-cache accounting).
-  LocalEndpoint& local() { return *local_; }
-  const LocalEndpoint& local() const { return *local_; }
+  LocalEndpoint& local() { return local_; }
+  const LocalEndpoint& local() const { return local_; }
 
   // Counters (tests / ops).
   uint64_t requests_received() const {
@@ -136,8 +127,7 @@ class SparqlServer {
                             const char* detail) const;
 
   SparqlServerOptions options_;
-  std::unique_ptr<ThreadPool> scan_pool_;  ///< Order: before local_.
-  std::unique_ptr<LocalEndpoint> local_;
+  LocalEndpoint local_;
 
   std::mutex admission_mu_;
   size_t inflight_ = 0;  // Guarded by admission_mu_.

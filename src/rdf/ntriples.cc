@@ -152,9 +152,8 @@ StatusOr<NTriplesParseReport> ParseNTriples(std::istream& in,
                                             TripleStore* store,
                                             size_t expected_triples) {
   NTriplesParseReport report;
-  // Bulk-load scope: one epoch bump and one promotion pass for the whole
-  // document, so derived state (stats memos, compiled plans) is invalidated
-  // once instead of N times.
+  // Bulk-load scope: one epoch bump for the whole document, so derived state
+  // (stats memos, compiled plans) is invalidated once instead of N times.
   TripleStore::BulkLoadScope bulk(store, expected_triples);
   std::string line;
   while (std::getline(in, line)) {

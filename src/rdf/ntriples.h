@@ -36,10 +36,9 @@ Status ParseNTriplesLine(std::string_view line, Term* s, Term* p, Term* o);
 
 /// Parses an entire document from `in`, interning terms into `dict` and
 /// inserting triples into `store`. Runs inside a store bulk-load scope: the
-/// mutation epoch bumps once per document (not per triple) and predicate
-/// promotion happens in one pass at the end. `expected_triples`, when
-/// non-zero, pre-reserves store hash capacity (callers with a file size can
-/// estimate ~one triple per 120 bytes).
+/// mutation epoch bumps once per document (not per triple).
+/// `expected_triples`, when non-zero, pre-reserves store hash capacity
+/// (callers with a file size can estimate ~one triple per 120 bytes).
 StatusOr<NTriplesParseReport> ParseNTriples(std::istream& in,
                                             Dictionary* dict,
                                             TripleStore* store,

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -21,8 +20,8 @@ namespace sofya {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'O', 'F', 'Y', 'S', 'N', 'A', 'P'};
-constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = 96;
+constexpr uint32_t kVersion = 2;
+constexpr size_t kHeaderSize = 64;
 
 // Fixed-size header at offset 0. Native-endian; a snapshot is a cache for
 // the machine that wrote it, not an interchange format.
@@ -30,20 +29,15 @@ struct SnapshotHeader {
   char magic[8];
   uint32_t version;
   uint32_t num_hash_shards;
-  uint32_t split_factor;
-  uint32_t num_groups;
-  uint64_t promote_threshold;
   uint64_t term_count;
   uint64_t triple_count;
   uint64_t dict_offset;
   uint64_t dict_size;
   uint64_t checksum;   // Over bytes [kHeaderSize, file_size).
   uint64_t file_size;  // Total, for truncation detection.
-  uint64_t reserved0;
-  uint64_t reserved1;
 };
 static_assert(sizeof(SnapshotHeader) == kHeaderSize,
-              "snapshot header must be exactly 96 bytes");
+              "snapshot header must be exactly 64 bytes");
 
 // Per-shard entry in the shard table.
 struct ShardEntry {
@@ -88,17 +82,12 @@ class MappedFile {
     // Readahead hints for the cold-start path: the loader verifies the
     // checksum and the first scans walk sorted segments front to back, both
     // sequential; WILLNEED starts paging immediately instead of one fault
-    // at a time. Advisory only — failure is ignored — and opt-out via env
-    // for the bench's cold/no-hint contrast.
-#if defined(MADV_SEQUENTIAL) || defined(MADV_WILLNEED)
-    if (std::getenv("SOFYA_SNAPSHOT_NO_MADVISE") == nullptr) {
+    // at a time. Advisory only — failure is ignored.
 #ifdef MADV_SEQUENTIAL
-      (void)::madvise(base, static_cast<size_t>(st.st_size), MADV_SEQUENTIAL);
+    (void)::madvise(base, static_cast<size_t>(st.st_size), MADV_SEQUENTIAL);
 #endif
 #ifdef MADV_WILLNEED
-      (void)::madvise(base, static_cast<size_t>(st.st_size), MADV_WILLNEED);
-#endif
-    }
+    (void)::madvise(base, static_cast<size_t>(st.st_size), MADV_WILLNEED);
 #endif
     auto file = std::shared_ptr<MappedFile>(new MappedFile());
     file->base_ = base;
@@ -145,19 +134,14 @@ StatusOr<SnapshotReport> SaveStoreSnapshot(const TripleStore& store,
                                            const Dictionary& dict,
                                            const std::string& path) {
   store.EnsureIndexed();
-  const StoreOptions& opts = store.options();
-  const std::vector<TermId> group_preds = store.PromotedPredicates();
   const size_t num_shards = store.num_shards();
 
   const std::string dict_buf = SerializeDictionary(dict);
 
   // Lay out the file up front so the shard table can carry absolute
-  // offsets: header, group table, shard table, dictionary, segments.
-  const uint64_t group_table_off = kHeaderSize;
-  const uint64_t shard_table_off =
-      group_table_off + group_preds.size() * sizeof(uint64_t);
+  // offsets: header, shard table, dictionary, segments.
   const uint64_t dict_off =
-      AlignUp8(shard_table_off + num_shards * sizeof(ShardEntry));
+      AlignUp8(kHeaderSize + num_shards * sizeof(ShardEntry));
   uint64_t cursor = AlignUp8(dict_off + dict_buf.size());
 
   std::vector<ShardEntry> table(num_shards);
@@ -197,10 +181,6 @@ StatusOr<SnapshotReport> SaveStoreSnapshot(const TripleStore& store,
     }
   };
 
-  for (TermId p : group_preds) {
-    const uint64_t id = p;
-    emit(&id, sizeof(id));
-  }
   emit(table.data(), table.size() * sizeof(ShardEntry));
   pad_to(dict_off);
   emit(dict_buf.data(), dict_buf.size());
@@ -218,10 +198,7 @@ StatusOr<SnapshotReport> SaveStoreSnapshot(const TripleStore& store,
   SnapshotHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersion;
-  header.num_hash_shards = static_cast<uint32_t>(opts.num_hash_shards);
-  header.split_factor = static_cast<uint32_t>(opts.split_factor);
-  header.num_groups = static_cast<uint32_t>(group_preds.size());
-  header.promote_threshold = opts.promote_threshold;
+  header.num_hash_shards = static_cast<uint32_t>(num_shards);
   header.term_count = dict.size();
   header.triple_count = store.size();
   header.dict_offset = dict_off;
@@ -237,15 +214,13 @@ StatusOr<SnapshotReport> SaveStoreSnapshot(const TripleStore& store,
   report.terms = dict.size();
   report.triples = store.size();
   report.shards = num_shards;
-  report.groups = group_preds.size();
   report.bytes = file_size;
   return report;
 }
 
 StatusOr<SnapshotReport> LoadStoreSnapshot(const std::string& path,
                                            Dictionary* dict,
-                                           TripleStore* store,
-                                           const SnapshotLoadOptions& options) {
+                                           TripleStore* store) {
   if (!dict->empty() || !store->empty()) {
     return Status::InvalidArgument(
         "snapshot load requires an empty dictionary and store");
@@ -271,25 +246,17 @@ StatusOr<SnapshotReport> LoadStoreSnapshot(const std::string& path,
                               std::to_string(header.file_size) +
                               " bytes, file has " + std::to_string(size));
   }
-  if (options.verify_checksum) {
-    Checksummer sum;
-    sum.Update(base + kHeaderSize, size - kHeaderSize);
-    if (sum.Finish() != header.checksum) {
-      return Status::ParseError("snapshot payload checksum mismatch");
-    }
+  Checksummer sum;
+  sum.Update(base + kHeaderSize, size - kHeaderSize);
+  if (sum.Finish() != header.checksum) {
+    return Status::ParseError("snapshot payload checksum mismatch");
   }
 
-  const uint64_t num_shards =
-      static_cast<uint64_t>(header.num_hash_shards) +
-      static_cast<uint64_t>(header.num_groups) * header.split_factor;
-  if (header.num_hash_shards == 0 || header.split_factor == 0 ||
-      num_shards > (1u << 20)) {
+  const uint64_t num_shards = header.num_hash_shards;
+  if (num_shards == 0 || num_shards > (1u << 20)) {
     return Status::ParseError("snapshot shard geometry out of range");
   }
-  const uint64_t group_table_off = kHeaderSize;
-  const uint64_t shard_table_off =
-      group_table_off + header.num_groups * sizeof(uint64_t);
-  const uint64_t tables_end = shard_table_off + num_shards * sizeof(ShardEntry);
+  const uint64_t tables_end = kHeaderSize + num_shards * sizeof(ShardEntry);
   if (tables_end > size || header.dict_offset < tables_end ||
       header.dict_offset + header.dict_size > size) {
     return Status::ParseError("snapshot tables exceed file bounds");
@@ -352,24 +319,12 @@ StatusOr<SnapshotReport> LoadStoreSnapshot(const std::string& path,
   // Store: attach shard segments zero-copy.
   TripleStore::MappedLayout layout;
   layout.options.num_hash_shards = header.num_hash_shards;
-  layout.options.promote_threshold = header.promote_threshold;
-  layout.options.split_factor = header.split_factor;
   layout.keepalive = file;
-  layout.group_preds.reserve(header.num_groups);
-  for (uint32_t gi = 0; gi < header.num_groups; ++gi) {
-    uint64_t pred;
-    std::memcpy(&pred, base + group_table_off + gi * sizeof(uint64_t),
-                sizeof(pred));
-    if (pred == kNullTermId || pred > header.term_count) {
-      return Status::ParseError("snapshot promoted predicate id out of range");
-    }
-    layout.group_preds.push_back(static_cast<TermId>(pred));
-  }
   uint64_t total = 0;
   layout.shards.reserve(num_shards);
   for (uint64_t i = 0; i < num_shards; ++i) {
     ShardEntry entry;
-    std::memcpy(&entry, base + shard_table_off + i * sizeof(ShardEntry),
+    std::memcpy(&entry, base + kHeaderSize + i * sizeof(ShardEntry),
                 sizeof(entry));
     const uint64_t bytes = entry.count * sizeof(Triple);
     for (uint64_t off : {entry.spo_off, entry.pos_off, entry.osp_off}) {
@@ -396,7 +351,6 @@ StatusOr<SnapshotReport> LoadStoreSnapshot(const std::string& path,
   report.terms = header.term_count;
   report.triples = header.triple_count;
   report.shards = num_shards;
-  report.groups = header.num_groups;
   report.bytes = size;
   return report;
 }

@@ -10,10 +10,9 @@
 // File layout (native-endian, written and read on the same architecture;
 // all offsets 8-byte aligned):
 //
-//   [Header]          96 bytes, see SnapshotHeader. Magic "SOFYSNAP",
-//                     version, store options, counts, dictionary extent,
+//   [Header]          64 bytes, see SnapshotHeader. Magic "SOFYSNAP",
+//                     version (2), ring size, counts, dictionary extent,
 //                     payload checksum, total file size.
-//   [Group table]     num_groups x u64: promoted predicate ids, group order.
 //   [Shard table]     num_shards x 4 u64: triple count + absolute offsets
 //                     of the shard's SPO/POS/OSP segments.
 //   [Dictionary]      term records in id order (id 1 first): kind byte,
@@ -22,8 +21,9 @@
 //
 // Integrity: the header stores the file size (truncation check) and a
 // 64-bit mix-checksum over every byte after the header (corruption check,
-// verified on load unless SnapshotLoadOptions says otherwise). Any bounds
-// or checksum failure rejects the file before a single triple is attached.
+// verified on every load). Any bounds or checksum failure, or a version
+// other than the current one, rejects the file before a single triple is
+// attached.
 
 #ifndef SOFYA_RDF_STORE_SNAPSHOT_H_
 #define SOFYA_RDF_STORE_SNAPSHOT_H_
@@ -42,15 +42,8 @@ namespace sofya {
 struct SnapshotReport {
   size_t terms = 0;      ///< Dictionary entries written/loaded.
   size_t triples = 0;    ///< Store size.
-  size_t shards = 0;     ///< Total shard count (hash + dedicated).
-  size_t groups = 0;     ///< Promoted predicate groups.
+  size_t shards = 0;     ///< Ring size.
   uint64_t bytes = 0;    ///< Snapshot file size.
-};
-
-struct SnapshotLoadOptions {
-  /// Verify the payload checksum before attaching (one streaming pass over
-  /// the mapped file). Disable only for trusted files on hot paths.
-  bool verify_checksum = true;
 };
 
 /// Writes `store` + `dict` to `path` (atomically enough for SOFYA's use:
@@ -66,9 +59,7 @@ StatusOr<SnapshotReport> SaveStoreSnapshot(const TripleStore& store,
 /// mmap'd file (kept alive by the store until its first write thaws it).
 StatusOr<SnapshotReport> LoadStoreSnapshot(const std::string& path,
                                            Dictionary* dict,
-                                           TripleStore* store,
-                                           const SnapshotLoadOptions& options =
-                                               SnapshotLoadOptions());
+                                           TripleStore* store);
 
 /// True iff the file at `path` starts with the snapshot magic — used by the
 /// CLI to auto-detect snapshot vs N-Triples inputs.

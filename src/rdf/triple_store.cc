@@ -10,31 +10,10 @@ namespace {
 
 constexpr TermId kMaxTermId = std::numeric_limits<TermId>::max();
 
-// Counts the distinct objects across k OSP-sorted spans by synchronized
-// min-scans, skipping each span's whole run of the current minimum. k is a
-// group's split factor (small), so the linear min probe beats a heap.
-size_t CountDistinctUnion(const std::vector<std::span<const Triple>>& lists) {
-  std::vector<size_t> pos(lists.size(), 0);
-  size_t distinct = 0;
-  while (true) {
-    TermId min_id = kMaxTermId;
-    bool any = false;
-    for (size_t k = 0; k < lists.size(); ++k) {
-      if (pos[k] < lists[k].size()) {
-        any = true;
-        min_id = std::min(min_id, lists[k][pos[k]].object);
-      }
-    }
-    if (!any) break;
-    ++distinct;
-    for (size_t k = 0; k < lists.size(); ++k) {
-      while (pos[k] < lists[k].size() && lists[k][pos[k]].object == min_id) {
-        ++pos[k];
-      }
-    }
-  }
-  return distinct;
-}
+// Bucket count for the per-term equi-depth histograms (HistogramFor). Small
+// on purpose: the planner only needs coarse skew signal, and a histogram
+// rebuild is a full walk of one predicate's facts.
+constexpr size_t kHistogramBuckets = 32;
 
 // Uncounts one fact of `term` (known counted); a term with no facts left
 // leaves the map.
@@ -46,12 +25,11 @@ void DropRef(std::unordered_map<TermId, size_t>& refs, TermId term) {
 // Builds an equi-depth histogram over a sorted (duplicate-bearing) column.
 // Buckets close once they hold ~n/buckets facts, but never in the middle of
 // one term's run, so a term's facts always live in exactly one bucket.
-TermHistogram BuildEquiDepth(const std::vector<TermId>& sorted,
-                             size_t buckets) {
+TermHistogram BuildEquiDepth(const std::vector<TermId>& sorted) {
   TermHistogram h;
   if (sorted.empty()) return h;
-  if (buckets == 0) buckets = 1;
-  const size_t depth = (sorted.size() + buckets - 1) / buckets;
+  const size_t depth =
+      (sorted.size() + kHistogramBuckets - 1) / kHistogramBuckets;
   h.lower = sorted.front();
   size_t bucket_rows = 0;
   size_t bucket_distinct = 0;
@@ -96,7 +74,6 @@ double TermHistogram::ExpectedFanout() const {
 
 TripleStore::TripleStore(const StoreOptions& options) : options_(options) {
   if (options_.num_hash_shards == 0) options_.num_hash_shards = 1;
-  if (options_.split_factor == 0) options_.split_factor = 1;
   shards_.reserve(options_.num_hash_shards);
   for (size_t i = 0; i < options_.num_hash_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -106,8 +83,7 @@ TripleStore::TripleStore(const StoreOptions& options) : options_(options) {
 void TripleStore::MoveFrom(TripleStore&& other) {
   options_ = other.options_;
   shards_ = std::move(other.shards_);
-  groups_ = std::move(other.groups_);
-  pred_info_ = std::move(other.pred_info_);
+  pred_facts_ = std::move(other.pred_facts_);
   distinct_preds_ = other.distinct_preds_;
   set_ = std::move(other.set_);
   size_ = other.size_;
@@ -122,7 +98,7 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   ClearMemos();
   other.ClearMemos();
   // Leave `other` as a valid empty store.
-  other.pred_info_.clear();
+  other.pred_facts_.clear();
   other.distinct_preds_ = 0;
   other.size_ = 0;
   other.subject_refs_.clear();
@@ -134,16 +110,6 @@ void TripleStore::MoveFrom(TripleStore&& other) {
   for (size_t i = 0; i < other.options_.num_hash_shards; ++i) {
     other.shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-uint32_t TripleStore::ShardFor(const Triple& t) const {
-  auto it = pred_info_.find(t.predicate);
-  if (it != pred_info_.end() && it->second.group >= 0) {
-    const PredGroup& g = groups_[static_cast<size_t>(it->second.group)];
-    return g.first_shard + HashId(t.subject) % g.split;
-  }
-  return HashId(t.predicate) %
-         static_cast<uint32_t>(options_.num_hash_shards);
 }
 
 void TripleStore::AppendToShard(uint32_t i, const Triple& t) {
@@ -197,18 +163,12 @@ bool TripleStore::Insert(const Triple& t) {
   ++size_;
   ++subject_refs_[t.subject];
   ++object_refs_[t.object];
-  PredInfo& info = pred_info_[t.predicate];
-  if (info.facts == 0) ++distinct_preds_;
-  ++info.facts;
-  AppendToShard(ShardFor(t), t);
+  if (pred_facts_[t.predicate]++ == 0) ++distinct_preds_;
+  AppendToShard(PredicateShard(t.predicate), t);
   if (bulk_depth_ > 0) {
     bulk_dirty_ = true;
   } else {
     epoch_.fetch_add(1, std::memory_order_release);
-    if (options_.promote_threshold > 0 && info.group < 0 &&
-        info.facts > options_.promote_threshold) {
-      Promote(t.predicate, info);
-    }
   }
   return true;
 }
@@ -223,11 +183,9 @@ bool TripleStore::Erase(const Triple& t) {
   --size_;
   DropRef(subject_refs_, t.subject);
   DropRef(object_refs_, t.object);
-  auto it = pred_info_.find(t.predicate);
-  // The set held the triple, so routing info must exist.
-  --it->second.facts;
-  if (it->second.facts == 0) --distinct_preds_;
-  EraseFromShard(ShardFor(t), t);
+  // The set held the triple, so the predicate is counted.
+  if (--pred_facts_.find(t.predicate)->second == 0) --distinct_preds_;
+  EraseFromShard(PredicateShard(t.predicate), t);
   if (bulk_depth_ > 0) {
     bulk_dirty_ = true;
   } else {
@@ -240,56 +198,8 @@ bool TripleStore::Contains(const Triple& t) const {
   if (!mapped_) return set_.count(t) > 0;
   // Mapped mode keeps no hash set; membership is a binary search in the
   // owning shard's SPO segment.
-  auto it = pred_info_.find(t.predicate);
-  if (it == pred_info_.end() || it->second.facts == 0) return false;
-  const Shard& sh = *shards_[ShardFor(t)];
+  const Shard& sh = *shards_[PredicateShard(t.predicate)];
   return std::binary_search(sh.spo_v.begin(), sh.spo_v.end(), t, SpoLess());
-}
-
-void TripleStore::Promote(TermId p, PredInfo& info) {
-  const uint32_t src_idx =
-      HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
-  Shard& src = *shards_[src_idx];
-  const uint32_t first = static_cast<uint32_t>(shards_.size());
-  const uint32_t split = static_cast<uint32_t>(options_.split_factor);
-  for (uint32_t k = 0; k < split; ++k) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Partition p's triples out of the hash shard into the sub-shards by
-  // subject hash. The stable sweep preserves relative order, so the source
-  // keeps a sorted prefix: the triples it keeps from its old prefix (the
-  // same set in all three vectors). It is re-marked dirty anyway because
-  // its views must be refreshed after shrinking. The sub-shards start with
-  // everything in the tail (sorted == 0).
-  const size_t kept_sorted = static_cast<size_t>(std::count_if(
-      src.spo.begin(), src.spo.begin() + static_cast<ptrdiff_t>(src.sorted),
-      [p](const Triple& t) { return t.predicate != p; }));
-  auto split_vec = [&](std::vector<Triple>& v,
-                       std::vector<Triple> Shard::* member) {
-    auto keep = v.begin();
-    for (auto it = v.begin(); it != v.end(); ++it) {
-      if (it->predicate == p) {
-        Shard& dst = *shards_[first + HashId(it->subject) % split];
-        (dst.*member).push_back(*it);
-      } else {
-        *keep++ = *it;
-      }
-    }
-    v.erase(keep, v.end());
-  };
-  split_vec(src.spo, &Shard::spo);
-  split_vec(src.pos, &Shard::pos);
-  split_vec(src.osp, &Shard::osp);
-  src.sorted = kept_sorted;
-  src.epoch.fetch_add(1, std::memory_order_relaxed);
-  src.dirty.store(true, std::memory_order_release);
-  for (uint32_t k = 0; k < split; ++k) {
-    Shard& sh = *shards_[first + k];
-    sh.epoch.fetch_add(1, std::memory_order_relaxed);
-    sh.dirty.store(true, std::memory_order_release);
-  }
-  info.group = static_cast<int32_t>(groups_.size());
-  groups_.push_back(PredGroup{p, first, split});
 }
 
 void TripleStore::Thaw() {
@@ -324,18 +234,7 @@ void TripleStore::EndBulkLoad() {
   if (--bulk_depth_ > 0) return;
   if (!bulk_dirty_) return;
   bulk_dirty_ = false;
-  // One promotion pass for everything that crossed the threshold during the
-  // load, then a single epoch bump for the whole file.
-  if (options_.promote_threshold > 0) {
-    std::vector<TermId> to_promote;
-    for (const auto& [p, info] : pred_info_) {
-      if (info.group < 0 && info.facts > options_.promote_threshold) {
-        to_promote.push_back(p);
-      }
-    }
-    std::sort(to_promote.begin(), to_promote.end());  // Deterministic order.
-    for (TermId p : to_promote) Promote(p, pred_info_.find(p)->second);
-  }
+  // A single epoch bump for the whole load.
   epoch_.fetch_add(1, std::memory_order_release);
 }
 
@@ -377,18 +276,9 @@ void TripleStore::EnsureIndexed() const {
 std::pair<uint32_t, uint32_t> TripleStore::ShardBounds(
     const TriplePattern& p) const {
   if (p.has_predicate()) {
-    auto it = pred_info_.find(p.predicate);
-    if (it == pred_info_.end() || it->second.facts == 0) return {0, 0};
-    if (it->second.group >= 0) {
-      const PredGroup& g = groups_[static_cast<size_t>(it->second.group)];
-      if (p.has_subject()) {
-        const uint32_t i = g.first_shard + HashId(p.subject) % g.split;
-        return {i, i + 1};
-      }
-      return {g.first_shard, g.first_shard + g.split};
-    }
-    const uint32_t i = HashId(p.predicate) %
-                       static_cast<uint32_t>(options_.num_hash_shards);
+    auto it = pred_facts_.find(p.predicate);
+    if (it == pred_facts_.end() || it->second == 0) return {0, 0};
+    const uint32_t i = PredicateShard(p.predicate);
     return {i, i + 1};
   }
   return {0, static_cast<uint32_t>(shards_.size())};
@@ -516,17 +406,10 @@ std::vector<TermId> TripleStore::SubjectsOf(TermId p) const {
 std::vector<TermId> TripleStore::Predicates() const {
   std::vector<TermId> out;
   out.reserve(distinct_preds_);
-  for (const auto& [p, info] : pred_info_) {
-    if (info.facts > 0) out.push_back(p);
+  for (const auto& [p, facts] : pred_facts_) {
+    if (facts > 0) out.push_back(p);
   }
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<TermId> TripleStore::PromotedPredicates() const {
-  std::vector<TermId> out;
-  out.reserve(groups_.size());
-  for (const PredGroup& g : groups_) out.push_back(g.pred);
   return out;
 }
 
@@ -536,25 +419,13 @@ TripleStore::MappedShardSegments TripleStore::ShardSegments(size_t i) const {
   return {sh.spo_v, sh.pos_v, sh.osp_v};
 }
 
-TripleStore::OwnerEpoch TripleStore::OwnerVersion(TermId p,
-                                                  const PredInfo& info) const {
-  if (info.group < 0) {
-    const uint32_t i =
-        HashId(p) % static_cast<uint32_t>(options_.num_hash_shards);
-    EnsureShardSorted(*shards_[i]);
-    return {i, shards_[i]->epoch.load(std::memory_order_acquire)};
-  }
-  const PredGroup& g = groups_[static_cast<size_t>(info.group)];
-  OwnerEpoch version{g.first_shard, 0};
-  for (uint32_t k = 0; k < g.split; ++k) {
-    const Shard& sh = *shards_[g.first_shard + k];
-    EnsureShardSorted(sh);
-    version.epoch += sh.epoch.load(std::memory_order_acquire);
-  }
-  return version;
+uint64_t TripleStore::PredicateVersion(TermId p) const {
+  const Shard& sh = *shards_[PredicateShard(p)];
+  EnsureShardSorted(sh);
+  return sh.epoch.load(std::memory_order_acquire);
 }
 
-PredicateStats TripleStore::ComputeShardStats(uint32_t i, TermId p) const {
+PredicateStats TripleStore::ComputeStats(TermId p) const {
   PredicateStats stats;
   std::vector<TermId> subjects;
   // POS orders p's range by (object, subject): objects are transition
@@ -562,7 +433,8 @@ PredicateStats TripleStore::ComputeShardStats(uint32_t i, TermId p) const {
   TermId prev_object = kNullTermId;
   bool first = true;
   for (const Triple& t :
-       ShardRange(*shards_[i], TriplePattern(kNullTermId, p, kNullTermId))) {
+       ShardRange(*shards_[PredicateShard(p)],
+                  TriplePattern(kNullTermId, p, kNullTermId))) {
     ++stats.facts;
     subjects.push_back(t.subject);
     if (first || t.object != prev_object) ++stats.distinct_objects;
@@ -576,48 +448,19 @@ PredicateStats TripleStore::ComputeShardStats(uint32_t i, TermId p) const {
   return stats;
 }
 
-PredicateStats TripleStore::ComputeGroupStats(const PredGroup& g) const {
-  // A sub-shard holds only g.pred. Sub-shards partition by subject hash, so
-  // the SPO subject runs sum to the distinct subjects exactly; objects can
-  // repeat across sub-shards and are union-counted over the OSP spans.
-  PredicateStats stats;
-  std::vector<std::span<const Triple>> osp_spans;
-  for (uint32_t k = 0; k < g.split; ++k) {
-    const Shard& sh = *shards_[g.first_shard + k];
-    stats.facts += sh.spo_v.size();
-    for (size_t i = 0; i < sh.spo_v.size(); ++i) {
-      if (i == 0 || sh.spo_v[i].subject != sh.spo_v[i - 1].subject) {
-        ++stats.distinct_subjects;
-      }
-    }
-    osp_spans.push_back(sh.osp_v);
-  }
-  stats.distinct_objects = CountDistinctUnion(osp_spans);
-  return stats;
-}
-
 PredicateStats TripleStore::StatsFor(TermId p) const {
-  auto it = pred_info_.find(p);
-  if (it == pred_info_.end() || it->second.facts == 0) {
-    return PredicateStats();
-  }
-  const PredInfo& info = it->second;
-  const OwnerEpoch version = OwnerVersion(p, info);
-  return stats_memo_.GetOrCompute(p, version, [&] {
-    return info.group >= 0
-               ? ComputeGroupStats(groups_[static_cast<size_t>(info.group)])
-               : ComputeShardStats(version.owner, p);
-  });
+  auto it = pred_facts_.find(p);
+  if (it == pred_facts_.end() || it->second == 0) return PredicateStats();
+  return stats_memo_.GetOrCompute(p, PredicateVersion(p),
+                                  [&] { return ComputeStats(p); });
 }
 
 PredicateHistograms TripleStore::HistogramFor(TermId p) const {
-  auto info_it = pred_info_.find(p);
-  if (info_it == pred_info_.end() || info_it->second.facts == 0) {
-    return PredicateHistograms();
-  }
-  const size_t facts = info_it->second.facts;
+  auto it = pred_facts_.find(p);
+  if (it == pred_facts_.end() || it->second == 0) return PredicateHistograms();
+  const size_t facts = it->second;
   return *hist_memo_.GetOrCompute(
-      p, OwnerVersion(p, info_it->second), [&] {
+      p, PredicateVersion(p), [&] {
         // One walk of p's facts; both columns are collected and sorted here
         // rather than k-way merged — the rebuild is memoized, so simplicity
         // wins.
@@ -633,8 +476,8 @@ PredicateHistograms TripleStore::HistogramFor(TermId p) const {
         std::sort(subjects.begin(), subjects.end());
         std::sort(objects.begin(), objects.end());
         auto hist = std::make_shared<PredicateHistograms>();
-        hist->subjects = BuildEquiDepth(subjects, options_.histogram_buckets);
-        hist->objects = BuildEquiDepth(objects, options_.histogram_buckets);
+        hist->subjects = BuildEquiDepth(subjects);
+        hist->objects = BuildEquiDepth(objects);
         return hist;
       });
 }
@@ -651,14 +494,11 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
   }
   StoreOptions opts = layout.options;
   if (opts.num_hash_shards == 0) opts.num_hash_shards = 1;
-  if (opts.split_factor == 0) opts.split_factor = 1;
-  const size_t expected =
-      opts.num_hash_shards + layout.group_preds.size() * opts.split_factor;
-  if (layout.shards.size() != expected) {
+  if (layout.shards.size() != opts.num_hash_shards) {
     return Status::InvalidArgument("snapshot shard table has " +
                                    std::to_string(layout.shards.size()) +
                                    " shards, layout implies " +
-                                   std::to_string(expected));
+                                   std::to_string(opts.num_hash_shards));
   }
   for (const auto& seg : layout.shards) {
     if (seg.spo.size() != seg.pos.size() || seg.spo.size() != seg.osp.size()) {
@@ -669,8 +509,7 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
 
   options_ = opts;
   shards_.clear();
-  groups_.clear();
-  pred_info_.clear();
+  pred_facts_.clear();
   distinct_preds_ = 0;
   size_ = 0;
   subject_refs_.clear();
@@ -684,30 +523,13 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
     size_ += sh->spo_v.size();
     shards_.push_back(std::move(sh));
   }
-  // Dedicated groups, in file (= promotion) order.
-  for (size_t gi = 0; gi < layout.group_preds.size(); ++gi) {
-    const PredGroup group{
-        layout.group_preds[gi],
-        static_cast<uint32_t>(opts.num_hash_shards + gi * opts.split_factor),
-        static_cast<uint32_t>(opts.split_factor)};
-    PredInfo& info = pred_info_[group.pred];
-    if (info.facts > 0 || info.group >= 0) {
-      return Status::InvalidArgument("duplicate promoted predicate in snapshot");
-    }
-    info.group = static_cast<int32_t>(gi);
-    for (uint32_t k = 0; k < group.split; ++k) {
-      info.facts += shards_[group.first_shard + k]->spo_v.size();
-    }
-    if (info.facts > 0) ++distinct_preds_;
-    groups_.push_back(group);
-  }
-  // Hash shards: rebuild the routing map by skip-scanning each POS segment.
-  for (size_t i = 0; i < opts.num_hash_shards; ++i) {
+  // Rebuild the predicate directory by skip-scanning each POS segment.
+  for (size_t i = 0; i < shards_.size(); ++i) {
     const std::span<const Triple> pos_v = shards_[i]->pos_v;
     size_t at = 0;
     while (at < pos_v.size()) {
       const TermId p = pos_v[at].predicate;
-      if (HashId(p) % static_cast<uint32_t>(opts.num_hash_shards) != i) {
+      if (PredicateShard(p) != i) {
         return Status::InvalidArgument(
             "snapshot predicate routed to wrong hash shard");
       }
@@ -719,12 +541,10 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
                                    Triple(0, p + 1, 0), PosLess());
         end = static_cast<size_t>(it - pos_v.begin());
       }
-      PredInfo& info = pred_info_[p];
-      if (info.group >= 0 || info.facts > 0) {
+      if (!pred_facts_.try_emplace(p, end - at).second) {
         return Status::InvalidArgument(
-            "snapshot predicate appears in multiple shards");
+            "snapshot predicate appears twice in its shard");
       }
-      info.facts = end - at;
       ++distinct_preds_;
       at = end;
     }

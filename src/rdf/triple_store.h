@@ -7,11 +7,8 @@
 // of recent inserts; the first read after a write sorts the tail and merges
 // it into the prefix, so a small write costs O(delta log delta + n) moves
 // rather than a full O(n log n) re-sort. Predicates are routed to a fixed
-// ring of hash shards; a predicate whose fact count crosses
-// `promote_threshold` is promoted to its own dedicated group of
-// `split_factor` sub-shards partitioned by subject hash, so scans of a
-// dominant predicate can fan out across cores and a write to one predicate
-// re-merges (and re-counts) only its own shard.
+// ring of hash shards by predicate hash and never move, so a write to one
+// predicate re-merges (and re-counts) only its own shard.
 //
 // Every access pattern SOFYA's samplers need maps to per-shard contiguous
 // ranges:
@@ -19,9 +16,8 @@
 //   (? p ?) (? p o)          -> POS prefix
 //   (? ? o) (s ? o)          -> OSP prefix
 //   (? ? ?)                  -> SPO full scan, shard-concatenated
-// A bound predicate touches exactly one shard (or, when promoted, its
-// sub-shard group — one sub-shard if the subject is bound too); an unbound
-// predicate walks all shards in deterministic shard order.
+// A bound predicate touches exactly one shard; an unbound predicate walks
+// all shards in deterministic shard order.
 //
 // Shards can be *mapped*: backed by read-only spans into an mmap'd snapshot
 // file (src/rdf/store_snapshot.h) instead of owned vectors. Mapped shards
@@ -124,21 +120,10 @@ struct StoreStats {
   size_t distinct_objects = 0;     ///< |{o}|
 };
 
-/// Sharding knobs. The defaults suit alignment workloads (a few hot
-/// predicates over a long tail); tests shrink them to exercise promotion.
+/// Sharding knobs. Tests vary the ring size to exercise shard geometries.
 struct StoreOptions {
-  /// Fixed ring of shards the predicate tail hashes onto.
+  /// Fixed ring of shards the predicates hash onto.
   size_t num_hash_shards = 8;
-  /// Fact count beyond which a predicate gets its own sub-shard group.
-  /// 0 disables promotion (every predicate stays on the hash ring).
-  size_t promote_threshold = 65536;
-  /// Sub-shards per promoted predicate, partitioned by subject hash.
-  size_t split_factor = 8;
-
-  /// Bucket count for the per-term equi-depth histograms (HistogramFor).
-  /// Small on purpose: the planner only needs coarse skew signal, and a
-  /// histogram rebuild is a full walk of one predicate's facts.
-  size_t histogram_buckets = 32;
 };
 
 /// An ordered list of contiguous index ranges covering one pattern — the
@@ -263,7 +248,7 @@ class TripleStore {
   std::vector<TermId> Predicates() const;
 
   /// Statistics for predicate `p` (zeroes if absent). Memoized at the
-  /// version of the shards that hold `p` (OwnerVersion), so a write to one
+  /// epoch of the shard that holds `p` (PredicateShard), so a write to one
   /// shard invalidates only the predicates living there — and a stale value
   /// still can never survive a write.
   PredicateStats StatsFor(TermId p) const;
@@ -297,9 +282,9 @@ class TripleStore {
   // --- Bulk load -----------------------------------------------------------
 
   /// Begins a bulk-load scope: `expected` reserves hash capacity up front,
-  /// per-insert epoch bumps and promotion checks are suppressed, and
-  /// EndBulkLoad() bumps the epoch once (if anything changed) and runs one
-  /// promotion pass. Scopes nest; only the outermost End finishes the load.
+  /// per-insert epoch bumps are suppressed, and EndBulkLoad() bumps the
+  /// epoch once (if anything changed). Scopes nest; only the outermost End
+  /// finishes the load.
   void BeginBulkLoad(size_t expected = 0);
   void EndBulkLoad();
 
@@ -331,12 +316,10 @@ class TripleStore {
     std::span<const Triple> osp;
   };
 
-  /// A full mapped layout: options, promoted predicates in group order, and
-  /// one segment triplet per shard (hash shards first, then each group's
-  /// sub-shards). `keepalive` pins the mapping for the store's lifetime.
+  /// A full mapped layout: options and one segment triplet per ring shard.
+  /// `keepalive` pins the mapping for the store's lifetime.
   struct MappedLayout {
     StoreOptions options;
-    std::vector<TermId> group_preds;
     std::vector<MappedShardSegments> shards;
     std::shared_ptr<const void> keepalive;
   };
@@ -353,11 +336,8 @@ class TripleStore {
 
   const StoreOptions& options() const { return options_; }
 
-  /// Total shard count: num_hash_shards + promoted groups × split_factor.
+  /// Shard count: the ring size, num_hash_shards.
   size_t num_shards() const { return shards_.size(); }
-
-  /// Promoted predicates, in promotion order (= group order).
-  std::vector<TermId> PromotedPredicates() const;
 
   /// Shard `i`'s sorted segments (after forcing that shard's index build).
   /// Used by the snapshot writer; spans valid until the next write.
@@ -397,8 +377,8 @@ class TripleStore {
   };
 
   /// One shard: owned index vectors (or mapped spans), lazy-merge state and
-  /// its own epoch. Heap-allocated so the shard list can grow on promotion
-  /// without moving mutexes/atomics.
+  /// its own epoch. Heap-allocated because its mutex and atomics cannot
+  /// move.
   struct Shard {
     // Owned storage; empty while `mapped`. Mutable (with the views below)
     // because the lazy tail merge runs on the const read path.
@@ -420,23 +400,8 @@ class TripleStore {
     std::atomic<uint64_t> epoch{0};
   };
 
-  /// A promoted predicate's dedicated sub-shard group.
-  struct PredGroup {
-    TermId pred = kNullTermId;
-    uint32_t first_shard = 0;  // Index into shards_.
-    uint32_t split = 1;
-  };
-
-  /// Routing entry for one predicate present (now or previously) in the
-  /// store. `group < 0` means the predicate lives on the hash ring.
-  struct PredInfo {
-    size_t facts = 0;
-    int32_t group = -1;
-  };
-
-  /// Deterministic id mixer for routing (predicate → hash shard, subject →
-  /// sub-shard). Fixed across platforms so a snapshot written elsewhere
-  /// routes identically.
+  /// Deterministic id mixer for routing (predicate → hash shard). Fixed
+  /// across platforms so a snapshot written elsewhere routes identically.
   static uint32_t HashId(TermId x) {
     x ^= x >> 16;
     x *= 0x7feb352dU;
@@ -446,8 +411,10 @@ class TripleStore {
     return x;
   }
 
-  /// The shard an exact triple routes to (for writes / Contains).
-  uint32_t ShardFor(const Triple& t) const;
+  /// The ring shard predicate `p` routes to.
+  uint32_t PredicateShard(TermId p) const {
+    return HashId(p) % static_cast<uint32_t>(shards_.size());
+  }
 
   /// Half-open shard interval [lo, hi) a pattern must visit.
   std::pair<uint32_t, uint32_t> ShardBounds(const TriplePattern& p) const;
@@ -469,36 +436,17 @@ class TripleStore {
   /// Removes `t` (known present) from shard `i`'s vectors and marks it dirty.
   void EraseFromShard(uint32_t i, const Triple& t);
 
-  /// Moves predicate `p` out of its hash shard into a fresh dedicated
-  /// group. Called from Insert / EndBulkLoad when `facts` crosses the
-  /// threshold.
-  void Promote(TermId p, PredInfo& info);
-
   /// Materializes mapped shards into owned vectors and rebuilds the hash
   /// set; called on the first write after AttachMapped.
   void Thaw();
 
-  /// The version a predicate's derived statistics are memoized at: the
-  /// owning hash shard and its epoch, or, for a promoted predicate, the
-  /// group's first shard and the sum of its sub-shard epochs. Epochs only
-  /// grow and a predicate is promoted at most once, so a version never
-  /// repeats for different contents. The owner is needed because a fresh
-  /// group's epoch sum restarts low and can climb back to the hash shard's
-  /// old epoch.
-  struct OwnerEpoch {
-    uint32_t owner = 0;
-    uint64_t epoch = 0;
-    bool operator==(const OwnerEpoch&) const = default;
-  };
+  /// The epoch of `p`'s shard after sorting it: the version `p`'s derived
+  /// statistics are memoized at. A predicate never changes shard and shard
+  /// epochs only grow, so a version never repeats for different contents.
+  uint64_t PredicateVersion(TermId p) const;
 
-  /// `p`'s OwnerEpoch (`info` is its routing entry), after sorting the
-  /// shards that hold it.
-  OwnerEpoch OwnerVersion(TermId p, const PredInfo& info) const;
-
-  /// Stats for hash-ring predicate `p`, read from its (sorted) shard `i`.
-  PredicateStats ComputeShardStats(uint32_t i, TermId p) const;
-  /// Stats for a promoted predicate, read from its (sorted) sub-shards.
-  PredicateStats ComputeGroupStats(const PredGroup& g) const;
+  /// Stats for predicate `p`, read from its (sorted) shard.
+  PredicateStats ComputeStats(TermId p) const;
 
   /// Drops every derived-data memo: their keys name shard slots, and a move
   /// or an attach puts different shards in those slots.
@@ -508,10 +456,10 @@ class TripleStore {
 
   StoreOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<PredGroup> groups_;
-  /// Routing map over every predicate ever inserted. Read-only during
-  /// queries; mutated only by writes (the store's write contract).
-  std::unordered_map<TermId, PredInfo> pred_info_;
+  /// Facts per predicate, for every predicate ever inserted (0 once all its
+  /// facts are erased). Read-only during queries; mutated only by writes
+  /// (the store's write contract).
+  std::unordered_map<TermId, size_t> pred_facts_;
   size_t distinct_preds_ = 0;  // |{p : facts(p) > 0}|
 
   std::unordered_set<Triple, TripleHash> set_;
@@ -530,11 +478,10 @@ class TripleStore {
   static constexpr size_t kPredicateMemoCapacity = 1 << 16;
 
   // Derived-data memos (util/epoch_memo.h), per predicate at
-  // OwnerVersion(p).
-  mutable EpochMemo<TermId, PredicateStats, OwnerEpoch> stats_memo_{
+  // PredicateVersion(p).
+  mutable EpochMemo<TermId, PredicateStats> stats_memo_{
       kPredicateMemoCapacity};
-  mutable EpochMemo<TermId, std::shared_ptr<const PredicateHistograms>,
-                    OwnerEpoch>
+  mutable EpochMemo<TermId, std::shared_ptr<const PredicateHistograms>>
       hist_memo_{kPredicateMemoCapacity};
 };
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <future>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace sofya {
 
@@ -61,17 +59,12 @@ struct RowHash {
 // `emit` is called once per solution (full binding row) and returns false to
 // stop the whole pipeline — this is how LIMIT and ASK terminate early.
 
-// When `driver` is non-null the level-0 cursor iterates that single span
-// instead of probing the store — the parallel scan path injects one chunk
-// of the driver clause's sharded range per task.
-//
 // `stage_rows` points at `plan.clauses.size()` counters that receive
 // per-stage accepted-row counts (the EXPLAIN `actual` column).
 template <typename Emit>
 void RunPlan(const TripleStore& store, const CompiledPlan& plan,
              size_t num_vars, const Dictionary* dict, EvalStats& stats,
-             Emit&& emit, const std::span<const Triple>* driver,
-             uint64_t* stage_rows) {
+             Emit&& emit, uint64_t* stage_rows) {
   if (plan.dangling_filter || plan.clauses.empty()) return;
 
   // A cursor walks the per-shard spans of one MatchView in shard order;
@@ -109,12 +102,7 @@ void RunPlan(const TripleStore& store, const CompiledPlan& plan,
 
   const size_t depth = plan.clauses.size();
   size_t level = 0;
-  if (driver != nullptr) {
-    // The caller already probed the driver range (and charged the probe).
-    cursors[0].cur = *driver;
-  } else {
-    open(0);
-  }
+  open(0);
   while (true) {
     Cursor& cursor = cursors[level];
     const CompiledClause& cc = plan.clauses[level];
@@ -178,37 +166,6 @@ void RunPlan(const TripleStore& store, const CompiledPlan& plan,
   }
 }
 
-// One parallel-scan task: a slice of the driver clause's sharded range.
-struct ScanChunk {
-  std::span<const Triple> slice;
-};
-
-// Decides whether Select may fan the driver range onto `pool` and, if so,
-// returns the chunk list (in span/offset order — concatenating chunk
-// outputs reproduces the sequential enumeration exactly).
-std::vector<ScanChunk> PlanScanChunks(const MatchView& driver,
-                                      const ThreadPool* pool,
-                                      size_t min_rows, uint64_t limit) {
-  std::vector<ScanChunk> chunks;
-  if (pool == nullptr || pool->num_threads() < 2) return chunks;
-  // LIMIT keeps the early-stop pushdown; a worker thread must not block on
-  // sibling pool tasks (the alignment scheduler may run queries on-pool).
-  if (limit != kNoLimit || pool->OnWorkerThread()) return chunks;
-  if (driver.total() < min_rows) return chunks;
-  // At least one row per chunk: a zero target (tiny driver, low min_rows,
-  // many threads) would otherwise loop forever emitting empty chunks.
-  const size_t target = std::max<size_t>(
-      {size_t{1}, min_rows / 2, driver.total() / (pool->num_threads() * 4)});
-  for (size_t si = 0; si < driver.num_spans(); ++si) {
-    const std::span<const Triple> span = driver.span(si);
-    for (size_t at = 0; at < span.size(); at += target) {
-      chunks.push_back({span.subspan(at, std::min(target, span.size() - at))});
-    }
-  }
-  if (chunks.size() < 2) chunks.clear();
-  return chunks;
-}
-
 // Records the executed plan's estimated-vs-actual table into `stats`.
 void FillClauseRows(const CompiledPlan& plan,
                     const std::vector<uint64_t>& counts, EvalStats& stats) {
@@ -249,17 +206,10 @@ ResultSet RunPredicateDirectory(const TripleStore& store,
 
 // Shared SELECT consumer: project, DISTINCT-probe, skip OFFSET, stop at
 // LIMIT — streaming, so the pipeline never materializes skipped rows.
-//
-// With a scan pool (and no LIMIT), the driver clause's sharded range is cut
-// into chunks that run the full pipeline concurrently into per-chunk row
-// buffers; chunks are then merged in span order through the very same
-// DISTINCT/OFFSET consumer, so rows AND EvalStats are bit-identical to the
-// sequential path (the work is a partition of the same index ranges).
 StatusOr<ResultSet> RunSelect(const TripleStore& store,
                               const CompiledPlan& plan,
                               const SelectQuery& query, const Dictionary* dict,
-                              EvalStats& stats,
-                              const Engine::Options& options) {
+                              EvalStats& stats) {
   if (UsesPredicateDirectory(plan, query)) {
     return RunPredicateDirectory(store, plan, query, stats);
   }
@@ -269,7 +219,6 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
 
   const uint64_t offset = query.offset();
   const uint64_t limit = query.limit();
-  ThreadPool* pool = options.scan_pool;
 
   std::unordered_set<Row, RowHash> seen;
   uint64_t skipped = 0;
@@ -286,67 +235,6 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
   };
 
   if (limit != 0) {
-    std::vector<ScanChunk> chunks;
-    if (pool != nullptr && !plan.dangling_filter && !plan.clauses.empty()) {
-      const CompiledClause& cc = plan.clauses[0];
-      auto resolve = [&](const CompiledSlot& slot) -> TermId {
-        // Level 0 binds from nothing: slots are consts, binds or wildcards.
-        return slot.kind == SlotKind::kConst ? slot.constant : kNullTermId;
-      };
-      const MatchView driver = store.MatchSpans(TriplePattern(
-          resolve(cc.slots[0]), resolve(cc.slots[1]), resolve(cc.slots[2])));
-      chunks =
-          PlanScanChunks(driver, pool, options.parallel_scan_min_rows, limit);
-      if (!chunks.empty()) {
-        ++stats.index_probes;  // The one driver probe, as in sequential.
-        struct ChunkResult {
-          std::vector<Row> rows;
-          EvalStats stats;
-          std::vector<uint64_t> stage_counts;
-        };
-        std::vector<std::future<ChunkResult>> futures;
-        futures.reserve(chunks.size());
-        for (const ScanChunk& chunk : chunks) {
-          futures.push_back(pool->Submit([&, chunk] {
-            ChunkResult cr;
-            cr.stage_counts.assign(plan.clauses.size(), 0);
-            RunPlan(
-                store, plan, query.num_vars(), dict, cr.stats,
-                [&](const Row& bindings) {
-                  Row out;
-                  out.reserve(plan.projection.size());
-                  for (VarId v : plan.projection) {
-                    out.push_back(bindings[v]);
-                  }
-                  cr.rows.push_back(std::move(out));
-                  return true;
-                },
-                &chunk.slice, cr.stage_counts.data());
-            return cr;
-          }));
-        }
-        std::vector<uint64_t> stage_counts(plan.clauses.size(), 0);
-        bool more = true;
-        for (auto& future : futures) {
-          // Always drain every future (workers borrow spans and the plan);
-          // `more` only gates consumption.
-          ChunkResult cr = future.get();
-          stats.intermediate_rows += cr.stats.intermediate_rows;
-          stats.index_probes += cr.stats.index_probes;
-          stats.triples_scanned += cr.stats.triples_scanned;
-          for (size_t k = 0; k < stage_counts.size(); ++k) {
-            stage_counts[k] += cr.stage_counts[k];
-          }
-          for (Row& row : cr.rows) {
-            if (!more) break;
-            more = consume(std::move(row));
-          }
-        }
-        FillClauseRows(plan, stage_counts, stats);
-        stats.result_rows = result.rows.size();
-        return result;
-      }
-    }
     std::vector<uint64_t> stage_counts(plan.clauses.size(), 0);
     RunPlan(
         store, plan, query.num_vars(), dict, stats,
@@ -356,7 +244,7 @@ StatusOr<ResultSet> RunSelect(const TripleStore& store,
           for (VarId v : plan.projection) out.push_back(bindings[v]);
           return consume(std::move(out));
         },
-        /*driver=*/nullptr, stage_counts.data());
+        stage_counts.data());
     FillClauseRows(plan, stage_counts, stats);
   }
   stats.result_rows = result.rows.size();
@@ -374,7 +262,7 @@ StatusOr<bool> RunAsk(const TripleStore& store, const CompiledPlan& plan,
         found = true;
         return false;  // First solution settles existence.
       },
-      /*driver=*/nullptr, stage_counts.data());
+      stage_counts.data());
   FillClauseRows(plan, stage_counts, stats);
   stats.result_rows = found ? 1 : 0;
   return found;
@@ -385,10 +273,8 @@ StatusOr<bool> RunAsk(const TripleStore& store, const CompiledPlan& plan,
 // ---------------------------------------------------------------------------
 // Engine: plan cache + evaluation.
 
-Engine::Engine(const TripleStore* store, const Dictionary* dict,
-               Options options)
-    : store_(store), dict_(dict), options_(options),
-      plans_(kPlanCacheCapacity) {}
+Engine::Engine(const TripleStore* store, const Dictionary* dict)
+    : store_(store), dict_(dict), plans_(kPlanCacheCapacity) {}
 
 std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
                                                     bool* cache_hit) const {
@@ -415,7 +301,7 @@ StatusOr<ResultSet> Engine::Select(const SelectQuery& query,
   bool hit = false;
   const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, &hit);
   (hit ? local.plan_cache_hits : local.plan_cache_misses) = 1;
-  auto result = RunSelect(*store_, *plan, query, dict_, local, options_);
+  auto result = RunSelect(*store_, *plan, query, dict_, local);
   if (stats != nullptr) *stats = local;
   return result;
 }
@@ -458,7 +344,7 @@ StatusOr<ResultSet> Evaluate(const TripleStore& store,
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
   const CompiledPlan plan = CompilePlan(query, store);
-  auto result = RunSelect(store, plan, query, dict, local, Engine::Options());
+  auto result = RunSelect(store, plan, query, dict, local);
   if (stats != nullptr) *stats = local;
   return result;
 }

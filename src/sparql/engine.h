@@ -19,7 +19,7 @@
 //
 // Two entry points:
 //
-//   * Engine — holds (store, dict, options) plus a plan cache keyed by
+//   * Engine — holds (store, dict) plus a plan cache keyed by
 //     PlanFingerprint and validated against the store epoch, so repeated
 //     probe shapes (SOFYA's workload) skip re-planning. LocalEndpoint owns
 //     one. Also the home of Explain().
@@ -44,8 +44,6 @@
 
 namespace sofya {
 
-class ThreadPool;
-
 /// Estimated-vs-actual rows for one executed pipeline stage (EXPLAIN's
 /// `actual` column).
 struct ClauseRowStats {
@@ -67,27 +65,14 @@ struct EvalStats {
   std::vector<ClauseRowStats> clause_rows;
 };
 
-/// Compiled-plan evaluator bound to one store. Thread-safe for concurrent
-/// Select/Ask/Explain as long as nobody writes to the store concurrently
-/// (the store's own read contract); the plan cache is an EpochMemo.
+/// Compiled-plan evaluator bound to one store. Each query runs on the
+/// calling thread. Thread-safe for concurrent Select/Ask/Explain as long as
+/// nobody writes to the store concurrently (the store's own read contract);
+/// the plan cache is an EpochMemo.
 class Engine {
  public:
-  struct Options {
-    /// When set, SELECTs without a LIMIT whose driver clause covers at
-    /// least `parallel_scan_min_rows` index entries fan the driver's
-    /// per-shard spans (chunked) onto this pool and merge per-chunk rows in
-    /// span order — bit-identical rows and EvalStats to the sequential
-    /// path. Not owned; must outlive the engine. Calls arriving on a pool
-    /// worker thread fall back to sequential (no nested blocking).
-    ThreadPool* scan_pool = nullptr;
-    /// Driver-range row threshold below which scans stay sequential.
-    size_t parallel_scan_min_rows = 1 << 15;
-  };
-
-  Engine(const TripleStore* store, const Dictionary* dict, Options options);
   explicit Engine(const TripleStore* store) : Engine(store, nullptr) {}
-  Engine(const TripleStore* store, const Dictionary* dict)
-      : Engine(store, dict, Options()) {}
+  Engine(const TripleStore* store, const Dictionary* dict);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -107,8 +92,6 @@ class Engine {
   /// executing it. `from_cache` reports whether the plan was already cached.
   StatusOr<PlanExplain> Explain(const SelectQuery& query) const;
 
-  const Options& options() const { return options_; }
-
   /// Plan-cache accounting since construction.
   uint64_t plan_cache_hits() const { return plans_.hits(); }
   uint64_t plan_cache_misses() const { return plans_.computes(); }
@@ -122,7 +105,6 @@ class Engine {
 
   const TripleStore* store_;  // Not owned.
   const Dictionary* dict_;    // Not owned; may be null.
-  Options options_;
 
   /// Compiled plans by PlanFingerprint, at the store's mutation_epoch().
   mutable EpochMemo<std::string, std::shared_ptr<const CompiledPlan>> plans_;

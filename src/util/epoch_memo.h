@@ -2,8 +2,8 @@
 //
 // Derived data — store statistics and histograms, compiled query plans, the
 // lexical index — is a pure function of a key and the version of the data
-// it was computed from: a store epoch, or an (owner shard, epoch) pair. An
-// EpochMemo keeps one value per key, tagged with that version.
+// it was computed from: a store epoch or a shard epoch. An EpochMemo keeps
+// one value per key, tagged with that version.
 // GetOrCompute returns the value while the caller's version matches and
 // recomputes it otherwise, so a stale value cannot outlive a write and
 // there is no invalidation call to forget.
@@ -30,7 +30,7 @@
 
 namespace sofya {
 
-template <typename Key, typename Value, typename Version = uint64_t>
+template <typename Key, typename Value>
 class EpochMemo {
  public:
   explicit EpochMemo(size_t capacity)
@@ -42,8 +42,7 @@ class EpochMemo {
   /// result, memoized under `version`. `compute` must not ask this memo for
   /// the same (key, version).
   template <typename Compute>
-  Value GetOrCompute(const Key& key, const Version& version,
-                     Compute&& compute) {
+  Value GetOrCompute(const Key& key, uint64_t version, Compute&& compute) {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = entries_.end();
     // Wait while another caller is computing this (key, version).
@@ -77,7 +76,7 @@ class EpochMemo {
 
   /// The value memoized for `key` at `version`, if any, without computing
   /// or counting anything (EXPLAIN-style introspection).
-  std::optional<Value> Peek(const Key& key, const Version& version) const {
+  std::optional<Value> Peek(const Key& key, uint64_t version) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it == entries_.end() || it->second.version != version) {
@@ -103,13 +102,13 @@ class EpochMemo {
  private:
   /// `value` is empty while the computation for `version` is in flight.
   struct Entry {
-    Version version;
+    uint64_t version;
     std::optional<Value> value;
   };
 
   /// Publishes `value` (or, when empty, drops the in-flight marker) if the
   /// entry still waits for this version, then wakes the waiters.
-  void Finish(const Key& key, const Version& version,
+  void Finish(const Key& key, uint64_t version,
               const std::optional<Value>& value) {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -112,10 +112,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// True when called from one of this pool's worker threads (callers that
-  /// must not block on pool work from inside the pool assert on this).
-  bool OnWorkerThread() const { return current_worker_.pool == this; }
-
  private:
   struct WorkerDeque {
     std::mutex mu;

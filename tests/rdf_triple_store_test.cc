@@ -240,87 +240,53 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TripleStorePatternProperty,
                          ::testing::Values(1ULL, 2ULL, 3ULL, 17ULL, 99ULL));
 
 // ---------------------------------------------------------------------------
-// Sharded-store specifics: promotion, per-shard stat isolation, bulk load.
+// Sharded-store specifics: per-shard stat isolation, bulk load, geometries.
 // ---------------------------------------------------------------------------
 
-StoreOptions TinyShards() {
-  return StoreOptions{/*num_hash_shards=*/2, /*promote_threshold=*/8,
-                      /*split_factor=*/4};
-}
+StoreOptions TinyShards() { return StoreOptions{/*num_hash_shards=*/2}; }
 
-TEST(ShardedStoreTest, HotPredicateGetsPromoted) {
-  TripleStore store(TinyShards());
-  const size_t base_shards = store.num_shards();
-  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);
-  EXPECT_EQ(store.PromotedPredicates(), (std::vector<TermId>{5}));
-  EXPECT_EQ(store.num_shards(), base_shards + 4);  // split_factor sub-shards.
-  // Promotion preserves every triple and every pattern shape.
-  EXPECT_EQ(store.CountMatches(TriplePattern(0, 5, 0)), 20u);
-  EXPECT_EQ(store.Match(TriplePattern(3, 5, 0)).size(), 1u);
-  EXPECT_EQ(store.Match(TriplePattern(0, 5, 103)).size(), 1u);
-  EXPECT_EQ(store.StatsFor(5).facts, 20u);
-  EXPECT_EQ(store.StatsFor(5).distinct_subjects, 20u);
+/// The ring shard holding predicate `p` (which must have facts).
+size_t ShardOf(const TripleStore& store, TermId p) {
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    for (const Triple& t : store.ShardSegments(i).pos) {
+      if (t.predicate == p) return i;
+    }
+  }
+  ADD_FAILURE() << "predicate " << p << " is in no shard";
+  return store.num_shards();
 }
 
 TEST(ShardedStoreTest, StatsRecomputeIsolatedPerPredicate) {
-  // Find a predicate pair that lands in different hash shards: write to
-  // one and check the other's memo survives. The shard hash is fixed, so
-  // once a pair separates it separates on every platform.
-  bool found_isolated_pair = false;
-  for (TermId p2 = 2; p2 <= 16 && !found_isolated_pair; ++p2) {
-    TripleStore store(TinyShards());
-    const TermId p1 = 1;
-    store.Insert(1, p1, 100);
-    store.Insert(2, p1, 101);
+  // Two predicates on different ring shards: a write to one must leave the
+  // other's memo in place. The shard hash is fixed, so the pair found here
+  // is the same on every platform.
+  TripleStore store(TinyShards());
+  const TermId p1 = 1;
+  store.Insert(1, p1, 100);
+  store.Insert(2, p1, 101);
+  TermId p2 = 2;
+  for (; p2 <= 16; ++p2) {
     store.Insert(1, p2, 200);
-    (void)store.StatsFor(p1);
-    (void)store.StatsFor(p2);
-    const uint64_t warm = store.stats_recomputes();
-    // Re-reads are memoized: no new recomputes.
-    (void)store.StatsFor(p1);
-    (void)store.StatsFor(p2);
-    ASSERT_EQ(store.stats_recomputes(), warm);
-
-    // Write to p1: its own memo must drop...
-    store.Insert(3, p1, 102);
-    EXPECT_EQ(store.StatsFor(p1).facts, 3u);
-    const uint64_t after_p1 = store.stats_recomputes();
-    EXPECT_GT(after_p1, warm);
-    // ...and if p2 lives in another shard, its memo must survive.
-    EXPECT_EQ(store.StatsFor(p2).facts, 1u);
-    if (store.stats_recomputes() == after_p1) found_isolated_pair = true;
+    if (ShardOf(store, p2) != ShardOf(store, p1)) break;
+    store.Erase(Triple(1, p2, 200));
   }
-  EXPECT_TRUE(found_isolated_pair)
-      << "no predicate pair separated across 2 hash shards";
-}
-
-TEST(ShardedStoreTest, PromotedPredicateWritesDoNotTouchTail) {
-  TripleStore store(TinyShards());
-  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);  // Promoted.
-  store.Insert(1, 6, 300);  // Tail predicate in a hash shard.
-  ASSERT_EQ(store.PromotedPredicates(), (std::vector<TermId>{5}));
-  (void)store.StatsFor(6);
+  ASSERT_LE(p2, 16u) << "no predicate separated from p1 across 2 shards";
+  (void)store.StatsFor(p1);
+  (void)store.StatsFor(p2);
   const uint64_t warm = store.stats_recomputes();
-  // Writes to the promoted predicate go to its dedicated sub-shards; the
-  // tail shard's memo must survive.
-  store.Insert(100, 5, 999);
-  EXPECT_EQ(store.StatsFor(6).facts, 1u);
-  EXPECT_EQ(store.stats_recomputes(), warm);
-}
+  // Re-reads are memoized: no new recomputes.
+  (void)store.StatsFor(p1);
+  (void)store.StatsFor(p2);
+  ASSERT_EQ(store.stats_recomputes(), warm);
 
-TEST(ShardedStoreTest, EraseOnPromotedPredicate) {
-  TripleStore store(TinyShards());
-  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);
-  ASSERT_EQ(store.PromotedPredicates(), (std::vector<TermId>{5}));
-  const uint64_t epoch0 = store.mutation_epoch();
-  ASSERT_TRUE(store.Erase(Triple(7, 5, 107)));
-  EXPECT_GT(store.mutation_epoch(), epoch0);
-  EXPECT_EQ(store.size(), 19u);
-  EXPECT_FALSE(store.Contains(7, 5, 107));
-  EXPECT_EQ(store.StatsFor(5).facts, 19u);
-  EXPECT_EQ(store.StatsFor(5).distinct_subjects, 19u);
-  EXPECT_EQ(store.CountMatches(TriplePattern(0, 5, 0)), 19u);
-  EXPECT_EQ(store.GlobalStats().triples, 19u);
+  // Write to p1: its own memo must drop...
+  store.Insert(3, p1, 102);
+  EXPECT_EQ(store.StatsFor(p1).facts, 3u);
+  const uint64_t after_p1 = store.stats_recomputes();
+  EXPECT_EQ(after_p1, warm + 1);
+  // ...and p2's, on the other shard, must survive.
+  EXPECT_EQ(store.StatsFor(p2).facts, 1u);
+  EXPECT_EQ(store.stats_recomputes(), after_p1);
 }
 
 TEST(ShardedStoreTest, BulkLoadBumpsEpochOnce) {
@@ -336,11 +302,9 @@ TEST(ShardedStoreTest, BulkLoadBumpsEpochOnce) {
     // Inside the scope the epoch is frozen.
     EXPECT_EQ(store.mutation_epoch(), epoch0);
   }
-  // One bump for the whole batch, promotion applied at scope end.
+  // One bump for the whole batch.
   EXPECT_EQ(store.mutation_epoch(), epoch0 + 1);
   EXPECT_EQ(store.size(), 61u);
-  auto promoted = store.PromotedPredicates();
-  EXPECT_EQ(promoted, (std::vector<TermId>{5, 6}));
   EXPECT_EQ(store.StatsFor(5).facts, 30u);
   EXPECT_EQ(store.CountMatches(TriplePattern(0, 6, 0)), 30u);
 
@@ -385,7 +349,6 @@ TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
     ExpectGlobalStatsMatchFullWalk(store);
     if (::testing::Test::HasFailure()) return;
   }
-  ASSERT_FALSE(store.PromotedPredicates().empty());
 
   // A duplicate insert and an erase of an absent triple change nothing.
   const StoreStats settled = store.GlobalStats();
@@ -410,14 +373,14 @@ TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
   EXPECT_EQ(store.GlobalStats().distinct_subjects, settled.distinct_subjects);
   EXPECT_EQ(store.GlobalStats().distinct_objects, settled.distinct_objects);
 
-  // A bulk load that promotes a new predicate at scope end.
+  // A bulk load that adds a new predicate.
   {
     TripleStore::BulkLoadScope bulk(&store, /*expected=*/32);
     for (TermId i = 1; i <= 12; ++i) store.Insert(i, kP + 1, kO + i);
     store.Insert(1, kP + 1, kO + 1);  // Duplicate inside the scope.
     ExpectGlobalStatsMatchFullWalk(store);
   }
-  EXPECT_EQ(store.PromotedPredicates().back(), kP + 1);
+  EXPECT_EQ(store.StatsFor(kP + 1).facts, 12u);
   ExpectGlobalStatsMatchFullWalk(store);
 
   // A move carries the counts and leaves an empty store behind.
@@ -432,7 +395,6 @@ TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
   // the first write that changes the data thaws and keeps counting.
   TripleStore::MappedLayout layout;
   layout.options = moved.options();
-  layout.group_preds = moved.PromotedPredicates();
   for (size_t i = 0; i < moved.num_shards(); ++i) {
     layout.shards.push_back(moved.ShardSegments(i));
   }
@@ -451,7 +413,7 @@ TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
 
 TEST(ShardedStoreTest, GlobalStatsAfterWriteComputesNothing) {
   TripleStore store(TinyShards());
-  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);  // Promoted.
+  for (TermId i = 1; i <= 20; ++i) store.Insert(i, 5, i + 100);
   store.Insert(1, 6, 300);
   (void)store.GlobalStats();
   const uint64_t warm = store.stats_recomputes();
@@ -470,8 +432,8 @@ TEST(ShardedStoreTest, StatsParityAcrossShardGeometries) {
                       static_cast<TermId>(1 + rng.Below(5)),
                       static_cast<TermId>(1 + rng.Below(60)));
   }
-  TripleStore baseline(StoreOptions{1, /*promote_threshold=*/1u << 30, 1});
-  TripleStore sharded(StoreOptions{4, /*promote_threshold=*/32, 4});
+  TripleStore baseline(StoreOptions{/*num_hash_shards=*/1});
+  TripleStore sharded(StoreOptions{/*num_hash_shards=*/4});
   for (const Triple& t : data) {
     const bool a = baseline.Insert(t);
     const bool b = sharded.Insert(t);
@@ -503,13 +465,13 @@ TEST(ShardedStoreTest, StatsParityAcrossShardGeometries) {
   }
 }
 
-// The randomized property suite again, this time over an aggressively
-// sharded store so promotion and sub-shard routing face the same oracle.
+// The randomized property suite again, this time over a 3-shard ring so
+// cross-shard routing faces the same oracle.
 class ShardedPatternProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ShardedPatternProperty, MatchesAgreeWithBruteForce) {
   Rng rng(GetParam());
-  TripleStore store(StoreOptions{3, /*promote_threshold=*/24, 2});
+  TripleStore store(StoreOptions{/*num_hash_shards=*/3});
   std::vector<Triple> all;
   for (int i = 0; i < 400; ++i) {
     Triple t(static_cast<TermId>(1 + rng.Below(12)),
@@ -517,7 +479,6 @@ TEST_P(ShardedPatternProperty, MatchesAgreeWithBruteForce) {
              static_cast<TermId>(1 + rng.Below(12)));
     if (store.Insert(t)) all.push_back(t);
   }
-  EXPECT_FALSE(store.PromotedPredicates().empty());
 
   auto brute = [&](const TriplePattern& p) {
     std::vector<Triple> out;
@@ -649,8 +610,7 @@ void ExpectStoreMatchesOracle(const TripleStore& store,
 /// pick either a triple inserted since the last read (still in an unsorted
 /// tail) or an older one (in a sorted prefix), and every write's return
 /// value is checked against the oracle.
-void RunInterleavedChurn(const StoreOptions& options, uint64_t seed,
-                         bool expect_promotion) {
+void RunInterleavedChurn(const StoreOptions& options, uint64_t seed) {
   constexpr TermId kS = 24, kP = 5, kO = 24;
   Rng rng(seed);
   TripleStore store(options);
@@ -664,8 +624,6 @@ void RunInterleavedChurn(const StoreOptions& options, uint64_t seed,
     const Triple t = random_triple();
     EXPECT_EQ(store.Insert(t), oracle.insert(t).second);
   }
-  // Promotion must happen mid-stream, after reads, not during the seed.
-  const bool promoted_at_start = !store.PromotedPredicates().empty();
   ExpectStoreMatchesOracle(store, oracle, rng, kS, kP, kO);
 
   size_t prefix_erases = 0;
@@ -710,23 +668,19 @@ void RunInterleavedChurn(const StoreOptions& options, uint64_t seed,
   }
   EXPECT_GT(prefix_erases, 0u);
   EXPECT_GT(tail_erases, 0u);
-  if (expect_promotion) {
-    EXPECT_FALSE(promoted_at_start);
-    EXPECT_FALSE(store.PromotedPredicates().empty());
-  }
 }
 
 TEST(InterleavedWriteReadProperty, DefaultShards) {
   for (uint64_t seed : {3ULL, 11ULL, 29ULL}) {
     SCOPED_TRACE(seed);
-    RunInterleavedChurn(StoreOptions(), seed, /*expect_promotion=*/false);
+    RunInterleavedChurn(StoreOptions(), seed);
   }
 }
 
-TEST(InterleavedWriteReadProperty, TinyShardsPromoteMidStream) {
+TEST(InterleavedWriteReadProperty, TinyShards) {
   for (uint64_t seed : {3ULL, 11ULL, 29ULL}) {
     SCOPED_TRACE(seed);
-    RunInterleavedChurn(TinyShards(), seed, /*expect_promotion=*/true);
+    RunInterleavedChurn(TinyShards(), seed);
   }
 }
 

@@ -6,13 +6,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/store_snapshot.h"
 #include "sparql/query.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace sofya {
 namespace {
@@ -330,7 +331,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineJoinProperty,
 // brute-force predicate set, with nothing scanned — under every store
 // layout, and after an Erase drops a predicate's last fact. Near-miss shapes
 // keep the pipeline and still match brute force.
-enum class StoreLayout { kDefaultShards, kTinyShardsPromoted, kMapped };
+enum class StoreLayout { kDefaultShards, kTinyShards, kMapped };
 
 class PredicateDirectoryParity
     : public ::testing::TestWithParam<std::tuple<StoreLayout, uint64_t>> {
@@ -341,11 +342,10 @@ class PredicateDirectoryParity
     const StoreOptions options =
         layout == StoreLayout::kDefaultShards
             ? StoreOptions()
-            : StoreOptions{/*num_hash_shards=*/2, /*promote_threshold=*/8,
-                           /*split_factor=*/4};
+            : StoreOptions{/*num_hash_shards=*/2};
     TripleStore built(options);
     // Entities double as subjects and objects, so {?x ?p ?x} has answers;
-    // predicate 0 is hot enough to be promoted under the tiny shards.
+    // predicate 0 is hot.
     std::vector<TermId> entities, predicates;
     for (int i = 0; i < 12; ++i) {
       entities.push_back(dict_.InternIri("e" + std::to_string(i)));
@@ -361,9 +361,6 @@ class PredicateDirectoryParity
       built.Insert(entities[rng.Below(entities.size())], p,
                    entities[rng.Below(entities.size())]);
     }
-    if (layout == StoreLayout::kTinyShardsPromoted) {
-      ASSERT_FALSE(built.PromotedPredicates().empty());
-    }
     if (layout == StoreLayout::kMapped) {
       const std::string path = ::testing::TempDir() + "/directory_" +
                                std::to_string(seed) + ".snap";
@@ -374,8 +371,6 @@ class PredicateDirectoryParity
     } else {
       store_ = std::move(built);
     }
-    options_.scan_pool = &pool_;  // The directory path precedes the pool.
-    options_.parallel_scan_min_rows = 16;
   }
 
   // SELECT DISTINCT ?p { ?s ?p ?o } [LIMIT limit] [OFFSET offset].
@@ -396,7 +391,7 @@ class PredicateDirectoryParity
     const std::vector<TermId> expected(expected_set.begin(),
                                        expected_set.end());
     const uint64_t n = expected.size();
-    Engine engine(&store_, &dict_, options_);
+    Engine engine(&store_, &dict_);
 
     for (uint64_t limit : {uint64_t{1}, uint64_t{3}, uint64_t{7}, n,
                            uint64_t{250}, kNoLimit}) {
@@ -536,8 +531,6 @@ class PredicateDirectoryParity
 
   Dictionary dict_;
   TripleStore store_;
-  ThreadPool pool_{2};
-  Engine::Options options_;
 };
 
 TEST_P(PredicateDirectoryParity, PagesMatchBruteForce) {
@@ -562,9 +555,74 @@ TEST_P(PredicateDirectoryParity, PagesMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Layouts, PredicateDirectoryParity,
     ::testing::Combine(::testing::Values(StoreLayout::kDefaultShards,
-                                         StoreLayout::kTinyShardsPromoted,
+                                         StoreLayout::kTinyShards,
                                          StoreLayout::kMapped),
                        ::testing::Values(1ULL, 2ULL, 7ULL)));
+
+// Concurrent Selects through one shared Engine on a store nobody has read
+// yet. Each thread starts on a different query, so the threads plan at the
+// same time and race into the same dirty shards. Under TSan this exercises
+// the lazy shard sort, the stats and histogram memos and the plan cache at
+// once; every thread must see the rows a single-threaded run returns.
+TEST(EngineConcurrencyTest, ConcurrentSelectsAreRaceFree) {
+  constexpr int kThreads = 4;
+  Dictionary dict;
+  // `reference` gets the same triples and answers the queries first, so
+  // `store` stays unread until the threads start.
+  TripleStore store(StoreOptions{/*num_hash_shards=*/4});
+  TripleStore reference(StoreOptions{/*num_hash_shards=*/4});
+  auto insert = [&](TermId s, TermId p, TermId o) {
+    store.Insert(s, p, o);
+    reference.Insert(s, p, o);
+  };
+  auto entity = [&](int i) {
+    return dict.InternIri("http://kb/p" + std::to_string(i));
+  };
+  const TermId knows = dict.InternIri("http://kb/knows");
+  const TermId type = dict.InternIri("http://kb/type");
+  const TermId person = dict.InternIri("http://kb/Person");
+  for (int i = 0; i < 600; ++i) {
+    insert(entity(i % 97), knows, entity((i * 7 + 3) % 211));
+  }
+  for (int i = 0; i < 211; ++i) insert(entity(i), type, person);
+
+  // Four queries over the same two predicates, one per thread to start.
+  std::vector<SelectQuery> queries(kThreads);
+  for (size_t k = 0; k < queries.size(); ++k) {
+    SelectQuery& q = queries[k];
+    const VarId x = q.NewVar("x");
+    const VarId y = q.NewVar("y");
+    q.Where(NodeRef::Variable(x), NodeRef::Constant(knows),
+            NodeRef::Variable(y));
+    if (k == 1) continue;  // The bare `knows` scan.
+    const VarId typed = k == 2 ? x : y;
+    q.Where(NodeRef::Variable(typed), NodeRef::Constant(type),
+            NodeRef::Constant(person));
+    if (k == 3) q.Select({y}).Distinct();
+  }
+  std::vector<ResultSet> want;
+  for (const SelectQuery& q : queries) {
+    auto rows = Evaluate(reference, q, nullptr, &dict);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    ASSERT_FALSE(rows->rows.empty());
+    want.push_back(*rows);
+  }
+
+  Engine engine(&store, &dict);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 8; ++i) {
+        const size_t k = static_cast<size_t>(t + i) % queries.size();
+        auto rows = engine.Select(queries[k]);
+        if (!rows.ok() || rows->rows != want[k].rows) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kThreads, 0));
+}
 
 }  // namespace
 }  // namespace sofya

@@ -15,7 +15,6 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "endpoint/local_endpoint.h"
@@ -357,18 +356,12 @@ std::multiset<Row> NestedLoopRows(const TripleStore& store,
   return out;
 }
 
-/// Shard geometry: (hash-ring size, promotion threshold). Threshold 64
-/// promotes the fat predicate once the corpus is big enough, so both
-/// layouts get exercised; 0 disables promotion.
-class PlannerReference
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+/// Shard geometry: the hash-ring size.
+class PlannerReference : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PlannerReference, EngineMatchesNestedLoopAcrossShardGeometries) {
-  const auto [ring, threshold] = GetParam();
-  StoreOptions geometry;
-  geometry.num_hash_shards = ring;
-  geometry.promote_threshold = threshold;
-  geometry.split_factor = 2;
+  const size_t ring = GetParam();
+  const StoreOptions geometry{/*num_hash_shards=*/ring};
   for (const uint64_t seed : {7ULL, 23ULL, 99ULL, 1234ULL}) {
     Rng rng(seed);
     for (int round = 0; round < 10; ++round) {
@@ -377,16 +370,13 @@ TEST_P(PlannerReference, EngineMatchesNestedLoopAcrossShardGeometries) {
       auto result = Evaluate(store, q);
       ASSERT_TRUE(result.ok());
       EXPECT_EQ(AsBag(result->rows), NestedLoopRows(store, q))
-          << "seed=" << seed << " ring=" << ring
-          << " promote=" << threshold << " round=" << round;
+          << "seed=" << seed << " ring=" << ring << " round=" << round;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, PlannerReference,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{8}),
-                       ::testing::Values(size_t{0}, size_t{64})));
+INSTANTIATE_TEST_SUITE_P(Geometries, PlannerReference,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{8}));
 
 class PlannerProperty : public ::testing::TestWithParam<uint64_t> {};
 

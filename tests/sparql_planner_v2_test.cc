@@ -9,8 +9,8 @@
 //   2. exact-probe estimates: a constant-prefix clause's estimated_rows is
 //      the store's true match count, not a facts/distinct approximation;
 //   3. histograms are epoch-memoized exactly like StatsFor: repeated reads
-//      are free, a write to the predicate's shard invalidates, an untouched
-//      promoted predicate keeps its memo.
+//      are free, a write to the predicate's shard invalidates, a predicate
+//      on another shard keeps its memo.
 //
 // Result correctness across shard geometries is checked against a
 // nested-loop reference in sparql_planner_test.cc.
@@ -150,18 +150,26 @@ TEST(ExactProbeTest, ConstantPrefixEstimateIsTheTrueMatchCount) {
 // Histogram memoization.
 
 TEST(HistogramMemoTest, RebuiltOnlyWhenThePredicatesShardsChange) {
-  // Promotion threshold 4 gives each fat predicate its own shard group, so
-  // the two predicates have independent epochs.
-  StoreOptions options;
-  options.promote_threshold = 4;
-  options.split_factor = 2;
-  TripleStore store(options);
+  // On the default 8-shard ring, predicates 10 and 11 hash to different
+  // shards, so they have independent epochs.
+  TripleStore store;
   const TermId pa = 10, pb = 11;
   for (TermId i = 0; i < 40; ++i) {
     store.Insert(100 + i, pa, 200 + (i % 5));
     store.Insert(300 + i, pb, 400 + i);
   }
   EXPECT_EQ(store.histogram_recomputes(), 0u);
+  auto shard_of = [&store](TermId p) {
+    for (size_t i = 0; i < store.num_shards(); ++i) {
+      const auto pos = store.ShardSegments(i).pos;
+      if (!pos.empty() && pos.front().predicate <= p &&
+          pos.back().predicate >= p) {
+        return i;
+      }
+    }
+    return store.num_shards();
+  };
+  ASSERT_NE(shard_of(pa), shard_of(pb));
 
   const PredicateHistograms first = store.HistogramFor(pa);
   EXPECT_FALSE(first.subjects.empty());
@@ -172,7 +180,7 @@ TEST(HistogramMemoTest, RebuiltOnlyWhenThePredicatesShardsChange) {
   (void)store.HistogramFor(pa);
   EXPECT_EQ(store.histogram_recomputes(), 1u);
 
-  // A write to pb's own group must not invalidate pa's memo...
+  // A write to pb's shard must not invalidate pa's memo...
   (void)store.HistogramFor(pb);
   EXPECT_EQ(store.histogram_recomputes(), 2u);
   store.Insert(999, pb, 999);
@@ -192,26 +200,6 @@ TEST(HistogramMemoTest, RebuiltOnlyWhenThePredicatesShardsChange) {
   const PredicateHistograms absent = store.HistogramFor(12345);
   EXPECT_TRUE(absent.subjects.empty());
   EXPECT_TRUE(absent.objects.empty());
-}
-
-TEST(HistogramMemoTest, NotServedStaleAcrossPromotion) {
-  // Promotion moves a predicate from its hash shard (epoch 4 after four
-  // inserts) into a fresh sub-shard group whose epoch sum starts low again:
-  // three more inserts bring that sum back to 4. Keyed on the epoch alone,
-  // the memo served the 4-row histogram built before the promotion.
-  StoreOptions options;
-  options.promote_threshold = 4;
-  options.split_factor = 2;
-  TripleStore store(options);
-  const TermId p = 10;
-  for (TermId i = 0; i < 4; ++i) store.Insert(100 + i, p, 200 + i);
-  EXPECT_EQ(store.HistogramFor(p).subjects.total_rows(), 4u);
-  for (TermId i = 4; i < 7; ++i) store.Insert(100 + i, p, 200 + i);
-  ASSERT_EQ(store.PromotedPredicates(), (std::vector<TermId>{p}));
-  ASSERT_EQ(store.StatsFor(p).facts, 7u);
-  const PredicateHistograms after = store.HistogramFor(p);
-  EXPECT_EQ(after.subjects.total_rows(), 7u);
-  EXPECT_EQ(after.objects.total_rows(), 7u);
 }
 
 TEST(HistogramMemoTest, FanoutSeesContiguousSkewButStaysNearUniformWhenFlat) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -31,17 +33,14 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// A store with mixed term kinds, several predicates, and one predicate
-/// promoted past a tiny threshold, so snapshots cover the dedicated-group
-/// path too.
+/// A store with mixed term kinds and several predicates on a small
+/// 2-shard ring.
 struct Fixture {
   Dictionary dict;
   TripleStore store;
   TermId hot, cold, label;
 
-  Fixture()
-      : store(StoreOptions{/*num_hash_shards=*/2, /*promote_threshold=*/16,
-                           /*split_factor=*/4}) {
+  Fixture() : store(StoreOptions{/*num_hash_shards=*/2}) {
     hot = dict.InternIri("http://kb/hot");
     cold = dict.InternIri("http://kb/cold");
     label = dict.InternIri("http://kb/label");
@@ -56,7 +55,6 @@ struct Fixture {
                      "42", "http://www.w3.org/2001/XMLSchema#integer")));
     store.Insert(dict.InternIri("http://kb/s2"), label,
                  dict.Intern(Term::LangLiteral("Wien", "de")));
-    EXPECT_EQ(store.PromotedPredicates(), (std::vector<TermId>{hot}));
   }
 };
 
@@ -89,7 +87,7 @@ TEST(StoreSnapshotTest, RoundTripParity) {
   ASSERT_TRUE(saved.ok()) << saved.status();
   EXPECT_EQ(saved->triples, fx.store.size());
   EXPECT_EQ(saved->terms, fx.dict.size());
-  EXPECT_EQ(saved->groups, 1u);
+  EXPECT_EQ(saved->shards, 2u);
 
   Dictionary dict2;
   TripleStore store2;
@@ -97,6 +95,8 @@ TEST(StoreSnapshotTest, RoundTripParity) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(store2.is_mapped());
   EXPECT_EQ(loaded->triples, fx.store.size());
+  EXPECT_EQ(loaded->shards, 2u);
+  EXPECT_EQ(store2.num_shards(), 2u);
 
   // Dictionary parity: every id decodes to the identical term.
   ASSERT_EQ(dict2.size(), fx.dict.size());
@@ -104,7 +104,6 @@ TEST(StoreSnapshotTest, RoundTripParity) {
     EXPECT_EQ(dict2.Decode(id), fx.dict.Decode(id)) << "id " << id;
   }
   ExpectStoresEqual(fx.store, store2);
-  EXPECT_EQ(store2.PromotedPredicates(), fx.store.PromotedPredicates());
 
   // Mapped membership checks (no hash set in mapped mode).
   EXPECT_TRUE(
@@ -205,6 +204,30 @@ TEST(StoreSnapshotTest, CorruptPayloadByteIsRejected) {
   auto loaded = LoadStoreSnapshot(path, &dict2, &store2);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+}
+
+TEST(StoreSnapshotTest, VersionOneHeaderIsRejected) {
+  // Version 1 files carried a promoted-predicate group table; the loader
+  // reads only the current layout and names the version it refuses.
+  Fixture fx;
+  const std::string path = TempPath("version1.snap");
+  ASSERT_TRUE(SaveStoreSnapshot(fx.store, fx.dict, path).ok());
+  std::string bytes = ReadFile(path);
+  const uint32_t version = 1;
+  std::memcpy(&bytes[8], &version, sizeof(version));  // After the magic.
+  WriteFile(path, bytes);
+  EXPECT_TRUE(LooksLikeSnapshot(path));
+
+  Dictionary dict2;
+  TripleStore store2;
+  auto loaded = LoadStoreSnapshot(path, &dict2, &store2);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("unsupported snapshot version 1"),
+            std::string::npos)
+      << loaded.status();
+  EXPECT_TRUE(dict2.empty());
+  EXPECT_TRUE(store2.empty());
 }
 
 TEST(StoreSnapshotTest, TruncatedFileIsRejected) {

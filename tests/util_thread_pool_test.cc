@@ -90,7 +90,6 @@ TEST(ThreadPoolTest, PostedContinuationChainsComplete) {
   {
     ThreadPool pool(4);
     link = [&](int remaining) {
-      ASSERT_TRUE(pool.OnWorkerThread());
       completed.fetch_add(1);
       if (remaining > 1) {
         pool.Post([&, remaining] { link(remaining - 1); });
@@ -102,7 +101,6 @@ TEST(ThreadPoolTest, PostedContinuationChainsComplete) {
       }
       done_cv.notify_one();
     };
-    EXPECT_FALSE(pool.OnWorkerThread());
     for (int c = 0; c < kChains; ++c) {
       pool.Post([&] { link(kLinks); });
     }

@@ -15,12 +15,11 @@
 //       relations out across N workers (verdicts are identical to
 //       sequential for any N).
 //
-//   sofya query --kb F --sparql 'SELECT ...' [--scan-threads N]
+//   sofya query --kb F --sparql 'SELECT ...'
 //   sofya query --endpoint-url URL --sparql 'SELECT ...'
 //       Run a SPARQL SELECT (the supported subset) against a local
 //       dataset or a remote SPARQL endpoint (retried with backoff on
-//       transient failures). --scan-threads N fans large driver scans
-//       across a thread pool (results identical to sequential).
+//       transient failures).
 //
 //   sofya snapshot save --kb F --out F.snap
 //   sofya snapshot load --kb F.snap
@@ -29,7 +28,7 @@
 //       .snap snapshot is auto-detected and mmap-loaded instead of parsed.
 //
 //   sofya serve --kb F [--port N] [--address A] [--path /sparql]
-//               [--scan-threads N] [--workers N] [--max-concurrent N]
+//               [--workers N] [--max-concurrent N]
 //               [--per-client-concurrent N] [--quota N] [--retry-after-s S]
 //               [--port-file F]
 //       Serve the dataset as a SPARQL 1.1 Protocol endpoint (GET ?query=
@@ -51,7 +50,11 @@
 //       the whole report as one machine-readable JSON object.
 //
 // Each subcommand accepts only its own flags: any other --flag exits 2
-// with "unknown flag --NAME".
+// with "unknown flag --NAME". A boolean flag (--inverses, --lenient,
+// --no-ubs, --update, --execute, --json) takes no value, every other flag
+// takes one ("missing value for --NAME" otherwise, exit 2), and any word
+// that is neither a flag nor a value flag's value exits 2 with
+// "unexpected argument 'WORD'".
 
 #include <charconv>
 #include <chrono>
@@ -98,9 +101,9 @@ int Usage() {
                "dataset; strict mode fails on unrecorded queries)\n"
                "  sofya manifest diff A.manifest B.manifest\n"
                "  sofya query (--kb FILE | --endpoint-url URL) "
-               "--sparql 'SELECT ...' [--scan-threads N]\n"
+               "--sparql 'SELECT ...'\n"
                "  sofya serve --kb FILE [--port N] [--address A] "
-               "[--path /sparql] [--scan-threads N] [--workers N] "
+               "[--path /sparql] [--workers N] "
                "[--max-concurrent N] [--per-client-concurrent N] "
                "[--quota N] [--retry-after-s S] [--port-file FILE]\n"
                "  sofya explain --kb FILE --sparql 'SELECT ...' "
@@ -112,53 +115,68 @@ int Usage() {
   return 2;
 }
 
-/// The flags `command` accepts; empty for an unknown command.
-std::set<std::string> KnownFlags(const std::string& command) {
-  std::set<std::string> align = {
-      "kb1",    "kb2",    "links", "relation", "threads", "tau", "measure",
-      "no-ubs", "sample", "seed",  "base1",    "base2",   "candidate-source"};
+/// The flags one subcommand accepts: value flags take the next word,
+/// boolean flags take none.
+struct FlagSpec {
+  std::set<std::string> values;
+  std::set<std::string> booleans;
+};
+
+/// The flags `command` accepts; none for an unknown command.
+FlagSpec KnownFlags(const std::string& command) {
+  FlagSpec align = {{"kb1", "kb2", "links", "relation", "threads", "tau",
+                     "measure", "sample", "seed", "base1", "base2",
+                     "candidate-source"},
+                    {"no-ubs"}};
   if (command == "align") return align;
   if (command == "record" || command == "replay") {
-    align.insert("cassette-dir");
+    align.values.insert("cassette-dir");
     if (command == "replay") {
-      align.insert({"lenient", "update", "manifest-out", "expect-manifest"});
+      align.values.insert({"manifest-out", "expect-manifest"});
+      align.booleans.insert({"lenient", "update"});
     }
     return align;
   }
   if (command == "generate") {
-    return {"preset", "out", "seed", "scale", "inverses"};
+    return {{"preset", "out", "seed", "scale"}, {"inverses"}};
   }
-  if (command == "query") {
-    return {"kb", "endpoint-url", "sparql", "scan-threads"};
-  }
+  if (command == "query") return {{"kb", "endpoint-url", "sparql"}, {}};
   if (command == "serve") {
-    return {"kb", "port", "address", "path", "workers", "scan-threads",
-            "quota", "retry-after-s", "port-file", "max-concurrent",
-            "per-client-concurrent"};
+    return {{"kb", "port", "address", "path", "workers", "quota",
+             "retry-after-s", "port-file", "max-concurrent",
+             "per-client-concurrent"},
+            {}};
   }
-  if (command == "explain") return {"kb", "sparql", "execute", "json"};
-  if (command == "snapshot") return {"kb", "out"};
+  if (command == "explain") return {{"kb", "sparql"}, {"execute", "json"}};
+  if (command == "snapshot") return {{"kb", "out"}, {}};
   return {};
 }
 
 /// Minimal flag parser: --key value and boolean --key. A flag outside
-/// `known` prints "unknown flag --NAME" and returns false (the caller exits
-/// 2), so a typo such as `--thread 4` fails instead of running a default.
-bool ParseFlags(int argc, char** argv, int start,
-                const std::set<std::string>& known,
+/// `known` prints "unknown flag --NAME", a value flag with no value prints
+/// "missing value for --NAME", and a word no flag takes prints
+/// "unexpected argument 'WORD'"; each returns false (the caller exits 2),
+/// so a typo such as `--thread 4` or a stray word fails instead of running
+/// with a default.
+bool ParseFlags(int argc, char** argv, int start, const FlagSpec& known,
                 std::map<std::string, std::string>* flags) {
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    if (!known.count(arg)) {
-      std::fprintf(stderr, "unknown flag --%s\n", arg.c_str());
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
       return false;
     }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+    arg = arg.substr(2);
+    if (known.booleans.count(arg)) {
+      (*flags)[arg] = "true";
+    } else if (!known.values.count(arg)) {
+      std::fprintf(stderr, "unknown flag --%s\n", arg.c_str());
+      return false;
+    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       (*flags)[arg] = argv[++i];
     } else {
-      (*flags)[arg] = "true";
+      std::fprintf(stderr, "missing value for --%s\n", arg.c_str());
+      return false;
     }
   }
   return true;
@@ -712,14 +730,11 @@ int Query(const std::map<std::string, std::string>& flags) {
       !flags.count("sparql")) {
     return Usage();
   }
-  size_t scan_threads = 0;
-  if (!NumberFlag(flags, "scan-threads", &scan_threads)) return 2;
 
   // Build the target endpoint: local file or remote SPARQL service. The
   // remote path is wrapped in RetryingEndpoint so one 503 does not kill a
   // one-shot query (backoff per retry_policy.h defaults).
   KnowledgeBase kb("kb", "");
-  std::unique_ptr<ThreadPool> scan_pool;  // Must outlive the endpoint.
   std::unique_ptr<LocalEndpoint> local;
   std::unique_ptr<HttpSparqlEndpoint> remote;
   std::unique_ptr<RetryingEndpoint> retrying;
@@ -742,12 +757,7 @@ int Query(const std::map<std::string, std::string>& flags) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    LocalEndpointOptions local_options;
-    if (scan_threads > 1) {
-      scan_pool = std::make_unique<ThreadPool>(scan_threads);
-      local_options.engine.scan_pool = scan_pool.get();
-    }
-    local = std::make_unique<LocalEndpoint>(&kb, local_options);
+    local = std::make_unique<LocalEndpoint>(&kb);
     endpoint = local.get();
   }
 
@@ -846,8 +856,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
 
   SparqlServerOptions server_options;
   HttpServerOptions http_options;
-  if (!NumberFlag(flags, "scan-threads", &server_options.scan_threads) ||
-      !NumberFlag(flags, "max-concurrent", &server_options.max_concurrent) ||
+  if (!NumberFlag(flags, "max-concurrent", &server_options.max_concurrent) ||
       !NumberFlag(flags, "per-client-concurrent",
                   &server_options.max_concurrent_per_client) ||
       !NumberFlag(flags, "quota", &server_options.per_client_query_quota) ||
@@ -922,11 +931,10 @@ int Snapshot(const std::string& action,
       return 1;
     }
     std::printf(
-        "wrote %s: %zu triples, %zu terms, %zu shards (%zu promoted "
-        "groups), %llu bytes, %.0f ms\n",
+        "wrote %s: %zu triples, %zu terms, %zu shards, %llu bytes, %.0f "
+        "ms\n",
         flags.at("out").c_str(), report->triples, report->terms,
-        report->shards, report->groups,
-        static_cast<unsigned long long>(report->bytes),
+        report->shards, static_cast<unsigned long long>(report->bytes),
         timer.ElapsedMillis());
     return 0;
   }
@@ -940,11 +948,10 @@ int Snapshot(const std::string& action,
     }
     const StoreStats stats = kb.store().GlobalStats();
     std::printf(
-        "loaded %s: %zu triples, %zu terms, %zu shards (%zu promoted "
-        "groups), %.0f ms\n"
+        "loaded %s: %zu triples, %zu terms, %zu shards, %.0f ms\n"
         "distinct: %llu subjects, %llu predicates, %llu objects\n",
         flags.at("kb").c_str(), report->triples, report->terms,
-        report->shards, report->groups, timer.ElapsedMillis(),
+        report->shards, timer.ElapsedMillis(),
         static_cast<unsigned long long>(stats.distinct_subjects),
         static_cast<unsigned long long>(stats.distinct_predicates),
         static_cast<unsigned long long>(stats.distinct_objects));
@@ -962,11 +969,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return sofya::Usage();
   const std::string command = argv[1];
   if (command == "manifest") {
-    if (argc < 5 || std::string(argv[2]) != "diff") return sofya::Usage();
+    if (argc != 5 || std::string(argv[2]) != "diff") return sofya::Usage();
     return sofya::ManifestDiff(argv[3], argv[4]);
   }
-  const std::set<std::string> known = sofya::KnownFlags(command);
-  if (known.empty()) return sofya::Usage();
+  const sofya::FlagSpec known = sofya::KnownFlags(command);
+  if (known.values.empty()) return sofya::Usage();
   const bool snapshot = command == "snapshot";
   if (snapshot && argc < 3) return sofya::Usage();
   std::map<std::string, std::string> flags;
