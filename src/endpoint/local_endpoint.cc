@@ -18,9 +18,9 @@ StatusOr<ResultSet> LocalEndpoint::Select(const SelectQuery& query) {
   if (result.ok()) {
     for (const auto& row : result->rows) {
       for (TermId id : row) {
-        auto term = kb_->dict().TryDecode(id);
+        const Term* term = kb_->dict().Find(id);
         // +1 per cell for the separator in a serialized response.
-        bytes += term.ok() ? term->ToNTriples().size() + 1 : 1;
+        bytes += term != nullptr ? term->NTriplesSize() + 1 : 1;
       }
     }
   }

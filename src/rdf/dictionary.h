@@ -86,6 +86,13 @@ class Dictionary {
   /// Decodes, returning an error Status for invalid ids.
   StatusOr<Term> TryDecode(TermId id) const;
 
+  /// The term `id` names, or null for an invalid id: TryDecode without the
+  /// copy. The pointer stays valid for the dictionary's lifetime.
+  const Term* Find(TermId id) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    return ContainsLocked(id) ? terms_[id - 1] : nullptr;
+  }
+
   /// Number of interned terms.
   size_t size() const {
     std::shared_lock<std::shared_mutex> lock(mu_);

@@ -18,4 +18,19 @@ std::string Term::ToNTriples() const {
   return out;
 }
 
+size_t Term::NTriplesSize() const {
+  if (is_iri()) return is_blank() ? lexical_.size() : lexical_.size() + 2;
+  // Quotes, plus one backslash per character EscapeNTriples escapes.
+  size_t n = lexical_.size() + 2;
+  for (char c : lexical_) {
+    if (c == '\\' || c == '"' || c == '\n' || c == '\r' || c == '\t') ++n;
+  }
+  if (!language_.empty()) {
+    n += 1 + language_.size();  // @lang
+  } else if (!datatype_.empty()) {
+    n += 4 + datatype_.size();  // ^^<dt>
+  }
+  return n;
+}
+
 }  // namespace sofya

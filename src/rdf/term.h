@@ -91,6 +91,9 @@ class Term {
   /// equality of encodings implies equality of terms.
   std::string ToNTriples() const;
 
+  /// ToNTriples().size(), counted without building the string.
+  size_t NTriplesSize() const;
+
   friend bool operator==(const Term& a, const Term& b) {
     return a.kind_ == b.kind_ && a.lexical_ == b.lexical_ &&
            a.datatype_ == b.datatype_ && a.language_ == b.language_;

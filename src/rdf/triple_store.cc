@@ -50,6 +50,30 @@ TermHistogram BuildEquiDepth(const std::vector<TermId>& sorted) {
   return h;
 }
 
+// The entries of sorted `index` in [lo, hi]: one binary search for the
+// first, then a gallop forward from it (1, 2, 4, ... entries) for the end.
+// A prefix range is short next to its index, so finding its end costs
+// O(log range) comparisons rather than a second search of the whole index.
+template <typename Less>
+std::span<const Triple> PrefixRange(std::span<const Triple> index,
+                                    const Triple& lo, const Triple& hi,
+                                    Less less) {
+  const auto first = std::lower_bound(index.begin(), index.end(), lo, less);
+  const size_t n = static_cast<size_t>(index.end() - first);
+  // Entries before first + `from` are all within `hi`; the gallop stops
+  // when first[reach - 1] passes it or the index ends.
+  size_t from = 0;
+  size_t reach = 1;
+  while (reach <= n && !less(hi, first[reach - 1])) {
+    from = reach;
+    reach *= 2;
+  }
+  const auto last = std::upper_bound(first + from, first + std::min(reach, n),
+                                     hi, less);
+  return index.subspan(static_cast<size_t>(first - index.begin()),
+                       static_cast<size_t>(last - first));
+}
+
 }  // namespace
 
 double TermHistogram::EstimateEq(TermId t) const {
@@ -291,48 +315,33 @@ std::span<const Triple> TripleStore::ShardRange(
   const bool o = pattern.has_object();
 
   // Pick the index whose ordering makes every bound position a prefix, then
-  // binary-search the [lo, hi) range of that prefix. Unlike the pre-sharding
-  // store, all eight shapes are full prefixes here (〈s,p,o〉 uses SPO), so
-  // residual checks are no-ops.
+  // find the [lo, hi] range of that prefix. Unlike the pre-sharding store,
+  // all eight shapes are full prefixes here (〈s,p,o〉 uses SPO), so residual
+  // checks are no-ops.
   if (s && !(o && !p)) {
     // (s ? ?), (s p ?), (s p o): SPO, prefix (s), (s,p) or (s,p,o).
-    const Triple lo(pattern.subject, p ? pattern.predicate : 0,
-                    o ? pattern.object : 0);
-    const Triple hi(pattern.subject, p ? pattern.predicate : kMaxTermId,
-                    o ? pattern.object : kMaxTermId);
-    auto first =
-        std::lower_bound(sh.spo_v.begin(), sh.spo_v.end(), lo, SpoLess());
-    auto last =
-        std::upper_bound(sh.spo_v.begin(), sh.spo_v.end(), hi, SpoLess());
-    return sh.spo_v.subspan(
-        static_cast<size_t>(first - sh.spo_v.begin()),
-        static_cast<size_t>(last - first));
+    return PrefixRange(
+        sh.spo_v,
+        Triple(pattern.subject, p ? pattern.predicate : 0,
+               o ? pattern.object : 0),
+        Triple(pattern.subject, p ? pattern.predicate : kMaxTermId,
+               o ? pattern.object : kMaxTermId),
+        SpoLess());
   }
   if (p && !s) {
     // (? p ?) or (? p o): POS, prefix (p) or (p, o).
-    const Triple lo(kNullTermId, pattern.predicate, o ? pattern.object : 0);
-    const Triple hi(kMaxTermId, pattern.predicate,
-                    o ? pattern.object : kMaxTermId);
-    auto first =
-        std::lower_bound(sh.pos_v.begin(), sh.pos_v.end(), lo, PosLess());
-    auto last =
-        std::upper_bound(sh.pos_v.begin(), sh.pos_v.end(), hi, PosLess());
-    return sh.pos_v.subspan(
-        static_cast<size_t>(first - sh.pos_v.begin()),
-        static_cast<size_t>(last - first));
+    return PrefixRange(
+        sh.pos_v,
+        Triple(kNullTermId, pattern.predicate, o ? pattern.object : 0),
+        Triple(kMaxTermId, pattern.predicate, o ? pattern.object : kMaxTermId),
+        PosLess());
   }
   if (o) {
     // (? ? o) or (s ? o): OSP, prefix (o) or (o, s).
-    const Triple lo(s ? pattern.subject : 0, kNullTermId, pattern.object);
-    const Triple hi(s ? pattern.subject : kMaxTermId, kMaxTermId,
-                    pattern.object);
-    auto first =
-        std::lower_bound(sh.osp_v.begin(), sh.osp_v.end(), lo, OspLess());
-    auto last =
-        std::upper_bound(sh.osp_v.begin(), sh.osp_v.end(), hi, OspLess());
-    return sh.osp_v.subspan(
-        static_cast<size_t>(first - sh.osp_v.begin()),
-        static_cast<size_t>(last - first));
+    return PrefixRange(
+        sh.osp_v, Triple(s ? pattern.subject : 0, kNullTermId, pattern.object),
+        Triple(s ? pattern.subject : kMaxTermId, kMaxTermId, pattern.object),
+        OspLess());
   }
   // (? ? ?): full shard scan over SPO.
   return sh.spo_v;
@@ -507,29 +516,19 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
     }
   }
 
-  options_ = opts;
-  shards_.clear();
-  pred_facts_.clear();
-  distinct_preds_ = 0;
-  size_ = 0;
-  subject_refs_.clear();
-  object_refs_.clear();
-  for (size_t i = 0; i < layout.shards.size(); ++i) {
-    auto sh = std::make_unique<Shard>();
-    sh->spo_v = layout.shards[i].spo;
-    sh->pos_v = layout.shards[i].pos;
-    sh->osp_v = layout.shards[i].osp;
-    sh->mapped = true;
-    size_ += sh->spo_v.size();
-    shards_.push_back(std::move(sh));
-  }
+  // Validate and count into locals first: a rejected layout leaves the
+  // store as it was (empty, not mapped), never half attached.
+  const size_t ring = layout.shards.size();
+  size_t size = 0;
+  std::unordered_map<TermId, size_t> pred_facts;
   // Rebuild the predicate directory by skip-scanning each POS segment.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::span<const Triple> pos_v = shards_[i]->pos_v;
+  for (size_t i = 0; i < ring; ++i) {
+    const std::span<const Triple> pos_v = layout.shards[i].pos;
+    size += pos_v.size();
     size_t at = 0;
     while (at < pos_v.size()) {
       const TermId p = pos_v[at].predicate;
-      if (PredicateShard(p) != i) {
+      if (HashId(p) % ring != i) {
         return Status::InvalidArgument(
             "snapshot predicate routed to wrong hash shard");
       }
@@ -541,11 +540,10 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
                                    Triple(0, p + 1, 0), PosLess());
         end = static_cast<size_t>(it - pos_v.begin());
       }
-      if (!pred_facts_.try_emplace(p, end - at).second) {
+      if (!pred_facts.try_emplace(p, end - at).second) {
         return Status::InvalidArgument(
             "snapshot predicate appears twice in its shard");
       }
-      ++distinct_preds_;
       at = end;
     }
   }
@@ -560,13 +558,30 @@ Status TripleStore::AttachMapped(MappedLayout layout) {
       i = end;
     }
   };
-  subject_refs_.reserve(size_);
-  object_refs_.reserve(size_);
-  for (const auto& sh : shards_) {
-    count_runs(sh->spo_v, &Triple::subject, subject_refs_);
-    count_runs(sh->osp_v, &Triple::object, object_refs_);
+  std::unordered_map<TermId, size_t> subject_refs, object_refs;
+  subject_refs.reserve(size);
+  object_refs.reserve(size);
+  for (const MappedShardSegments& seg : layout.shards) {
+    count_runs(seg.spo, &Triple::subject, subject_refs);
+    count_runs(seg.osp, &Triple::object, object_refs);
   }
 
+  // Commit.
+  options_ = opts;
+  shards_.clear();
+  for (const MappedShardSegments& seg : layout.shards) {
+    auto sh = std::make_unique<Shard>();
+    sh->spo_v = seg.spo;
+    sh->pos_v = seg.pos;
+    sh->osp_v = seg.osp;
+    sh->mapped = true;
+    shards_.push_back(std::move(sh));
+  }
+  distinct_preds_ = pred_facts.size();
+  pred_facts_ = std::move(pred_facts);
+  size_ = size;
+  subject_refs_ = std::move(subject_refs);
+  object_refs_ = std::move(object_refs);
   mapped_ = true;
   mapped_keepalive_ = std::move(layout.keepalive);
   bulk_depth_ = 0;

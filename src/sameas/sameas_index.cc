@@ -22,6 +22,7 @@ void SameAsIndex::AddLink(const Term& a, const Term& b) {
   const size_t ib = InternLocal(b);
   if (uf_.Union(ia, ib)) ++num_links_;
   groups_dirty_ = true;
+  ClearTables();
 }
 
 bool SameAsIndex::AreEquivalent(const Term& a, const Term& b) const {
@@ -56,6 +57,57 @@ std::vector<Term> SameAsIndex::EquivalentsOf(const Term& x) const {
   return out;
 }
 
+const SameAsIndex::PrefixTable& SameAsIndex::TableFor(
+    std::string_view prefix) const {
+  auto find = [&]() -> const PrefixTable* {
+    for (const PrefixTable* t = tables_head_.load(std::memory_order_acquire);
+         t != nullptr; t = t->next) {
+      if (t->prefix == prefix) return t;
+    }
+    return nullptr;
+  };
+  if (const PrefixTable* t = find()) return *t;
+  std::lock_guard<std::mutex> lock(groups_mu_);
+  if (const PrefixTable* t = find()) return *t;
+
+  // The two smallest members of each class under the prefix, by root.
+  auto table = std::make_unique<PrefixTable>();
+  table->prefix = std::string(prefix);
+  std::vector<std::pair<size_t, size_t>> smallest(
+      terms_.size(), {kNoTranslation, kNoTranslation});
+  auto less = [&](size_t a, size_t b) {
+    return b == kNoTranslation || terms_[a] < terms_[b];
+  };
+  for (size_t id = 0; id < terms_.size(); ++id) {
+    const Term& t = terms_[id];
+    if (!t.is_iri() || !StartsWith(t.lexical(), prefix)) continue;
+    auto& [first, second] = smallest[uf_.Find(id)];
+    if (less(id, first)) {
+      second = first;
+      first = id;
+    } else if (less(id, second)) {
+      second = id;
+    }
+  }
+  // An id translates to its class's smallest member under the prefix other
+  // than itself; a member that is that smallest falls back to the second,
+  // else to itself (it is under the prefix).
+  table->to.resize(terms_.size());
+  for (size_t id = 0; id < terms_.size(); ++id) {
+    const auto [first, second] = smallest[uf_.Find(id)];
+    if (first != id) {
+      table->to[id] = first;
+    } else {
+      table->to[id] = second != kNoTranslation ? second : id;
+    }
+  }
+  table->next = tables_head_.load(std::memory_order_relaxed);
+  const PrefixTable* published = table.get();
+  tables_.push_back(std::move(table));
+  tables_head_.store(published, std::memory_order_release);
+  return *published;
+}
+
 StatusOr<Term> SameAsIndex::TranslateTo(const Term& x,
                                         std::string_view target_prefix) const {
   auto it = ids_.find(x);
@@ -67,28 +119,13 @@ StatusOr<Term> SameAsIndex::TranslateTo(const Term& x,
     if (x.is_iri() && StartsWith(x.lexical(), target_prefix)) return x;
     return Status::NotFound("term has no sameAs links");
   }
-  EnsureGroups();
-  const auto& members = groups_.at(uf_.Find(it->second));
-  const Term* best = nullptr;
-  for (size_t id : members) {
-    if (id == it->second) continue;
-    const Term& candidate = terms_[id];
-    if (!candidate.is_iri() || !StartsWith(candidate.lexical(), target_prefix)) {
-      continue;
-    }
-    if (best == nullptr || candidate < *best) best = &candidate;
-  }
-  // The term itself may already be in the target namespace.
-  if (best == nullptr && x.is_iri() &&
-      StartsWith(x.lexical(), target_prefix)) {
-    return x;
-  }
-  if (best == nullptr) {
+  const size_t to = TableFor(target_prefix).to[it->second];
+  if (to == kNoTranslation) {
     return Status::NotFound(
         StrFormat("no equivalent of '%s' under prefix '%s'",
                   x.lexical().c_str(), std::string(target_prefix).c_str()));
   }
-  return *best;
+  return terms_[to];
 }
 
 }  // namespace sofya

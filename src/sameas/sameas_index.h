@@ -6,17 +6,26 @@
 // the samplers ask: "are x1 and x2 the same real-world entity?" and
 // "translate x1 into the other KB's identifier space".
 
+// Translation reads a table per target prefix: each local id maps to the
+// local id of its translation, or to none. A table is built on the first
+// TranslateTo into its prefix and dropped by the next AddLink, so a
+// steady-state translation is one hash lookup of the term and one array
+// read.
+//
 // Thread safety: reads (AreEquivalent, EquivalentsOf, TranslateTo) are safe
 // from any number of threads — including the first read after AddLink,
-// which rebuilds the lazy group memo under an internal lock — as long as no
-// AddLink runs concurrently. Build the link set first, then share it with
-// the parallel alignment pipeline; that matches the paper's setup, where E
-// is given up front.
+// which builds the lazy group memo or a prefix table under an internal lock
+// — as long as no AddLink runs concurrently. Reads of a built table take no
+// lock. Build the link set first, then share it with the parallel alignment
+// pipeline; that matches the paper's setup, where E is given up front.
 
 #ifndef SOFYA_SAMEAS_SAMEAS_INDEX_H_
 #define SOFYA_SAMEAS_SAMEAS_INDEX_H_
 
 #include <atomic>
+#include <cstddef>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -74,8 +83,30 @@ class SameAsIndex {
   }
 
  private:
+  /// Marks a prefix table entry with no translation.
+  static constexpr size_t kNoTranslation = std::numeric_limits<size_t>::max();
+
+  /// Translations into one target prefix: `to[id]` is the local id of
+  /// local id `id`'s translation (`id` itself for the identity), or
+  /// kNoTranslation. Immutable once published; `next` links the list.
+  struct PrefixTable {
+    std::string prefix;
+    std::vector<size_t> to;
+    const PrefixTable* next = nullptr;
+  };
+
   size_t InternLocal(const Term& t);
   void EnsureGroups() const;
+
+  /// The table for `prefix`, built (double-checked under groups_mu_) and
+  /// published on first use.
+  const PrefixTable& TableFor(std::string_view prefix) const;
+
+  /// Drops every prefix table; a write-path call (AddLink, move).
+  void ClearTables() {
+    tables_head_.store(nullptr, std::memory_order_relaxed);
+    tables_.clear();
+  }
 
   void MoveFrom(SameAsIndex&& other) {
     std::scoped_lock lock(groups_mu_, other.groups_mu_);
@@ -86,6 +117,11 @@ class SameAsIndex {
     groups_ = std::move(other.groups_);
     groups_dirty_.store(other.groups_dirty_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
+    // Table nodes live on the heap, so their list moves with them.
+    tables_ = std::move(other.tables_);
+    tables_head_.store(other.tables_head_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    other.ClearTables();
   }
 
   std::vector<Term> terms_;
@@ -98,6 +134,11 @@ class SameAsIndex {
   mutable std::mutex groups_mu_;
   mutable std::atomic<bool> groups_dirty_{false};
   mutable std::unordered_map<size_t, std::vector<size_t>> groups_;
+
+  // Prefix tables: owned by `tables_` (appended under groups_mu_), read
+  // lock-free through the list that starts at `tables_head_`.
+  mutable std::vector<std::unique_ptr<const PrefixTable>> tables_;
+  mutable std::atomic<const PrefixTable*> tables_head_{nullptr};
 };
 
 }  // namespace sofya

@@ -268,6 +268,13 @@ StatusOr<bool> RunAsk(const TripleStore& store, const CompiledPlan& plan,
   return found;
 }
 
+// A plan for one call: a one-clause query's from its bound positions, any
+// other planned against `store`'s statistics.
+CompiledPlan FreshPlan(const SelectQuery& query, const TripleStore& store) {
+  return query.clauses().size() == 1 ? CompileOneClausePlan(query)
+                                     : CompilePlan(query, store);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -277,7 +284,12 @@ Engine::Engine(const TripleStore* store, const Dictionary* dict)
     : store_(store), dict_(dict), plans_(kPlanCacheCapacity) {}
 
 std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
-                                                    bool* cache_hit) const {
+                                                    EvalStats& stats) const {
+  // One clause has one order: its plan needs no fingerprint, no statistics
+  // and no cache, and charges neither a hit nor a miss.
+  if (query.clauses().size() == 1) {
+    return std::make_shared<const CompiledPlan>(CompileOneClausePlan(query));
+  }
   // The key excludes solution modifiers (PlanFingerprint): Ask(q),
   // Select(q LIMIT 10), and every page of an OFFSET walk share one plan —
   // which is also what makes the walk's enumeration order consistent.
@@ -290,7 +302,7 @@ std::shared_ptr<const CompiledPlan> Engine::PlanFor(const SelectQuery& query,
         return std::make_shared<const CompiledPlan>(
             CompilePlan(query, *store_));
       });
-  *cache_hit = !compiled;
+  (compiled ? stats.plan_cache_misses : stats.plan_cache_hits) = 1;
   return plan;
 }
 
@@ -298,9 +310,7 @@ StatusOr<ResultSet> Engine::Select(const SelectQuery& query,
                                    EvalStats* stats) const {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  bool hit = false;
-  const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, &hit);
-  (hit ? local.plan_cache_hits : local.plan_cache_misses) = 1;
+  const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, local);
   auto result = RunSelect(*store_, *plan, query, dict_, local);
   if (stats != nullptr) *stats = local;
   return result;
@@ -309,9 +319,7 @@ StatusOr<ResultSet> Engine::Select(const SelectQuery& query,
 StatusOr<bool> Engine::Ask(const SelectQuery& query, EvalStats* stats) const {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  bool hit = false;
-  const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, &hit);
-  (hit ? local.plan_cache_hits : local.plan_cache_misses) = 1;
+  const std::shared_ptr<const CompiledPlan> plan = PlanFor(query, local);
   auto result = RunAsk(*store_, *plan, query, dict_, local);
   if (stats != nullptr) *stats = local;
   return result;
@@ -343,8 +351,7 @@ StatusOr<ResultSet> Evaluate(const TripleStore& store,
                              const Dictionary* dict) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, store);
-  auto result = RunSelect(store, plan, query, dict, local);
+  auto result = RunSelect(store, FreshPlan(query, store), query, dict, local);
   if (stats != nullptr) *stats = local;
   return result;
 }
@@ -353,8 +360,7 @@ StatusOr<bool> EvaluateAsk(const TripleStore& store, const SelectQuery& query,
                            EvalStats* stats, const Dictionary* dict) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
   EvalStats local;
-  const CompiledPlan plan = CompilePlan(query, store);
-  auto result = RunAsk(store, plan, query, dict, local);
+  auto result = RunAsk(store, FreshPlan(query, store), query, dict, local);
   if (stats != nullptr) *stats = local;
   return result;
 }

@@ -17,14 +17,20 @@
 // the row order under a fixed plan, which keeps sampling
 // and OFFSET pagination reproducible across runs and across pages.
 //
+// A one-clause query (most of SOFYA's probes) has only one order, so its
+// plan is built from the clause's bound positions (CompileOneClausePlan):
+// no fingerprint, no cache, no statistics. Only multi-clause queries are
+// planned by the DP and cached.
+//
 // Two entry points:
 //
-//   * Engine — holds (store, dict) plus a plan cache keyed by
-//     PlanFingerprint and validated against the store epoch, so repeated
-//     probe shapes (SOFYA's workload) skip re-planning. LocalEndpoint owns
-//     one. Also the home of Explain().
+//   * Engine — holds (store, dict) plus a plan cache for multi-clause
+//     queries, keyed by PlanFingerprint and validated against the store
+//     epoch. LocalEndpoint owns one. Also the home of Explain(), which
+//     plans every query, one clause or more, with its estimates.
 //   * the free Evaluate/EvaluateAsk — one-shot helpers that compile a fresh
-//     plan per call; kept for tests and simple callers.
+//     plan per call (the one-clause path alike); kept for tests and simple
+//     callers.
 
 #ifndef SOFYA_SPARQL_ENGINE_H_
 #define SOFYA_SPARQL_ENGINE_H_
@@ -59,8 +65,10 @@ struct EvalStats {
   uint64_t index_probes = 0;       ///< Store range lookups issued.
   uint64_t triples_scanned = 0;    ///< Index entries touched by the pipeline.
   uint64_t result_rows = 0;        ///< Final row count (after LIMIT).
-  uint64_t plan_cache_hits = 0;    ///< 1 when the plan came from the cache.
-  uint64_t plan_cache_misses = 0;  ///< 1 when this call had to plan.
+  /// 1 when a multi-clause plan came from the cache (0 for one clause).
+  uint64_t plan_cache_hits = 0;
+  /// 1 when a multi-clause query had to plan (0 for one clause).
+  uint64_t plan_cache_misses = 0;
   /// Per-stage estimated-vs-actual for the executed plan, in planned order.
   std::vector<ClauseRowStats> clause_rows;
 };
@@ -92,16 +100,18 @@ class Engine {
   /// executing it. `from_cache` reports whether the plan was already cached.
   StatusOr<PlanExplain> Explain(const SelectQuery& query) const;
 
-  /// Plan-cache accounting since construction.
+  /// Plan-cache accounting since construction: multi-clause queries only.
   uint64_t plan_cache_hits() const { return plans_.hits(); }
   uint64_t plan_cache_misses() const { return plans_.computes(); }
 
  private:
-  /// Returns the cached plan for `query` (same PlanFingerprint, same store
-  /// epoch) or compiles, caches, and returns a fresh one; `*cache_hit`
-  /// says which.
+  /// The plan `query` runs with. A one-clause query's is compiled from its
+  /// bound positions (CompileOneClausePlan) and charges no cache counter.
+  /// Any other query's is the cached plan (same PlanFingerprint, same store
+  /// epoch) or a fresh one compiled and cached; `stats` gets the hit or
+  /// the miss.
   std::shared_ptr<const CompiledPlan> PlanFor(const SelectQuery& query,
-                                              bool* cache_hit) const;
+                                              EvalStats& stats) const;
 
   const TripleStore* store_;  // Not owned.
   const Dictionary* dict_;    // Not owned; may be null.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <span>
 
 #include "util/string_util.h"
 
@@ -323,24 +324,15 @@ std::vector<OrderChoice> ChooseOrderDp(const SelectQuery& query,
   return order;
 }
 
-}  // namespace
-
-CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store) {
-  CompiledPlan plan;
+/// Builds the plan from a chosen clause order: classifies slots, attaches
+/// filters and resolves the projection. Runs identically whichever search
+/// produced the order.
+void AssemblePlan(const SelectQuery& query, std::span<const OrderChoice> order,
+                  CompiledPlan& plan) {
   const size_t num_vars = query.num_vars();
-  plan.store_epoch = store.mutation_epoch();
-  const StoreStats global = store.GlobalStats();
-
-  std::vector<OrderChoice> order;
-  if (query.clauses().size() <= kDpMaxClauses) {
-    order = ChooseOrderDp(query, store, global, &plan.used_dp);
-  }
-  if (!plan.used_dp) order = ChooseOrderGreedy(query, store, global);
-
-  // Assembly: classify slots, attach filters, resolve projection. Runs
-  // identically whichever search produced the order.
   std::vector<bool> bound(num_vars, false);
   std::vector<bool> filter_attached(query.filters().size(), false);
+  plan.clauses.reserve(order.size());
   for (const OrderChoice& oc : order) {
     const PatternClause& chosen = query.clauses()[oc.source_index];
 
@@ -411,6 +403,28 @@ CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store) {
         c.predicate.var() != c.object.var() &&
         plan.projection[0] == c.predicate.var();
   }
+}
+
+}  // namespace
+
+CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store) {
+  CompiledPlan plan;
+  plan.store_epoch = store.mutation_epoch();
+  const StoreStats global = store.GlobalStats();
+
+  std::vector<OrderChoice> order;
+  if (query.clauses().size() <= kDpMaxClauses) {
+    order = ChooseOrderDp(query, store, global, &plan.used_dp);
+  }
+  if (!plan.used_dp) order = ChooseOrderGreedy(query, store, global);
+  AssemblePlan(query, order, plan);
+  return plan;
+}
+
+CompiledPlan CompileOneClausePlan(const SelectQuery& query) {
+  CompiledPlan plan;
+  const OrderChoice only;  // Clause 0, no estimates.
+  AssemblePlan(query, std::span<const OrderChoice>(&only, 1), plan);
   return plan;
 }
 

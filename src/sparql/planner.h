@@ -103,6 +103,14 @@ struct CompiledPlan {
 /// checked by the engine before execution.
 CompiledPlan CompilePlan(const SelectQuery& query, const TripleStore& store);
 
+/// Compiles a one-clause `query` from its bound positions alone: one clause
+/// has one order, so no statistics are read and no estimate is made
+/// (estimates stay -1, `used_dp` false, `store_epoch` 0). Slots, filters,
+/// projection and the predicate-directory shape are those CompilePlan
+/// gives, so the rows and their order are too. The engine runs every
+/// one-clause query with this plan; EXPLAIN uses CompilePlan.
+CompiledPlan CompileOneClausePlan(const SelectQuery& query);
+
 /// True when `query`, compiled as `plan`, is answered from the store's
 /// predicate directory (TripleStore::Predicates(): ascending term ids, no
 /// scan) rather than by the pipeline: the plan has the directory shape and

@@ -37,7 +37,9 @@ TEST_F(EndpointTest, SelectCountsQueriesAndRows) {
   EXPECT_EQ(result->rows.size(), 10u);
   EXPECT_EQ(ep.stats().queries, 1u);
   EXPECT_EQ(ep.stats().rows_returned, 10u);
-  EXPECT_GT(ep.stats().bytes_estimated, 0u);
+  // Each row ships <http://t.org/sN> and <http://t.org/oK>: 17 bytes of
+  // N-Triples plus one separator per cell.
+  EXPECT_EQ(ep.stats().bytes_estimated, 10u * 2u * (17u + 1u));
 }
 
 TEST_F(EndpointTest, ResetStatsClears) {

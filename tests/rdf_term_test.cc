@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace sofya {
 namespace {
@@ -75,6 +76,28 @@ TEST(TermTest, DefaultConstructedIsEmptyIri) {
   Term t;
   EXPECT_TRUE(t.is_iri());
   EXPECT_TRUE(t.lexical().empty());
+}
+
+TEST(TermTest, NTriplesSizeIsTheSurfaceLength) {
+  const std::vector<Term> terms = {
+      Term::Iri("http://x.org/a"),
+      Term::Iri("_:b7"),
+      Term::Iri(""),
+      Term::Literal("plain"),
+      Term::Literal(""),
+      Term::LangLiteral("Wien", "de"),
+      Term::TypedLiteral("42", "http://www.w3.org/2001/XMLSchema#integer"),
+      Term::Literal("back\\slash"),
+      Term::Literal("say \"hi\""),
+      Term::Literal("line\nbreak"),
+      Term::Literal("carriage\rreturn"),
+      Term::Literal("tab\there"),
+      Term::LangLiteral("\\\"\n\r\t", "en"),
+      Term::TypedLiteral("a\tb\"", "http://x.org/dt"),
+  };
+  for (const Term& t : terms) {
+    EXPECT_EQ(t.NTriplesSize(), t.ToNTriples().size()) << t.ToNTriples();
+  }
 }
 
 }  // namespace

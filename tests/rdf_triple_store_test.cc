@@ -196,13 +196,23 @@ TEST(TripleStoreTest, InterleavedWritesAndReads) {
 }
 
 // Property: every pattern shape agrees with a brute-force filter over
-// randomly generated triples.
-class TripleStorePatternProperty : public ::testing::TestWithParam<uint64_t> {
+// randomly generated triples. A case with `run` > 0 adds, on a one-shard
+// ring, blocks in which every bound prefix of each index (SPO, POS, OSP)
+// spans exactly `run` entries between neighbouring prefixes, so the range
+// lookup meets ends just before, at and just past each power of two.
+struct PatternCase {
+  uint64_t seed;
+  size_t run = 0;
 };
 
+class TripleStorePatternProperty
+    : public ::testing::TestWithParam<PatternCase> {};
+
 TEST_P(TripleStorePatternProperty, MatchesAgreeWithBruteForce) {
-  Rng rng(GetParam());
-  TripleStore store;
+  const PatternCase param = GetParam();
+  Rng rng(param.seed);
+  TripleStore store(param.run > 0 ? StoreOptions{/*num_hash_shards=*/1}
+                                  : StoreOptions());
   std::vector<Triple> all;
   for (int i = 0; i < 400; ++i) {
     Triple t(static_cast<TermId>(1 + rng.Below(12)),
@@ -210,6 +220,49 @@ TEST_P(TripleStorePatternProperty, MatchesAgreeWithBruteForce) {
              static_cast<TermId>(1 + rng.Below(12)));
     if (store.Insert(t)) all.push_back(t);
   }
+  // The first and last triple of each run are its probes: every shape of
+  // a run's triples hits the same ranges.
+  std::vector<Triple> probes;
+  for (TermId k = 0; k < 3; ++k) {
+    for (TermId j = 0; j < param.run; ++j) {
+      const Triple block[] = {
+          // SPO: (s, 50) and (s, 51) each span `run`.
+          {1000 + k, 50, 2000 + j},
+          {1000 + k, 51, 2000 + j},
+          // POS: (52, o) spans `run`.
+          {4000 + j, 52, 3000 + k},
+          // OSP: (o, 6000) and (o, 6001) each span `run`.
+          {6000, 53 + j, 5000 + k},
+          {6001, 53 + j, 5000 + k},
+      };
+      for (const Triple& t : block) {
+        ASSERT_TRUE(store.Insert(t));
+        all.push_back(t);
+        if (j == 0 || j + 1 == param.run) probes.push_back(t);
+      }
+    }
+  }
+
+  // Random patterns, then every shape of every probe.
+  std::vector<TriplePattern> patterns;
+  for (int trial = 0; trial < 200; ++trial) {
+    patterns.emplace_back(
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(12))
+                           : kNullTermId,
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(6))
+                           : kNullTermId,
+        rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(12))
+                           : kNullTermId);
+  }
+  std::set<std::tuple<TermId, TermId, TermId>> shapes;
+  for (const Triple& t : probes) {
+    for (int shape = 0; shape < 8; ++shape) {
+      shapes.emplace((shape & 1) ? t.subject : kNullTermId,
+                     (shape & 2) ? t.predicate : kNullTermId,
+                     (shape & 4) ? t.object : kNullTermId);
+    }
+  }
+  for (const auto& [ps, pp, po] : shapes) patterns.emplace_back(ps, pp, po);
 
   auto brute = [&](const TriplePattern& p) {
     std::vector<Triple> out;
@@ -220,24 +273,45 @@ TEST_P(TripleStorePatternProperty, MatchesAgreeWithBruteForce) {
     return out;
   };
 
-  for (int trial = 0; trial < 200; ++trial) {
-    TriplePattern p(rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(12))
-                                       : kNullTermId,
-                    rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(6))
-                                       : kNullTermId,
-                    rng.Bernoulli(0.5) ? static_cast<TermId>(1 + rng.Below(12))
-                                       : kNullTermId);
-    std::vector<Triple> got = store.Match(p);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, brute(p))
-        << "pattern (" << p.subject << "," << p.predicate << "," << p.object
-        << ")";
-    EXPECT_EQ(store.CountMatches(p), got.size());
+  // The same checks on the owned store and on a mapped attach of its
+  // segments.
+  TripleStore::MappedLayout layout;
+  layout.options = store.options();
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    layout.shards.push_back(store.ShardSegments(i));
+  }
+  TripleStore mapped;
+  ASSERT_TRUE(mapped.AttachMapped(std::move(layout)).ok());
+  for (const TripleStore* s : {&store, &mapped}) {
+    SCOPED_TRACE(s->is_mapped() ? "mapped" : "owned");
+    for (const TriplePattern& p : patterns) {
+      const std::vector<Triple> want = brute(p);
+      std::vector<Triple> got = s->Match(p);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "pattern (" << p.subject << "," << p.predicate
+                           << "," << p.object << ")";
+      const MatchView view = s->MatchSpans(p);
+      std::vector<Triple> spans;
+      for (size_t i = 0; i < view.num_spans(); ++i) {
+        spans.insert(spans.end(), view.span(i).begin(), view.span(i).end());
+      }
+      std::sort(spans.begin(), spans.end());
+      EXPECT_EQ(spans, want) << "pattern (" << p.subject << ","
+                             << p.predicate << "," << p.object << ")";
+      EXPECT_EQ(view.total(), want.size());
+      EXPECT_EQ(s->CountMatches(p), want.size());
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TripleStorePatternProperty,
-                         ::testing::Values(1ULL, 2ULL, 3ULL, 17ULL, 99ULL));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TripleStorePatternProperty,
+    ::testing::Values(PatternCase{1}, PatternCase{2}, PatternCase{3},
+                      PatternCase{17}, PatternCase{99}, PatternCase{5, 1},
+                      PatternCase{5, 2}, PatternCase{5, 3}, PatternCase{5, 4},
+                      PatternCase{5, 5}, PatternCase{5, 8}, PatternCase{5, 9},
+                      PatternCase{5, 16}, PatternCase{5, 17},
+                      PatternCase{5, 33}));
 
 // ---------------------------------------------------------------------------
 // Sharded-store specifics: per-shard stat isolation, bulk load, geometries.
@@ -409,6 +483,41 @@ TEST(ShardedStoreTest, GlobalStatsMatchesFullWalk) {
   ExpectGlobalStatsMatchFullWalk(attached);
   ASSERT_TRUE(attached.Erase(attached.Match(TriplePattern()).front()));
   ExpectGlobalStatsMatchFullWalk(attached);
+}
+
+// A layout whose predicates sit in the wrong ring slots is rejected before
+// the store changes: it stays empty and unmapped, and takes a valid layout
+// afterwards.
+TEST(ShardedStoreTest, RejectedAttachLeavesStoreEmpty) {
+  TripleStore source(TinyShards());
+  for (TermId p = 1; p <= 8; ++p) {
+    source.Insert(p, p, p + 100);
+    source.Insert(p + 10, p, p + 100);
+  }
+  ASSERT_FALSE(source.ShardSegments(0).spo.empty());
+  ASSERT_FALSE(source.ShardSegments(1).spo.empty());
+
+  TripleStore::MappedLayout swapped;
+  swapped.options = source.options();
+  swapped.shards = {source.ShardSegments(1), source.ShardSegments(0)};
+  TripleStore store;
+  const Status status = store.AttachMapped(std::move(swapped));
+  EXPECT_TRUE(status.IsInvalidArgument());
+  EXPECT_EQ(status.message(), "snapshot predicate routed to wrong hash shard");
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.is_mapped());
+  EXPECT_TRUE(store.Predicates().empty());
+  EXPECT_TRUE(store.Match(TriplePattern()).empty());
+  EXPECT_EQ(store.GlobalStats().distinct_subjects, 0u);
+
+  TripleStore::MappedLayout valid;
+  valid.options = source.options();
+  valid.shards = {source.ShardSegments(0), source.ShardSegments(1)};
+  ASSERT_TRUE(store.AttachMapped(std::move(valid)).ok());
+  EXPECT_TRUE(store.is_mapped());
+  EXPECT_EQ(store.size(), source.size());
+  EXPECT_EQ(store.Predicates(), source.Predicates());
+  EXPECT_EQ(store.Match(TriplePattern()).size(), source.size());
 }
 
 TEST(ShardedStoreTest, GlobalStatsAfterWriteComputesNothing) {

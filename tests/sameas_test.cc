@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "sameas/translator.h"
 #include "sameas/union_find.h"
 #include "util/random.h"
@@ -169,6 +176,137 @@ TEST(SameAsIndexTest, AmbiguousTranslationIsDeterministic) {
   auto translated = index.TranslateTo(Kb1("a"), "http://kb2/");
   ASSERT_TRUE(translated.ok());
   EXPECT_EQ(*translated, Kb2("b"));  // Lexicographically smallest.
+}
+
+// Reference translation: walks the link graph for x's class and scans its
+// members for the smallest IRI under the prefix.
+StatusOr<Term> ReferenceTranslate(
+    const std::vector<std::pair<Term, Term>>& links, const Term& x,
+    const std::string& prefix) {
+  auto under = [&](const Term& t) {
+    return t.is_iri() && t.lexical().compare(0, prefix.size(), prefix) == 0;
+  };
+  std::set<Term> members = {x};
+  bool known = false;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [a, b] : links) {
+      if (a == x || b == x) known = true;
+      if (members.count(a) != members.count(b)) {
+        members.insert(a);
+        members.insert(b);
+        grew = true;
+      }
+    }
+  }
+  if (!known) {
+    if (under(x)) return x;
+    return Status::NotFound("unknown");
+  }
+  for (const Term& m : members) {  // Ascending: the first hit is smallest.
+    if (m != x && under(m)) return m;
+  }
+  if (under(x)) return x;
+  return Status::NotFound("no equivalent");
+}
+
+// Property: over random noisy link sets (several members per namespace in
+// one class, terms already in the target namespace, literals, unknown
+// terms), TranslateTo agrees with the reference scan for every prefix, and
+// keeps agreeing after further links are added once tables exist.
+class SameAsTranslateProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SameAsTranslateProperty, MatchesReferenceScan) {
+  Rng rng(GetParam());
+  auto random_term = [&]() -> Term {
+    const std::string local = std::to_string(rng.Below(12));
+    switch (rng.Below(4)) {
+      case 0:
+        return Kb1(local);
+      case 1:
+        return Kb2(local);
+      case 2:
+        return Term::Iri("http://kb3/" + local);
+      default:
+        return rng.Bernoulli(0.5) ? Term::Literal("http://kb2/" + local)
+                                  : Kb2("x" + local);
+    }
+  };
+  std::vector<Term> probes;
+  for (int i = 0; i < 12; ++i) {
+    const std::string local = std::to_string(i);
+    probes.push_back(Kb1(local));
+    probes.push_back(Kb2(local));
+    probes.push_back(Kb2("x" + local));
+    probes.push_back(Term::Iri("http://kb3/" + local));
+    probes.push_back(Term::Literal("http://kb2/" + local));
+  }
+  probes.push_back(Kb1("unknown"));
+  probes.push_back(Kb2("unknown"));
+  const std::vector<std::string> prefixes = {"http://kb1/", "http://kb2/",
+                                             "http://kb", "http://kb9/"};
+
+  SameAsIndex index;
+  std::vector<std::pair<Term, Term>> links;
+  auto add_links = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      links.emplace_back(random_term(), random_term());
+      index.AddLink(links.back().first, links.back().second);
+    }
+  };
+  auto check = [&] {
+    for (const std::string& prefix : prefixes) {
+      for (const Term& x : probes) {
+        const StatusOr<Term> want = ReferenceTranslate(links, x, prefix);
+        const StatusOr<Term> got = index.TranslateTo(x, prefix);
+        ASSERT_EQ(got.ok(), want.ok())
+            << x.ToNTriples() << " under " << prefix;
+        if (want.ok()) {
+          EXPECT_EQ(*got, *want) << x.ToNTriples() << " under " << prefix;
+        } else {
+          EXPECT_TRUE(got.status().IsNotFound());
+        }
+        EXPECT_EQ(index.HasTranslationTo(x, prefix), want.ok());
+      }
+    }
+  };
+  add_links(25);
+  check();
+  add_links(15);  // Drops the tables the first check built.
+  check();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SameAsTranslateProperty,
+                         ::testing::Values(1ULL, 2ULL, 3ULL, 42ULL, 77ULL,
+                                           1234ULL));
+
+// Eight threads translate at once right after an AddLink: they race to
+// build the prefix tables and must all read complete ones.
+TEST(SameAsIndexTest, ConcurrentTranslationsAfterAddLink) {
+  SameAsIndex index;
+  for (int i = 0; i < 300; ++i) {
+    index.AddLink(Kb1(std::to_string(i)), Kb2(std::to_string(i)));
+  }
+  ASSERT_TRUE(index.TranslateTo(Kb1("0"), "http://kb2/").ok());
+  index.AddLink(Kb1("300"), Kb2("300"));
+
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i <= 300; ++i) {
+        const std::string local = std::to_string((i + t * 37) % 301);
+        const bool to_kb2 = (i + t) % 2 == 0;
+        const Term from = to_kb2 ? Kb1(local) : Kb2(local);
+        const Term want = to_kb2 ? Kb2(local) : Kb1(local);
+        auto got = index.TranslateTo(from, to_kb2 ? "http://kb2/"
+                                                  : "http://kb1/");
+        if (!got.ok() || *got != want) ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(TranslatorTest, LiteralsPassThrough) {

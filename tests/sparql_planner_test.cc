@@ -239,6 +239,104 @@ TEST_F(PlannerTest, ExplainMatchesExecutedPlanAndReportsCacheState) {
   EXPECT_EQ(engine.plan_cache_misses(), 1u);
 }
 
+// A one-clause query has one order, so the engine builds its plan from the
+// clause's bound positions: the plan cache neither serves nor counts it,
+// and EvalStats still carries the clause's actual rows.
+TEST_F(PlannerTest, OneClauseQueriesBypassThePlanCache) {
+  Engine engine(&store_, &dict_);
+  SelectQuery q;
+  const VarId x = q.NewVar("x");
+  const VarId y = q.NewVar("y");
+  q.Where(NodeRef::Variable(x), NodeRef::Constant(hot_), NodeRef::Variable(y));
+
+  EvalStats stats;
+  auto rows = engine.Select(q, &stats);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows.size(), 100u);
+  EXPECT_EQ(stats.plan_cache_hits, 0u);
+  EXPECT_EQ(stats.plan_cache_misses, 0u);
+  ASSERT_EQ(stats.clause_rows.size(), 1u);
+  EXPECT_EQ(stats.clause_rows[0].source_index, 0u);
+  EXPECT_EQ(stats.clause_rows[0].actual_rows, 100u);
+
+  EvalStats ask_stats;
+  auto found = engine.Ask(q, &ask_stats);
+  ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(*found);
+  EXPECT_EQ(ask_stats.plan_cache_hits, 0u);
+  EXPECT_EQ(ask_stats.plan_cache_misses, 0u);
+  ASSERT_EQ(ask_stats.clause_rows.size(), 1u);
+  EXPECT_EQ(ask_stats.clause_rows[0].actual_rows, 1u);  // Stops at the first.
+  ASSERT_TRUE(engine.Select(q).ok());
+  EXPECT_EQ(engine.plan_cache_hits(), 0u);
+  EXPECT_EQ(engine.plan_cache_misses(), 0u);
+
+  // The free helpers take the same path and return the same rows.
+  auto fresh = Evaluate(store_, q);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->rows, rows->rows);
+  EXPECT_TRUE(EvaluateAsk(store_, q).value());
+
+  // EXPLAIN still plans it with estimates.
+  auto explain = engine.Explain(q);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_TRUE(explain->used_dp);
+  ASSERT_EQ(explain->clauses.size(), 1u);
+  EXPECT_DOUBLE_EQ(explain->clauses[0].estimated_rows, 100.0);
+
+  // The predicate inventory keeps its directory access, uncounted.
+  SelectQuery inventory;
+  const VarId s = inventory.NewVar("s");
+  const VarId p = inventory.NewVar("p");
+  const VarId o = inventory.NewVar("o");
+  inventory.Where(NodeRef::Variable(s), NodeRef::Variable(p),
+                  NodeRef::Variable(o));
+  inventory.Select({p}).Distinct();
+  EvalStats dir_stats;
+  auto predicates = engine.Select(inventory, &dir_stats);
+  ASSERT_TRUE(predicates.ok());
+  EXPECT_EQ(predicates->rows, (std::vector<Row>{{hot_}, {cold_}}));
+  EXPECT_EQ(dir_stats.triples_scanned, 0u);
+  EXPECT_EQ(dir_stats.index_probes, 1u);
+  EXPECT_EQ(dir_stats.plan_cache_hits + dir_stats.plan_cache_misses, 0u);
+
+  // A two-clause query still goes through the cache.
+  ASSERT_TRUE(engine.Select(FatFirstJoin()).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 1u);
+}
+
+TEST_F(PlannerTest, OneClausePagesConcatenateToUnpagedResult) {
+  Engine engine(&store_, &dict_);
+  auto walk = [&](bool distinct, bool object_only) {
+    auto query = [&](uint64_t limit, uint64_t offset) {
+      SelectQuery q;
+      const VarId x = q.NewVar("x");
+      const VarId y = q.NewVar("y");
+      q.Where(NodeRef::Variable(x), NodeRef::Constant(hot_),
+              NodeRef::Variable(y));
+      if (object_only) q.Select({y});
+      if (distinct) q.Distinct();
+      q.Limit(limit).Offset(offset);
+      return q;
+    };
+    auto all = engine.Select(query(kNoLimit, 0));
+    ASSERT_TRUE(all.ok());
+    ASSERT_FALSE(all->rows.empty());
+    for (uint64_t limit : {1, 3, 7, 64}) {
+      std::vector<Row> pages;
+      for (uint64_t offset = 0; offset <= all->rows.size(); offset += limit) {
+        auto page = engine.Select(query(limit, offset));
+        ASSERT_TRUE(page.ok());
+        pages.insert(pages.end(), page->rows.begin(), page->rows.end());
+      }
+      EXPECT_EQ(pages, all->rows) << "limit " << limit;
+    }
+  };
+  walk(/*distinct=*/false, /*object_only=*/false);
+  walk(/*distinct=*/true, /*object_only=*/true);
+  EXPECT_EQ(engine.plan_cache_misses(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized corpora: parity and pagination.
 
