@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <ostream>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -204,6 +205,10 @@ struct PatternCase {
   uint64_t seed;
   size_t run = 0;
 };
+
+void PrintTo(const PatternCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << ", run " << c.run;
+}
 
 class TripleStorePatternProperty
     : public ::testing::TestWithParam<PatternCase> {};
