@@ -11,6 +11,7 @@
 #ifndef SOFYA_ENDPOINT_ENDPOINT_H_
 #define SOFYA_ENDPOINT_ENDPOINT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,7 +30,9 @@ namespace sofya {
 /// The query-cost experiment (E4) reports these counters; they are also how
 /// tests assert that samplers stay within the paper's "few queries" regime.
 struct EndpointStats {
-  uint64_t queries = 0;               ///< SELECT/ASK requests served.
+  /// Logical SELECT/ASK queries served: a query with a VALUES block counts
+  /// one per row (LogicalQueries), however many requests carried them.
+  uint64_t queries = 0;
   uint64_t rows_returned = 0;         ///< Total result rows shipped.
   uint64_t bytes_estimated = 0;       ///< Approx. serialized payload bytes.
   uint64_t index_probes = 0;          ///< Store lookups behind the queries.
@@ -275,6 +278,13 @@ class EndpointDecorator : public Endpoint {
 /// same query. Shared by CachingEndpoint and LocalEndpoint::AskMany so
 /// their dedup agrees.
 std::string AskFingerprint(const SelectQuery& query);
+
+/// The logical queries `query` stands for: one per VALUES row, one for a
+/// query without a block (or with an empty one). Query counters and the
+/// server's quota charge this, not requests.
+inline uint64_t LogicalQueries(const SelectQuery& query) {
+  return std::max<uint64_t>(1, query.num_values_rows());
+}
 
 }  // namespace sofya
 

@@ -1,12 +1,15 @@
 #include "endpoint/http_sparql_endpoint.h"
 
+#include <algorithm>
 #include <future>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/socket_transport.h"
 #include "sparql/results_json.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -82,7 +85,7 @@ Status HttpSparqlEndpoint::MapHttpStatus(int code,
 }
 
 StatusOr<std::string> HttpSparqlEndpoint::Fetch(
-    const std::string& sparql_text) {
+    const std::string& sparql_text, int* http_status) {
   HttpRequest request;
   request.headers = {
       {"Accept", "application/sparql-results+json"},
@@ -109,7 +112,6 @@ StatusOr<std::string> HttpSparqlEndpoint::Fetch(
   const double elapsed_ms = timer.ElapsedMillis();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.queries;
     // Measured (not modeled) wall time for the exchange; the field keeps
     // its name so cost reports aggregate local and remote stacks alike.
     stats_.simulated_latency_ms += elapsed_ms;
@@ -130,6 +132,7 @@ StatusOr<std::string> HttpSparqlEndpoint::Fetch(
     }
     return response.status().WithContext("sparql http");
   }
+  if (http_status != nullptr) *http_status = response->status_code;
   const Status mapped =
       MapHttpStatus(response->status_code, response->reason);
   if (!mapped.ok()) {
@@ -148,25 +151,35 @@ StatusOr<std::string> HttpSparqlEndpoint::Fetch(
   return std::move(response->body);
 }
 
+void HttpSparqlEndpoint::Charge(uint64_t queries, uint64_t rows) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.queries += queries;
+  stats_.rows_returned += rows;
+}
+
 StatusOr<ResultSet> HttpSparqlEndpoint::Select(const SelectQuery& query) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
-  SOFYA_ASSIGN_OR_RETURN(std::string body, Fetch(query.ToSparql(dict_)));
+  auto body = Fetch(query.ToSparql(dict_));
+  if (!body.ok()) {
+    Charge(LogicalQueries(query), 0);
+    return body.status();
+  }
   auto results = ParseSparqlResultsJson(
-      body, [this](const Term& term) { return dict_.Intern(term); });
+      *body, [this](const Term& term) { return dict_.Intern(term); });
   if (!results.ok()) {
+    Charge(LogicalQueries(query), 0);
     return results.status().WithContext("endpoint " + options_.name);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.rows_returned += results->rows.size();
-  }
+  Charge(LogicalQueries(query), results->rows.size());
   return results;
 }
 
 StatusOr<bool> HttpSparqlEndpoint::Ask(const SelectQuery& query) {
   SOFYA_RETURN_IF_ERROR(query.Validate());
-  SOFYA_ASSIGN_OR_RETURN(std::string body, Fetch(query.ToSparqlAsk(dict_)));
-  auto result = ParseSparqlAskJson(body);
+  auto body = Fetch(query.ToSparqlAsk(dict_));
+  Charge(LogicalQueries(query), 0);
+  if (!body.ok()) return body.status();
+  auto result = ParseSparqlAskJson(*body);
   if (!result.ok()) {
     return result.status().WithContext("endpoint " + options_.name);
   }
@@ -180,82 +193,458 @@ ThreadPool& HttpSparqlEndpoint::pool() {
   return *pool_;
 }
 
-SelectBatchResult HttpSparqlEndpoint::SelectMany(
-    std::span<const SelectQuery> queries) {
-  // A batch is one request envelope (the LocalEndpoint contract): identical
-  // queries inside it go over the wire once and duplicates share the first
-  // occurrence's outcome, failures included. `wire[i]` is the slot a
-  // sub-query's bytes actually travel for, or the twin it copies from.
+namespace {
+
+/// Slots per folded request at most: bounds the request body whatever the
+/// batch size.
+constexpr size_t kMaxFoldedSlots = 1024;
+
+/// The dedup of one batch envelope: identical queries inside it go over the
+/// wire once and duplicates share the first occurrence's outcome, failures
+/// included. `wire[i]` is the slot whose request answers sub-query i.
+struct Envelope {
+  std::vector<size_t> wire;
+  std::vector<size_t> unique_slots;
+};
+
+template <typename KeyOf>
+Envelope Dedup(std::span<const SelectQuery> queries, KeyOf&& key_of) {
+  Envelope envelope;
   std::unordered_map<std::string, size_t> first_occurrence;
   first_occurrence.reserve(queries.size());
-  std::vector<size_t> wire(queries.size());
-  std::vector<size_t> unique_slots;
-  unique_slots.reserve(queries.size());
+  envelope.wire.resize(queries.size());
+  envelope.unique_slots.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] = first_occurrence.emplace(queries[i].Fingerprint(), i);
-    wire[i] = it->second;
-    if (inserted) unique_slots.push_back(i);
+    auto [it, inserted] = first_occurrence.emplace(key_of(queries[i]), i);
+    envelope.wire[i] = it->second;
+    if (inserted) envelope.unique_slots.push_back(i);
+  }
+  return envelope;
+}
+
+/// What a folded request must agree on: the query with its foldable
+/// constants abstracted — clause constants and `FILTER(?x = <c>)` constants
+/// (variables by raw id and name) — its other filters, and for SELECT its
+/// projection, DISTINCT and LIMIT. Empty for a query that never folds: one
+/// with a VALUES block, an OFFSET page, or LIMIT 0.
+std::string ShapeKey(const SelectQuery& q, bool ask) {
+  if (q.has_values() || (!ask && (q.offset() > 0 || q.limit() == 0))) {
+    return {};
+  }
+  std::string key;
+  for (size_t v = 0; v < q.num_vars(); ++v) {
+    key += q.var_name(static_cast<VarId>(v));
+    key += ',';
+  }
+  auto add_node = [&key](const NodeRef& ref) {
+    key += ref.is_var() ? '?' + std::to_string(ref.var()) : "#";
+    key += ' ';
+  };
+  for (const PatternClause& c : q.clauses()) {
+    add_node(c.subject);
+    add_node(c.predicate);
+    add_node(c.object);
+  }
+  for (const FilterExpr& f : q.filters()) {
+    key += StrFormat(";%d/%d/%d/", static_cast<int>(f.kind), f.lhs, f.rhs_var);
+    key += f.kind == FilterExpr::Kind::kVarEqTerm ? "#"
+                                                  : std::to_string(f.rhs_term);
+  }
+  if (!ask) {
+    key += ";p:";
+    for (VarId v : q.projection()) key += std::to_string(v) + ',';
+    key += StrFormat(";d%d;l%llu", q.distinct() ? 1 : 0,
+                     static_cast<unsigned long long>(q.limit()));
+  }
+  return key;
+}
+
+/// The slots `slots` of `queries` as request groups in first-appearance
+/// order: same-shape slots together (up to kMaxFoldedSlots), every slot
+/// alone when `fold` is off or the slot never folds.
+std::vector<std::vector<size_t>> GroupByShape(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& slots,
+    bool ask, bool fold) {
+  std::vector<std::vector<size_t>> groups;
+  std::unordered_map<std::string, size_t> open_group;
+  for (size_t slot : slots) {
+    std::string key = fold ? ShapeKey(queries[slot], ask) : std::string();
+    if (key.empty()) {
+      groups.push_back({slot});
+      continue;
+    }
+    auto [it, inserted] = open_group.emplace(std::move(key), groups.size());
+    if (!inserted && groups[it->second].size() < kMaxFoldedSlots) {
+      groups[it->second].push_back(slot);
+      continue;
+    }
+    it->second = groups.size();
+    groups.push_back({slot});
+  }
+  return groups;
+}
+
+/// One same-shape group as a single query: every foldable position whose
+/// constant differs across the group becomes a VALUES column, one row per
+/// slot; positions equal in every slot stay constants. A clause position
+/// becomes the column's variable, `FILTER(?x = <c>)` becomes
+/// `FILTER(?x = ?column)`.
+struct Fold {
+  SelectQuery query;
+  std::vector<VarId> values;      ///< The VALUES variables, in `query`.
+  std::vector<VarId> projection;  ///< The slots' own projection.
+};
+
+/// The foldable constant at `position` of `q`: three positions per clause,
+/// then one per filter. kNullTermId where a variable stands, or a filter
+/// has no foldable constant.
+TermId ConstantAt(const SelectQuery& q, size_t position) {
+  const size_t clause_positions = 3 * q.clauses().size();
+  if (position < clause_positions) {
+    const PatternClause& c = q.clauses()[position / 3];
+    const NodeRef& ref = position % 3 == 0   ? c.subject
+                         : position % 3 == 1 ? c.predicate
+                                             : c.object;
+    return ref.is_var() ? kNullTermId : ref.term();
+  }
+  const FilterExpr& f = q.filters()[position - clause_positions];
+  return f.kind == FilterExpr::Kind::kVarEqTerm ? f.rhs_term : kNullTermId;
+}
+
+std::string FreshVarName(const SelectQuery& base, size_t k) {
+  std::string name = "v" + std::to_string(k);
+  auto taken = [&](const std::string& candidate) {
+    for (size_t v = 0; v < base.num_vars(); ++v) {
+      if (base.var_name(static_cast<VarId>(v)) == candidate) return true;
+    }
+    return false;
+  };
+  while (taken(name)) name.insert(0, "_");
+  return name;
+}
+
+/// Folds `group`; nullopt when no constant differs across it.
+std::optional<Fold> FoldGroup(std::span<const SelectQuery> queries,
+                              const std::vector<size_t>& group, bool ask) {
+  const SelectQuery& base = queries[group[0]];
+  const size_t clause_positions = 3 * base.clauses().size();
+  // column[position] is a position's VALUES column, or -1.
+  std::vector<int> column(clause_positions + base.filters().size(), -1);
+  std::vector<size_t> varying;
+  for (size_t position = 0; position < column.size(); ++position) {
+    const TermId constant = ConstantAt(base, position);
+    if (constant == kNullTermId) continue;
+    for (size_t slot : group) {
+      if (ConstantAt(queries[slot], position) != constant) {
+        column[position] = static_cast<int>(varying.size());
+        varying.push_back(position);
+        break;
+      }
+    }
+  }
+  if (varying.empty()) return std::nullopt;
+
+  Fold fold;
+  for (size_t v = 0; v < base.num_vars(); ++v) {
+    fold.query.NewVar(base.var_name(static_cast<VarId>(v)));
+  }
+  for (size_t k = 0; k < varying.size(); ++k) {
+    fold.values.push_back(fold.query.NewVar(FreshVarName(base, k)));
+  }
+  for (size_t i = 0; i < base.clauses().size(); ++i) {
+    const PatternClause& c = base.clauses()[i];
+    auto node = [&](const NodeRef& ref, size_t position) {
+      return column[position] >= 0
+                 ? NodeRef::Variable(fold.values[column[position]])
+                 : ref;
+    };
+    fold.query.Where(node(c.subject, 3 * i), node(c.predicate, 3 * i + 1),
+                     node(c.object, 3 * i + 2));
+  }
+  for (size_t i = 0; i < base.filters().size(); ++i) {
+    const int k = column[clause_positions + i];
+    const FilterExpr& f = base.filters()[i];
+    fold.query.Filter(k >= 0 ? FilterExpr::VarEqVar(f.lhs, fold.values[k])
+                             : f);
   }
 
-  SelectBatchResult batch = SelectBatchResult::Sized(queries.size());
-  if (unique_slots.size() <= 1 || options_.max_connections <= 1) {
-    for (size_t slot : unique_slots) batch.Set(slot, Select(queries[slot]));
+  std::vector<TermId> cells;
+  cells.reserve(group.size() * varying.size());
+  for (size_t slot : group) {
+    for (size_t position : varying) {
+      cells.push_back(ConstantAt(queries[slot], position));
+    }
+  }
+  fold.query.Values(fold.values, std::move(cells));
+
+  std::vector<VarId> select = fold.values;
+  if (ask) {
+    fold.query.Distinct();
   } else {
-    // Fan the deduped batch out over the pool; the HttpClient's bounded
-    // connection pool turns the fan-out into HTTP-level pipelining over at
-    // most max_connections sockets. Each sub-query keeps its own outcome: a
-    // dead connection fails exactly the sub-queries that were in flight on
-    // it, and the answers pipelined over the healthy sockets are delivered —
-    // a recovery layer above re-buys only the casualties.
-    std::vector<std::future<StatusOr<ResultSet>>> futures;
-    futures.reserve(unique_slots.size());
-    for (size_t slot : unique_slots) {
-      futures.push_back(pool().Submit(
-          [this, query = &queries[slot]] { return Select(*query); }));
-    }
-    for (size_t i = 0; i < unique_slots.size(); ++i) {
-      batch.Set(unique_slots[i], futures[i].get());
+    fold.projection = base.ResolvedProjection();
+    select.insert(select.end(), fold.projection.begin(),
+                  fold.projection.end());
+    fold.query.Distinct(base.distinct());
+    // Never more rows than the slots could take together.
+    if (base.limit() != kNoLimit && base.limit() <= kNoLimit / group.size()) {
+      fold.query.Limit(base.limit() * group.size());
     }
   }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (wire[i] != i) batch.CopySlot(wire[i], i);
+  fold.query.Select(std::move(select));
+  return fold;
+}
+
+struct TupleHash {
+  size_t operator()(const std::vector<TermId>& tuple) const {
+    size_t seed = tuple.size();
+    for (TermId id : tuple) HashCombine(seed, id);
+    return seed;
   }
+};
+
+}  // namespace
+
+/// A folded request's outcome.
+struct HttpSparqlEndpoint::FoldedAnswer {
+  enum class Kind {
+    kAnswered,    ///< `rows` and `slot_of_row` hold the response.
+    kFailed,      ///< `status` fails every slot.
+    kUnfoldable,  ///< Nothing differs, nothing was sent: send singly.
+    kRefused,     ///< The server refused the fold or answered past it.
+  };
+  Kind kind = Kind::kAnswered;
+  Status status;
+  ResultSet rows;
+  std::vector<size_t> slot_of_row;  ///< Group position per response row.
+  std::vector<int> projection;      ///< Response column per projected var.
+  uint64_t limit = kNoLimit;        ///< The request's total LIMIT.
+};
+
+HttpSparqlEndpoint::FoldedAnswer HttpSparqlEndpoint::FetchFolded(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& group,
+    bool ask) {
+  using Kind = FoldedAnswer::Kind;
+  FoldedAnswer answer;
+  std::optional<Fold> fold = FoldGroup(queries, group, ask);
+  if (!fold.has_value()) {
+    answer.kind = Kind::kUnfoldable;
+    return answer;
+  }
+  answer.limit = fold->query.limit();
+  int http_status = 0;
+  auto body = Fetch(fold->query.ToSparql(dict_), &http_status);
+  if (!body.ok()) {
+    const bool refused = http_status == 400 || http_status == 501;
+    answer.kind = refused ? Kind::kRefused : Kind::kFailed;
+    answer.status = body.status();
+    return answer;
+  }
+  auto results = ParseSparqlResultsJson(
+      *body, [this](const Term& term) { return dict_.Intern(term); });
+  if (!results.ok()) {
+    answer.kind = Kind::kFailed;
+    answer.status = results.status().WithContext("endpoint " + options_.name);
+    return answer;
+  }
+  answer.rows = std::move(*results);
+
+  // Split by the VALUES columns; a response the slots cannot take back
+  // (a column missing, a row of no slot) counts as a refusal.
+  std::vector<int> values;
+  for (VarId v : fold->values) {
+    values.push_back(answer.rows.ColumnOf(fold->query.var_name(v)));
+  }
+  for (VarId v : fold->projection) {
+    answer.projection.push_back(answer.rows.ColumnOf(fold->query.var_name(v)));
+  }
+  std::unordered_map<std::vector<TermId>, size_t, TupleHash> position;
+  const std::vector<TermId>& cells = fold->query.values_cells();
+  for (size_t i = 0; i < group.size(); ++i) {
+    position.emplace(
+        std::vector<TermId>(cells.begin() + i * values.size(),
+                            cells.begin() + (i + 1) * values.size()),
+        i);
+  }
+  answer.slot_of_row.reserve(answer.rows.rows.size());
+  std::vector<TermId> tuple(values.size());
+  bool splits = std::find(values.begin(), values.end(), -1) == values.end() &&
+                std::find(answer.projection.begin(), answer.projection.end(),
+                          -1) == answer.projection.end();
+  for (size_t r = 0; splits && r < answer.rows.rows.size(); ++r) {
+    for (size_t k = 0; k < values.size(); ++k) {
+      tuple[k] = answer.rows.rows[r][values[k]];
+    }
+    auto it = position.find(tuple);
+    splits = it != position.end();
+    if (splits) answer.slot_of_row.push_back(it->second);
+  }
+  if (!splits) answer.kind = Kind::kRefused;
+  return answer;
+}
+
+namespace {
+
+/// The outcomes of `group[from…]`, each slot sent as its own request.
+template <typename T, typename Single>
+std::vector<StatusOr<T>> SendSingly(std::span<const SelectQuery> queries,
+                                    const std::vector<size_t>& group,
+                                    size_t from, Single&& single) {
+  std::vector<StatusOr<T>> out;
+  out.reserve(group.size() - from);
+  for (size_t i = from; i < group.size(); ++i) {
+    out.push_back(single(queries[group[i]]));
+  }
+  return out;
+}
+
+template <typename T>
+bool AllOk(const std::vector<StatusOr<T>>& outcomes) {
+  return std::all_of(outcomes.begin(), outcomes.end(),
+                     [](const StatusOr<T>& o) { return o.ok(); });
+}
+
+/// Fills `batch` from `groups` (`run_group(group)` returns the group's
+/// outcomes in group order), fanning the groups out over `pool` when there
+/// is one and more than one group; then copies each twin's outcome.
+template <typename T, typename RunGroup>
+void RunGroups(const std::vector<std::vector<size_t>>& groups,
+               const Envelope& envelope, ThreadPool* pool,
+               BatchResult<T>& batch, RunGroup&& run_group) {
+  auto deliver = [&](const std::vector<size_t>& group,
+                     std::vector<StatusOr<T>> outcomes) {
+    for (size_t i = 0; i < group.size(); ++i) {
+      batch.Set(group[i], std::move(outcomes[i]));
+    }
+  };
+  if (groups.size() <= 1 || pool == nullptr) {
+    for (const auto& group : groups) deliver(group, run_group(group));
+  } else {
+    // Each request keeps its own outcome: a dead connection fails exactly
+    // the slots whose request was in flight on it, and the answers
+    // pipelined over the healthy sockets are delivered — a recovery layer
+    // above re-buys only the casualties.
+    std::vector<std::future<std::vector<StatusOr<T>>>> futures;
+    futures.reserve(groups.size());
+    for (const auto& group : groups) {
+      futures.push_back(pool->Submit([&run_group, &group] {
+        return run_group(group);
+      }));
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      deliver(groups[g], futures[g].get());
+    }
+  }
+  for (size_t i = 0; i < envelope.wire.size(); ++i) {
+    if (envelope.wire[i] != i) batch.CopySlot(envelope.wire[i], i);
+  }
+}
+
+}  // namespace
+
+std::vector<StatusOr<ResultSet>> HttpSparqlEndpoint::SelectGroup(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& group) {
+  using Kind = FoldedAnswer::Kind;
+  auto single = [this](const SelectQuery& q) { return Select(q); };
+  if (group.size() == 1) {
+    return SendSingly<ResultSet>(queries, group, 0, single);
+  }
+  FoldedAnswer answer = FetchFolded(queries, group, /*ask=*/false);
+  if (answer.kind == Kind::kFailed) {
+    Charge(group.size(), 0);
+    return std::vector<StatusOr<ResultSet>>(group.size(), answer.status);
+  }
+  if (answer.kind != Kind::kAnswered) {
+    auto out = SendSingly<ResultSet>(queries, group, 0, single);
+    if (answer.kind == Kind::kRefused && AllOk(out)) fold_ = false;
+    return out;
+  }
+
+  // Every slot shares one shape, so one LIMIT and one set of columns.
+  const SelectQuery& base = queries[group[0]];
+  std::vector<ResultSet> split(group.size());
+  for (ResultSet& slot : split) {
+    for (int column : answer.projection) {
+      slot.var_names.push_back(answer.rows.var_names[column]);
+    }
+  }
+  for (size_t r = 0; r < answer.rows.rows.size(); ++r) {
+    ResultSet& slot = split[answer.slot_of_row[r]];
+    if (slot.rows.size() >= base.limit()) continue;  // Cut at its LIMIT.
+    std::vector<TermId> row;
+    row.reserve(answer.projection.size());
+    for (int column : answer.projection) {
+      row.push_back(answer.rows.rows[r][column]);
+    }
+    slot.rows.push_back(std::move(row));
+  }
+  // A response that reached the total LIMIT may have cut the last row's
+  // slot short and left the slots after it unanswered: those go singly. A
+  // last slot already at its own LIMIT is complete.
+  size_t resend_from = group.size();
+  if (answer.limit != kNoLimit && answer.rows.rows.size() >= answer.limit &&
+      !answer.slot_of_row.empty()) {
+    resend_from = answer.slot_of_row.back();
+    if (split[resend_from].rows.size() >= base.limit()) ++resend_from;
+  }
+  std::vector<StatusOr<ResultSet>> out;
+  out.reserve(group.size());
+  uint64_t rows = 0;
+  for (size_t i = 0; i < resend_from; ++i) {
+    rows += split[i].rows.size();
+    out.push_back(std::move(split[i]));
+  }
+  Charge(resend_from, rows);
+  for (auto& outcome :
+       SendSingly<ResultSet>(queries, group, resend_from, single)) {
+    out.push_back(std::move(outcome));
+  }
+  return out;
+}
+
+std::vector<StatusOr<bool>> HttpSparqlEndpoint::AskGroup(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& group) {
+  using Kind = FoldedAnswer::Kind;
+  auto single = [this](const SelectQuery& q) { return Ask(q); };
+  if (group.size() == 1) return SendSingly<bool>(queries, group, 0, single);
+  FoldedAnswer answer = FetchFolded(queries, group, /*ask=*/true);
+  if (answer.kind == Kind::kFailed) {
+    Charge(group.size(), 0);
+    return std::vector<StatusOr<bool>>(group.size(), answer.status);
+  }
+  if (answer.kind != Kind::kAnswered) {
+    auto out = SendSingly<bool>(queries, group, 0, single);
+    if (answer.kind == Kind::kRefused && AllOk(out)) fold_ = false;
+    return out;
+  }
+  std::vector<StatusOr<bool>> out(group.size(), false);
+  for (size_t position : answer.slot_of_row) out[position] = true;
+  Charge(group.size(), 0);
+  return out;
+}
+
+SelectBatchResult HttpSparqlEndpoint::SelectMany(
+    std::span<const SelectQuery> queries) {
+  const Envelope envelope = Dedup(
+      queries, [](const SelectQuery& q) { return q.Fingerprint(); });
+  SelectBatchResult batch = SelectBatchResult::Sized(queries.size());
+  RunGroups(GroupByShape(queries, envelope.unique_slots, /*ask=*/false, fold_),
+            envelope, options_.max_connections > 1 ? &pool() : nullptr, batch,
+            [&](const std::vector<size_t>& group) {
+              return SelectGroup(queries, group);
+            });
   return batch;
 }
 
 AskBatchResult HttpSparqlEndpoint::AskMany(
     std::span<const SelectQuery> queries) {
-  // Same envelope dedup as SelectMany, keyed by the normalized
-  // AskFingerprint (existence ignores solution modifiers).
-  std::unordered_map<std::string, size_t> first_occurrence;
-  first_occurrence.reserve(queries.size());
-  std::vector<size_t> wire(queries.size());
-  std::vector<size_t> unique_slots;
-  unique_slots.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] =
-        first_occurrence.emplace(AskFingerprint(queries[i]), i);
-    wire[i] = it->second;
-    if (inserted) unique_slots.push_back(i);
-  }
-
+  // Existence ignores solution modifiers: the dedup key is AskFingerprint.
+  const Envelope envelope = Dedup(queries, AskFingerprint);
   AskBatchResult batch = AskBatchResult::Sized(queries.size());
-  if (unique_slots.size() <= 1 || options_.max_connections <= 1) {
-    for (size_t slot : unique_slots) batch.Set(slot, Ask(queries[slot]));
-  } else {
-    std::vector<std::future<StatusOr<bool>>> futures;
-    futures.reserve(unique_slots.size());
-    for (size_t slot : unique_slots) {
-      futures.push_back(
-          pool().Submit([this, query = &queries[slot]] { return Ask(*query); }));
-    }
-    for (size_t i = 0; i < unique_slots.size(); ++i) {
-      batch.Set(unique_slots[i], futures[i].get());
-    }
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (wire[i] != i) batch.CopySlot(wire[i], i);
-  }
+  RunGroups(GroupByShape(queries, envelope.unique_slots, /*ask=*/true, fold_),
+            envelope, options_.max_connections > 1 ? &pool() : nullptr, batch,
+            [&](const std::vector<size_t>& group) {
+              return AskGroup(queries, group);
+            });
   return batch;
 }
 

@@ -11,9 +11,14 @@
 // RetryingEndpoint / PagedSelect machinery composes unchanged: stack this
 // under caching/throttling/retry exactly like a LocalEndpoint.
 //
-// SelectMany/AskMany pipeline the batch over a bounded set of keep-alive
-// connections (options.max_connections): a batch of k queries costs
-// ceil(k / max_connections) round-trip latencies, not k.
+// SelectMany/AskMany send each same-shape group of a batch as one request:
+// slots that differ only in their constants fold into one SPARQL 1.1
+// inline-data query (`VALUES`), and the rows are split back to their slots
+// by the VALUES columns. A batch of k probes of one shape costs one
+// request, not k. The requests of a batch's groups fan out over a bounded
+// set of keep-alive connections (options.max_connections). A server that
+// refuses the VALUES query (400/501) gets the slots singly, and once those
+// succeed the endpoint stops folding.
 //
 // Thread safety: fully safe for concurrent callers (dictionary is
 // synchronized, the connection pool is locked, stats sit behind a mutex).
@@ -21,6 +26,7 @@
 #ifndef SOFYA_ENDPOINT_HTTP_SPARQL_ENDPOINT_H_
 #define SOFYA_ENDPOINT_HTTP_SPARQL_ENDPOINT_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -81,14 +87,18 @@ class HttpSparqlEndpoint : public Endpoint {
 
   StatusOr<ResultSet> Select(const SelectQuery& query) override;
 
-  /// Pipelined batch: queries fan out across the connection pool, each
-  /// sub-query reporting its own outcome (a dead connection fails only the
-  /// sub-queries in flight on it).
+  /// Folded batch: each same-shape group goes out as one VALUES request,
+  /// the groups fan out across the connection pool, and each sub-query
+  /// reports its own outcome (a dead connection fails only the sub-queries
+  /// whose request was in flight on it).
   SelectBatchResult SelectMany(std::span<const SelectQuery> queries) override;
 
   /// Real protocol ASK (ToSparqlAsk): the server ships one boolean, no rows.
   StatusOr<bool> Ask(const SelectQuery& query) override;
 
+  /// Folded like SelectMany: a group of ASK probes goes out as one
+  /// `SELECT DISTINCT` of its VALUES columns, and a probe is true exactly
+  /// when its row comes back.
   AskBatchResult AskMany(std::span<const SelectQuery> queries) override;
 
   TermId EncodeTerm(const Term& term) override { return dict_.Intern(term); }
@@ -121,8 +131,26 @@ class HttpSparqlEndpoint : public Endpoint {
  private:
   /// One protocol exchange: POST `sparql_text`, check the HTTP status, and
   /// return the response body. All transport-level failures and the
-  /// retryable HTTP statuses surface as Unavailable.
-  StatusOr<std::string> Fetch(const std::string& sparql_text);
+  /// retryable HTTP statuses surface as Unavailable. `http_status`, when
+  /// given, receives the response's status code (0 without a response).
+  StatusOr<std::string> Fetch(const std::string& sparql_text,
+                              int* http_status = nullptr);
+
+  /// Adds `queries` logical queries and `rows` shipped rows to the stats.
+  void Charge(uint64_t queries, uint64_t rows);
+
+  struct FoldedAnswer;
+  /// Sends the same-shape slots `group` of `queries` as one VALUES request
+  /// and maps each response row to its slot.
+  FoldedAnswer FetchFolded(std::span<const SelectQuery> queries,
+                           const std::vector<size_t>& group, bool ask);
+
+  /// One group's outcomes, in group order: the folded request, or the slots
+  /// one by one.
+  std::vector<StatusOr<ResultSet>> SelectGroup(
+      std::span<const SelectQuery> queries, const std::vector<size_t>& group);
+  std::vector<StatusOr<bool>> AskGroup(std::span<const SelectQuery> queries,
+                                       const std::vector<size_t>& group);
 
   /// Maps an HTTP status code onto the canonical Status space.
   static Status MapHttpStatus(int code, const std::string& reason);
@@ -137,6 +165,9 @@ class HttpSparqlEndpoint : public Endpoint {
 
   std::once_flag pool_once_;
   std::unique_ptr<ThreadPool> pool_;
+
+  /// False once a refused VALUES request's slots succeeded singly.
+  std::atomic<bool> fold_{true};
 
   mutable std::mutex stats_mu_;
   EndpointStats stats_;  // Guarded by stats_mu_.

@@ -26,7 +26,7 @@ StatusOr<ResultSet> LocalEndpoint::Select(const SelectQuery& query) {
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.queries;
+    stats_.queries += LogicalQueries(query);
     stats_.index_probes += eval_stats.index_probes;
     stats_.triples_scanned += eval_stats.triples_scanned;
     if (result.ok()) {
@@ -63,7 +63,7 @@ StatusOr<bool> LocalEndpoint::Ask(const SelectQuery& query) {
   auto result = engine_.Ask(query, &eval_stats);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.queries;
+    stats_.queries += LogicalQueries(query);
     stats_.index_probes += eval_stats.index_probes;
     stats_.triples_scanned += eval_stats.triples_scanned;
     // A boolean response: no rows shipped, one byte of payload.

@@ -52,6 +52,37 @@ HttpResponse PlainError(int status_code, const char* reason,
   return response;
 }
 
+/// A VALUES cell the KB does not hold (kUnknownTermId) must never reach
+/// the output: it could not be spelled back. So every VALUES variable
+/// appears in a triple pattern (an unknown cell there matches nothing) or is
+/// `=` to a variable that does (which never holds for an unknown cell).
+Status CheckValuesVariables(const SelectQuery& query) {
+  auto in_pattern = [&](VarId v) {
+    return std::any_of(query.clauses().begin(), query.clauses().end(),
+                       [v](const PatternClause& c) {
+                         return (c.subject.is_var() && c.subject.var() == v) ||
+                                (c.predicate.is_var() &&
+                                 c.predicate.var() == v) ||
+                                (c.object.is_var() && c.object.var() == v);
+                       });
+  };
+  auto equals_pattern_var = [&](VarId v) {
+    return std::any_of(query.filters().begin(), query.filters().end(),
+                       [&](const FilterExpr& f) {
+                         return f.kind == FilterExpr::Kind::kVarEqVar &&
+                                ((f.lhs == v && in_pattern(f.rhs_var)) ||
+                                 (f.rhs_var == v && in_pattern(f.lhs)));
+                       });
+  };
+  for (VarId v : query.values_vars()) {
+    if (!in_pattern(v) && !equals_pattern_var(v)) {
+      return Status::InvalidArgument("VALUES variable ?" + query.var_name(v) +
+                                     " appears in no triple pattern");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 SparqlServer::SparqlServer(KnowledgeBase* kb, SparqlServerOptions options)
@@ -142,14 +173,17 @@ struct SparqlServer::Admission {
   bool admitted = false;
   int shed_status = 0;  ///< 503 or 429 when !admitted.
 
-  Admission(SparqlServer* s, const HttpServerClient& client)
+  /// `queries` is the request's logical query count: its VALUES rows.
+  Admission(SparqlServer* s, const HttpServerClient& client, uint64_t queries)
       : server(s), key(ClientKey(client)) {
     const SparqlServerOptions& opt = server->options_;
     std::lock_guard<std::mutex> lock(server->admission_mu_);
     if (opt.per_client_query_quota > 0) {
+      // A request is admitted only when all of its rows fit the quota left.
       auto it = server->served_by_client_.find(key);
-      if (it != server->served_by_client_.end() &&
-          it->second >= opt.per_client_query_quota) {
+      const uint64_t served =
+          it == server->served_by_client_.end() ? 0 : it->second;
+      if (served + queries > opt.per_client_query_quota) {
         shed_status = 429;
         return;
       }
@@ -166,7 +200,7 @@ struct SparqlServer::Admission {
     }
     ++server->inflight_;
     ++client_inflight;
-    ++server->served_by_client_[key];  // Quota charges admitted queries.
+    server->served_by_client_[key] += queries;  // Quota charges admitted rows.
     admitted = true;
   }
 
@@ -186,7 +220,28 @@ struct SparqlServer::Admission {
 
 HttpResponse SparqlServer::HandleQuery(const std::string& query_text,
                                        const HttpServerClient& client) {
-  Admission ticket(this, client);
+  // The production parser only speaks SELECT; an ASK body is evaluated as
+  // `SELECT *` and answered with the boolean document — the same convention
+  // HttpSparqlEndpoint uses when it renders ASK probes.
+  const bool is_ask = StartsWith(query_text, "ASK");
+  // Parsed before admission: a request is charged one query per VALUES row.
+  // Constants are looked up, never interned, so serving a query cannot grow
+  // the served dictionary; one the KB does not hold becomes kUnknownTermId.
+  auto query = ParseSelectQuery(
+      is_ask ? "SELECT *" + query_text.substr(3) : query_text,
+      [this](const Term& t) {
+        const TermId id = local_.LookupTerm(t);
+        return id == kNullTermId ? kUnknownTermId : id;
+      });
+  if (!query.ok()) {
+    return PlainError(400, "Bad Request", query.status().ToString());
+  }
+  if (Status spellable = CheckValuesVariables(*query); !spellable.ok()) {
+    return PlainError(400, "Bad Request", spellable.ToString());
+  }
+  const uint64_t queries = LogicalQueries(*query);
+
+  Admission ticket(this, client, queries);
   if (!ticket.admitted) {
     if (ticket.shed_status == 429) {
       shed_quota_.fetch_add(1, std::memory_order_relaxed);
@@ -198,30 +253,18 @@ HttpResponse SparqlServer::HandleQuery(const std::string& query_text,
                         "server at concurrency capacity");
   }
   if (options_.pre_evaluate_hook) options_.pre_evaluate_hook();
-  HttpResponse response = Evaluate(query_text);
+  HttpResponse response = Evaluate(*query, is_ask);
   if (response.status_code == 200) {
-    queries_answered_.fetch_add(1, std::memory_order_relaxed);
+    queries_answered_.fetch_add(queries, std::memory_order_relaxed);
   }
   return response;
 }
 
-HttpResponse SparqlServer::Evaluate(const std::string& query_text) {
-  // The production parser only speaks SELECT; an ASK body is evaluated as
-  // `SELECT *` and answered with the boolean document — the same convention
-  // HttpSparqlEndpoint uses when it renders ASK probes.
-  const bool is_ask = StartsWith(query_text, "ASK");
-  const std::string parse_text =
-      is_ask ? "SELECT *" + query_text.substr(3) : query_text;
-  auto query = ParseSelectQuery(
-      parse_text, [this](const Term& t) { return local_.EncodeTerm(t); });
-  if (!query.ok()) {
-    return PlainError(400, "Bad Request", query.status().ToString());
-  }
-
+HttpResponse SparqlServer::Evaluate(const SelectQuery& query, bool is_ask) {
   HttpResponse response;
   response.headers = {{"Content-Type", "application/sparql-results+json"}};
   if (is_ask) {
-    auto result = local_.Ask(*query);
+    auto result = local_.Ask(query);
     if (!result.ok()) {
       return PlainError(500, "Internal Server Error",
                         result.status().ToString());
@@ -229,7 +272,7 @@ HttpResponse SparqlServer::Evaluate(const std::string& query_text) {
     response.body = WriteSparqlAskJson(*result);
     return response;
   }
-  auto rows = local_.Select(*query);
+  auto rows = local_.Select(query);
   if (!rows.ok()) {
     return PlainError(500, "Internal Server Error", rows.status().ToString());
   }

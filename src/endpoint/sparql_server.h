@@ -58,8 +58,10 @@ struct SparqlServerOptions {
   /// In-flight cap per client (keyed by peer IP); 0 disables.
   size_t max_concurrent_per_client = 8;
 
-  /// Lifetime served-query budget per client; once spent, further queries
-  /// are answered 429 + Retry-After. 0 disables (no quota).
+  /// Lifetime served-query budget per client. A request is charged one
+  /// query per VALUES row (one without a block) and is admitted only when
+  /// the whole charge fits in what is left; otherwise it is answered
+  /// 429 + Retry-After. 0 disables (no quota).
   uint64_t per_client_query_quota = 0;
 
   /// The Retry-After hint (delta seconds, rounded up on the wire) attached
@@ -100,6 +102,8 @@ class SparqlServer {
   uint64_t requests_received() const {
     return requests_received_.load(std::memory_order_relaxed);
   }
+  /// Logical queries answered: a request with a VALUES block counts one per
+  /// row, as the quota does.
   uint64_t queries_answered() const {
     return queries_answered_.load(std::memory_order_relaxed);
   }
@@ -117,7 +121,7 @@ class SparqlServer {
 
   HttpResponse HandleQuery(const std::string& query_text,
                            const HttpServerClient& client);
-  HttpResponse Evaluate(const std::string& query_text);
+  HttpResponse Evaluate(const SelectQuery& query, bool is_ask);
 
   /// The /status JSON document.
   std::string StatusJson();

@@ -24,6 +24,12 @@ using TermId = uint32_t;
 /// The reserved null/wildcard id.
 inline constexpr TermId kNullTermId = 0;
 
+/// A constant the dataset does not hold: SparqlServer parses query
+/// constants by lookup and never interns them. No dictionary assigns this
+/// id and no triple carries it, so a pattern naming it matches nothing and
+/// `FILTER(?x != <unknown>)` holds. Unlike kNullTermId it is no wildcard.
+inline constexpr TermId kUnknownTermId = 0xffffffffu;
+
 /// Kind of an RDF term.
 enum class TermKind : uint8_t {
   kIri = 0,      ///< IRI reference (includes blank nodes as "_:...").

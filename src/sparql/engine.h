@@ -10,7 +10,10 @@
 // probes and LIMIT-1 queries stop at the first solution instead of
 // enumerating all bindings. `SELECT DISTINCT ?p { ?s ?p ?o }` skips the
 // pipeline and reads the store's predicate directory (UsesPredicateDirectory
-// in planner.h).
+// in planner.h). A VALUES block is the outermost binding source: each row
+// runs, in block order, as the query it stands for (its constants written
+// into the clauses and filters), and DISTINCT/LIMIT/OFFSET apply to the
+// whole output.
 //
 // Results are deterministic: the plan is a pure function of (query
 // PlanFingerprint, store mutation_epoch) and the store's index order fixes
@@ -112,6 +115,9 @@ class Engine {
   /// the miss.
   std::shared_ptr<const CompiledPlan> PlanFor(const SelectQuery& query,
                                               EvalStats& stats) const;
+
+  /// PlanFor as a VALUES row's plan source.
+  auto CachedPlans() const;
 
   const TripleStore* store_;  // Not owned.
   const Dictionary* dict_;    // Not owned; may be null.

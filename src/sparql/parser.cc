@@ -1,6 +1,8 @@
 #include "sparql/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -13,7 +15,7 @@ namespace {
 
 /// Token kinds produced by the lexer.
 enum class TokKind {
-  kKeyword,   ///< SELECT / DISTINCT / WHERE / FILTER / LIMIT / OFFSET / PREFIX
+  kKeyword,   ///< SELECT / DISTINCT / WHERE / FILTER / VALUES / LIMIT / ...
   kVar,       ///< ?name
   kIri,       ///< <...>
   kPname,     ///< prefix:local or prefix: (in prologue)
@@ -105,7 +107,8 @@ class Lexer {
       }();
       if (upper == "SELECT" || upper == "DISTINCT" || upper == "WHERE" ||
           upper == "FILTER" || upper == "LIMIT" || upper == "OFFSET" ||
-          upper == "PREFIX" || upper == "ISIRI" || upper == "ISLITERAL") {
+          upper == "PREFIX" || upper == "ISIRI" || upper == "ISLITERAL" ||
+          upper == "VALUES" || upper == "UNDEF") {
         token.kind = TokKind::kKeyword;
         token.text = upper;
         return token;
@@ -255,6 +258,9 @@ class Parser {
       if (CurrentIsKeyword("FILTER")) {
         SOFYA_RETURN_IF_ERROR(Advance());
         SOFYA_RETURN_IF_ERROR(ParseFilter(&query));
+      } else if (CurrentIsKeyword("VALUES")) {
+        SOFYA_RETURN_IF_ERROR(Advance());
+        SOFYA_RETURN_IF_ERROR(ParseValues(&query));
       } else {
         SOFYA_RETURN_IF_ERROR(ParseClause(&query));
       }
@@ -303,6 +309,7 @@ class Parser {
     }
     for (const auto& filter : query.filters()) final_query.Filter(filter);
     final_query.Select(query.projection());
+    final_query.Values(query.values_vars(), query.values_cells());
     final_query.Distinct(query.distinct());
     final_query.Limit(query.limit()).Offset(query.offset());
     SOFYA_RETURN_IF_ERROR(final_query.Validate());
@@ -338,7 +345,13 @@ class Parser {
     if (current_.kind != TokKind::kInt) {
       return Status::ParseError("expected an integer");
     }
-    const uint64_t value = std::stoull(current_.text);
+    uint64_t value = 0;
+    const char* end = current_.text.data() + current_.text.size();
+    const auto [ptr, ec] = std::from_chars(current_.text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      return Status::ParseError(StrFormat("integer %s out of range",
+                                          current_.text.c_str()));
+    }
     SOFYA_RETURN_IF_ERROR(Advance());
     return value;
   }
@@ -422,6 +435,62 @@ class Parser {
     query->Where(s, p, o);
     // The trailing '.' is optional before '}'.
     if (CurrentIsPunct(".")) SOFYA_RETURN_IF_ERROR(Advance());
+    return Status::OK();
+  }
+
+  /// `VALUES (?v…) { (t…) … }`, after the keyword: one block per query,
+  /// every cell a constant (UNDEF is refused), every row as wide as the
+  /// variable list.
+  Status ParseValues(SelectQuery* query) {
+    if (query->has_values()) {
+      return Status::ParseError("only one VALUES block is supported");
+    }
+    SOFYA_RETURN_IF_ERROR(ExpectPunct("("));
+    std::vector<VarId> vars;
+    while (current_.kind == TokKind::kVar) {
+      const VarId var = VarFor(current_.text, query);
+      if (std::find(vars.begin(), vars.end(), var) != vars.end()) {
+        return Status::ParseError(StrFormat("VALUES names ?%s twice",
+                                            current_.text.c_str()));
+      }
+      vars.push_back(var);
+      SOFYA_RETURN_IF_ERROR(Advance());
+    }
+    if (vars.empty()) {
+      return Status::ParseError("VALUES needs at least one ?var");
+    }
+    SOFYA_RETURN_IF_ERROR(ExpectPunct(")"));
+    SOFYA_RETURN_IF_ERROR(ExpectPunct("{"));
+    std::vector<TermId> cells;
+    while (CurrentIsPunct("(")) {
+      SOFYA_RETURN_IF_ERROR(Advance());
+      size_t width = 0;
+      while (!CurrentIsPunct(")")) {
+        if (current_.kind == TokKind::kEnd) {
+          return Status::ParseError("unterminated VALUES row");
+        }
+        if (CurrentIsKeyword("UNDEF")) {
+          return Status::ParseError("UNDEF is not supported in VALUES");
+        }
+        if (current_.kind == TokKind::kVar) {
+          return Status::ParseError("a VALUES row holds constants only");
+        }
+        SOFYA_ASSIGN_OR_RETURN(NodeRef node, ParseNode(query));
+        cells.push_back(node.term());
+        ++width;
+      }
+      if (width != vars.size()) {
+        return Status::ParseError(
+            StrFormat("VALUES row has %zu terms for %zu variables", width,
+                      vars.size()));
+      }
+      SOFYA_RETURN_IF_ERROR(Advance());  // Consume ')'.
+    }
+    if (current_.kind == TokKind::kEnd) {
+      return Status::ParseError("unterminated VALUES block (missing '}')");
+    }
+    SOFYA_RETURN_IF_ERROR(ExpectPunct("}"));
+    query->Values(std::move(vars), std::move(cells));
     return Status::OK();
   }
 

@@ -3,18 +3,23 @@
 // Grammar (a strict subset of SPARQL 1.1):
 //
 //   query    := prologue 'SELECT' 'DISTINCT'? ('*' | Var+)
-//               'WHERE' '{' (clause | filter)* '}' modifier*
+//               'WHERE' '{' (clause | filter | values)* '}' modifier*
 //   prologue := ('PREFIX' PNAME ':' IRIREF)*
 //   clause   := term term term '.'
 //   filter   := 'FILTER' '(' cond ')'
 //   cond     := Var ('='|'!=') (Var | term)
 //             | ('isIRI'|'isLiteral') '(' Var ')'
-//   term     := IRIREF | prefixed-name | literal | Var
+//   values   := 'VALUES' '(' Var+ ')' '{' ('(' constant+ ')')* '}'
+//   term     := constant | Var
+//   constant := IRIREF | prefixed-name | literal
 //   modifier := 'LIMIT' INT | 'OFFSET' INT
 //
-// Keywords are case-insensitive. Constant terms are interned through the
-// caller-supplied TermInterner (a Dictionary or an Endpoint), so parsed
-// queries are immediately evaluable against that dataset.
+// At most one `values` block per query; each of its rows holds exactly one
+// constant per variable (UNDEF is a parse error). An INT that does not fit
+// in 64 bits is a parse error. Keywords are case-insensitive. Constant
+// terms are interned through the caller-supplied TermInterner (a Dictionary
+// or an Endpoint), so parsed queries are immediately evaluable against that
+// dataset.
 
 #ifndef SOFYA_SPARQL_PARSER_H_
 #define SOFYA_SPARQL_PARSER_H_

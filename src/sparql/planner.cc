@@ -383,12 +383,7 @@ void AssemblePlan(const SelectQuery& query, std::span<const OrderChoice> order,
       std::find(filter_attached.begin(), filter_attached.end(), false) !=
       filter_attached.end();
 
-  plan.projection = query.projection();
-  if (plan.projection.empty()) {
-    for (VarId v = 0; v < static_cast<VarId>(num_vars); ++v) {
-      plan.projection.push_back(v);
-    }
-  }
+  plan.projection = query.ResolvedProjection();
 
   // `{ ?s ?p ?o }` projected on ?p alone: the predicate directory already
   // holds its distinct answers. A repeated variable ({?x ?p ?x}), a

@@ -27,6 +27,13 @@ SelectQuery& SelectQuery::Select(std::vector<VarId> vars) {
   return *this;
 }
 
+SelectQuery& SelectQuery::Values(std::vector<VarId> vars,
+                                 std::vector<TermId> cells) {
+  values_vars_ = std::move(vars);
+  values_cells_ = std::move(cells);
+  return *this;
+}
+
 SelectQuery& SelectQuery::Distinct(bool distinct) {
   distinct_ = distinct;
   return *this;
@@ -40,6 +47,13 @@ SelectQuery& SelectQuery::Limit(uint64_t limit) {
 SelectQuery& SelectQuery::Offset(uint64_t offset) {
   offset_ = offset;
   return *this;
+}
+
+std::vector<VarId> SelectQuery::ResolvedProjection() const {
+  if (!projection_.empty()) return projection_;
+  std::vector<VarId> all(num_vars());
+  for (VarId v = 0; v < static_cast<VarId>(all.size()); ++v) all[v] = v;
+  return all;
 }
 
 Status SelectQuery::Validate() const {
@@ -78,18 +92,36 @@ Status SelectQuery::Validate() const {
   for (VarId v : projection_) {
     SOFYA_RETURN_IF_ERROR(check_var(v));
   }
+  for (size_t i = 0; i < values_vars_.size(); ++i) {
+    SOFYA_RETURN_IF_ERROR(check_var(values_vars_[i]));
+    if (std::find(values_vars_.begin(), values_vars_.begin() + i,
+                  values_vars_[i]) != values_vars_.begin() + i) {
+      return Status::InvalidArgument(StrFormat(
+          "VALUES names variable ?%s twice",
+          var_name(values_vars_[i]).c_str()));
+    }
+  }
+  if (has_values() && values_cells_.size() % values_vars_.size() != 0) {
+    return Status::InvalidArgument("VALUES block has a ragged row");
+  }
+  if (std::find(values_cells_.begin(), values_cells_.end(), kNullTermId) !=
+      values_cells_.end()) {
+    return Status::InvalidArgument("VALUES block has an unbound cell");
+  }
   return Status::OK();
 }
 
 namespace {
 
+std::string RenderTerm(TermId id, const Dictionary& dict) {
+  if (!dict.Contains(id)) return StrFormat("<urn:sofya:id:%u>", id);
+  return dict.Decode(id).ToNTriples();
+}
+
 std::string RenderNode(const NodeRef& ref, const SelectQuery& q,
                        const Dictionary& dict) {
   if (ref.is_var()) return "?" + q.var_name(ref.var());
-  if (!dict.Contains(ref.term())) {
-    return StrFormat("<urn:sofya:id:%u>", ref.term());
-  }
-  return dict.Decode(ref.term()).ToNTriples();
+  return RenderTerm(ref.term(), dict);
 }
 
 std::string RenderVar(const SelectQuery& q, VarId v) {
@@ -139,6 +171,7 @@ std::string SelectQuery::RenderKey(QueryKeyMode mode,
       visit(f.lhs);
       visit(f.rhs_var);
     }
+    for (VarId v : values_vars_) visit(v);
     for (VarId v = 0; v < n; ++v) visit(v);
   }
   auto var_id = [&](VarId v) -> VarId {
@@ -215,6 +248,18 @@ std::string SelectQuery::RenderKey(QueryKeyMode mode,
       out += ',';
     }
   }
+  if (has_values()) {
+    out += ";vals:";
+    for (VarId v : values_vars_) {
+      add_int(var_id(v));
+      out += ',';
+    }
+    for (size_t i = 0; i < values_cells_.size(); ++i) {
+      if (i % values_vars_.size() == 0) out += '|';
+      add_term(values_cells_[i]);
+      out += ' ';
+    }
+  }
   if (mode == QueryKeyMode::kPlan) return out;  // Plans ignore modifiers.
 
   const bool ask = mode == QueryKeyMode::kAsk;
@@ -253,6 +298,20 @@ std::string SelectQuery::ToSparqlAsk(const Dictionary& dict) const {
 
 std::string SelectQuery::RenderWhere(const Dictionary& dict) const {
   std::string out = " WHERE {\n";
+  if (has_values()) {
+    out += "  VALUES (";
+    for (size_t i = 0; i < values_vars_.size(); ++i) {
+      if (i > 0) out += ' ';
+      out += RenderVar(*this, values_vars_[i]);
+    }
+    out += ") {";
+    for (size_t i = 0; i < values_cells_.size(); ++i) {
+      out += i % values_vars_.size() == 0 ? "\n    (" : " ";
+      out += RenderTerm(values_cells_[i], dict);
+      if ((i + 1) % values_vars_.size() == 0) out += ')';
+    }
+    out += "\n  }\n";
+  }
   for (const auto& c : clauses_) {
     out += "  " + RenderNode(c.subject, *this, dict) + " " +
            RenderNode(c.predicate, *this, dict) + " " +
@@ -268,16 +327,11 @@ std::string SelectQuery::RenderWhere(const Dictionary& dict) const {
         expr = RenderVar(*this, f.lhs) + " != " + RenderVar(*this, f.rhs_var);
         break;
       case FilterExpr::Kind::kVarEqTerm:
-        expr = RenderVar(*this, f.lhs) + " = " +
-               (dict.Contains(f.rhs_term)
-                    ? dict.Decode(f.rhs_term).ToNTriples()
-                    : StrFormat("<urn:sofya:id:%u>", f.rhs_term));
+        expr = RenderVar(*this, f.lhs) + " = " + RenderTerm(f.rhs_term, dict);
         break;
       case FilterExpr::Kind::kVarNeqTerm:
-        expr = RenderVar(*this, f.lhs) + " != " +
-               (dict.Contains(f.rhs_term)
-                    ? dict.Decode(f.rhs_term).ToNTriples()
-                    : StrFormat("<urn:sofya:id:%u>", f.rhs_term));
+        expr =
+            RenderVar(*this, f.lhs) + " != " + RenderTerm(f.rhs_term, dict);
         break;
       case FilterExpr::Kind::kIsIri:
         expr = "isIRI(" + RenderVar(*this, f.lhs) + ")";

@@ -1,5 +1,5 @@
 // A SPARQL SELECT subset: basic graph patterns over one dataset, simple
-// FILTERs, DISTINCT, LIMIT and OFFSET.
+// FILTERs, one inline-data block (VALUES), DISTINCT, LIMIT and OFFSET.
 //
 // This is the query language the endpoint (endpoint/endpoint.h) accepts —
 // i.e. everything SOFYA is allowed to ask a remote KB. The subset matches
@@ -148,6 +148,12 @@ class SelectQuery {
   /// Sets the projection. Unset => SELECT *.
   SelectQuery& Select(std::vector<VarId> vars);
 
+  /// Sets the inline-data block (SPARQL 1.1 `VALUES (?v…) { (t…) … }`):
+  /// `vars` and rows of constants, row-major in `cells`. Every cell is
+  /// bound. The engine runs the block as the outermost binding source, one
+  /// row at a time in block order.
+  SelectQuery& Values(std::vector<VarId> vars, std::vector<TermId> cells);
+
   SelectQuery& Distinct(bool distinct = true);
   SelectQuery& Limit(uint64_t limit);
   SelectQuery& Offset(uint64_t offset);
@@ -155,12 +161,25 @@ class SelectQuery {
   const std::vector<PatternClause>& clauses() const { return clauses_; }
   const std::vector<FilterExpr>& filters() const { return filters_; }
   const std::vector<VarId>& projection() const { return projection_; }
+  /// The projected variables: projection(), or every declared variable in
+  /// declaration order for SELECT *.
+  std::vector<VarId> ResolvedProjection() const;
   bool distinct() const { return distinct_; }
   uint64_t limit() const { return limit_; }
   uint64_t offset() const { return offset_; }
 
+  /// True when the query carries a VALUES block (zero rows included).
+  bool has_values() const { return !values_vars_.empty(); }
+  const std::vector<VarId>& values_vars() const { return values_vars_; }
+  /// The block's rows, row-major, values_vars().size() cells each.
+  const std::vector<TermId>& values_cells() const { return values_cells_; }
+  size_t num_values_rows() const {
+    return has_values() ? values_cells_.size() / values_vars_.size() : 0;
+  }
+
   /// Validates structural sanity (every var used is declared; projection
-  /// non-empty after defaulting; at least one clause).
+  /// non-empty after defaulting; at least one clause; a VALUES block names
+  /// distinct variables and fills every cell of every row).
   Status Validate() const;
 
   /// Renders the query as SPARQL text for logs and for the HTTP wire
@@ -183,7 +202,9 @@ class SelectQuery {
   /// declaration order — a query and its ToSparql -> ParseSelectQuery round
   /// trip collide — while variable *names* still participate (they name
   /// result columns). Constants render by id, or through `constants` when
-  /// given (not used with kPlan).
+  /// given (not used with kPlan). A VALUES block is appended after the
+  /// projection only when present, so every key of a query without one is
+  /// byte-identical to the key it had before VALUES existed.
   std::string RenderKey(QueryKeyMode mode,
                         const TermKeyRenderer* constants = nullptr) const;
 
@@ -211,6 +232,8 @@ class SelectQuery {
   std::vector<PatternClause> clauses_;
   std::vector<FilterExpr> filters_;
   std::vector<VarId> projection_;  // Empty => all vars.
+  std::vector<VarId> values_vars_;   // Empty => no VALUES block.
+  std::vector<TermId> values_cells_;  // Row-major.
   bool distinct_ = false;
   uint64_t limit_ = kNoLimit;
   uint64_t offset_ = 0;

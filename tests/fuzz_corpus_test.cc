@@ -1,6 +1,7 @@
-// Fuzz/property harness for the two wire formats the HTTP client trusts
-// least: application/sparql-results+json documents and HTTP/1.1 framing
-// (Content-Length and chunked). Three layers:
+// Fuzz/property harness for the wire formats the HTTP client and server
+// trust least: application/sparql-results+json documents, HTTP/1.1 framing
+// (Content-Length and chunked), and the SPARQL text the server parses
+// (VALUES blocks included). Three layers:
 //
 //   * round-trip properties over generated ResultSets (writer -> reader ->
 //     writer is a fixed point; parsed rows decode to the same terms);
@@ -26,6 +27,7 @@
 #include "net/http.h"
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "sparql/parser.h"
 #include "sparql/query.h"
 #include "sparql/results_json.h"
 #include "util/random.h"
@@ -99,6 +101,43 @@ std::string RandomResultsDocument(Rng& rng) {
   return doc.ok() ? *doc : "{}";
 }
 
+/// A random query in the parser's grammar: one to three clauses over a few
+/// variables and constants, maybe filters, maybe a VALUES block, maybe
+/// modifiers — rendered by ToSparql, so it parses before it is mutated.
+std::string RandomQueryText(Rng& rng) {
+  Dictionary dict;
+  SelectQuery q;
+  const VarId vars[3] = {q.NewVar("s"), q.NewVar("p"), q.NewVar("o")};
+  auto node = [&] {
+    return rng.Bernoulli(0.5) ? NodeRef::Variable(vars[rng.Below(3)])
+                              : NodeRef::Constant(dict.Intern(RandomTerm(rng)));
+  };
+  const size_t clauses = 1 + rng.Below(3);
+  for (size_t c = 0; c < clauses; ++c) q.Where(node(), node(), node());
+  // Every variable must occur somewhere: a last all-variable clause.
+  q.Where(NodeRef::Variable(vars[0]), NodeRef::Variable(vars[1]),
+          NodeRef::Variable(vars[2]));
+  if (rng.Bernoulli(0.3)) {
+    q.Filter(FilterExpr::VarNeqTerm(vars[2], dict.Intern(RandomTerm(rng))));
+  }
+  if (rng.Bernoulli(0.3)) q.Filter(FilterExpr::VarEqVar(vars[0], vars[2]));
+  if (rng.Bernoulli(0.5)) {
+    const size_t width = 1 + rng.Below(3);
+    std::vector<VarId> values(vars, vars + width);
+    std::vector<TermId> cells;
+    const size_t rows = rng.Below(5);
+    for (size_t i = 0; i < rows * width; ++i) {
+      cells.push_back(dict.Intern(RandomTerm(rng)));
+    }
+    q.Values(values, cells);
+  }
+  if (rng.Bernoulli(0.5)) q.Select({vars[rng.Below(3)]});
+  q.Distinct(rng.Bernoulli(0.5));
+  if (rng.Bernoulli(0.5)) q.Limit(rng.Below(100));
+  if (rng.Bernoulli(0.3)) q.Offset(rng.Below(100));
+  return q.ToSparql(dict);
+}
+
 std::string Mutate(const std::string& input, Rng& rng) {
   std::string out = input;
   switch (rng.Below(5)) {
@@ -141,6 +180,7 @@ std::string Mutate(const std::string& input, Rng& rng) {
 /// "return a Status, don't die".
 void ExerciseParsers(const std::string& input) {
   Dictionary dict;
+  (void)ParseSelectQuery(input, &dict);
   (void)ParseSparqlResultsJson(
       input, [&dict](const Term& term) { return dict.Intern(term); });
   (void)ParseSparqlAskJson(input);
@@ -200,6 +240,27 @@ TEST(ResultsJsonFuzzTest, MutatedDocumentsNeverCrashTheReader) {
   }
   // The mutator really produces malformed documents (not a no-op harness).
   EXPECT_GT(parse_errors, 100);
+}
+
+TEST(SparqlParserFuzzTest, GeneratedQueriesRoundTripAndMutantsFailCleanly) {
+  Rng rng(2025);
+  int parse_errors = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string text = RandomQueryText(rng);
+    Dictionary dict;
+    auto parsed = ParseSelectQuery(text, &dict);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
+    auto reparsed = ParseSelectQuery(parsed->ToSparql(dict), &dict);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << text;
+    EXPECT_EQ(parsed->Fingerprint(), reparsed->Fingerprint()) << text;
+
+    std::string mutant = text;
+    const int rounds = 1 + static_cast<int>(rng.Below(4));
+    for (int m = 0; m < rounds; ++m) mutant = Mutate(mutant, rng);
+    if (!ParseSelectQuery(mutant, &dict).ok()) ++parse_errors;
+    ExerciseParsers(mutant);
+  }
+  EXPECT_GT(parse_errors, 50);
 }
 
 TEST(HttpFramingPropertyTest, EverySplitOfAValidResponseParsesTheSame) {
@@ -312,6 +373,26 @@ TEST(HttpFramingFuzzTest, MutatedWireMessagesNeverCrashTheParsers) {
     for (int m = 0; m < rounds; ++m) wire = Mutate(wire, rng);
     ExerciseParsers(wire);
   }
+}
+
+TEST(FuzzCorpusTest, SparqlCorpusParsesAsPinned) {
+  auto read = [](const std::string& name) {
+    std::ifstream in(CorpusDir() + "/" + name, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const char* name :
+       {"sparql_limit_overflow.rq", "sparql_values_ragged.rq",
+        "sparql_values_undef.rq", "sparql_values_unterminated.rq"}) {
+    const std::string text = read(name);
+    ASSERT_FALSE(text.empty()) << name;
+    Dictionary dict;
+    EXPECT_TRUE(ParseSelectQuery(text, &dict).status().IsParseError()) << name;
+  }
+  Dictionary dict;
+  auto big = ParseSelectQuery(read("sparql_values_10k_rows.rq"), &dict);
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_EQ(big->num_values_rows(), 10000u);
 }
 
 TEST(FuzzCorpusTest, CheckedInCorpusReplaysClean) {

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +16,9 @@
 #include "core/facade.h"
 #include "endpoint/paged_select.h"
 #include "endpoint/query_forms.h"
+#include "endpoint/local_endpoint.h"
 #include "endpoint/retrying_endpoint.h"
+#include "endpoint/sparql_server.h"
 #include "loopback_sparql_server.h"
 #include "rdf/knowledge_base.h"
 #include "synth/presets.h"
@@ -506,6 +509,218 @@ TEST_F(HttpSparqlEndpointTest, PartialBatchRecoveryKeepsVerdictParity) {
     EXPECT_EQ(r.equivalence, l.equivalence) << r.relation.lexical();
     EXPECT_DOUBLE_EQ(r.rule.pca_conf, l.rule.pca_conf);
   }
+}
+
+// ------------------------------------------------------- batch folding
+
+/// Fixture: a SparqlServer (which speaks VALUES) behind a loopback handler
+/// that logs request bodies and can fail the next requests with 503.
+/// Subjects a, b, c, d hold 10, 3, 2 and 0 objects of p.
+class FoldingTest : public ::testing::Test {
+ protected:
+  FoldingTest() : kb_("foldkb", "http://f.org/"), server_(&kb_) {
+    const std::pair<const char*, int> subjects[] = {
+        {"a", 10}, {"b", 3}, {"c", 2}};
+    for (const auto& [subject, objects] : subjects) {
+      for (int i = 0; i < objects; ++i) {
+        kb_.AddFact(subject, "p", std::string(subject) + std::to_string(i));
+      }
+    }
+    kb_.AddFact("d", "q", "a0");
+    transport_ = std::make_unique<LoopbackTransport>(
+        [this](const HttpRequest& request) {
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            bodies_.push_back(request.body);
+            if (fail_next_ > 0) {
+              --fail_next_;
+              HttpResponse shed;
+              shed.status_code = 503;
+              shed.reason = "Service Unavailable";
+              return shed;
+            }
+          }
+          return server_.Handle(request, HttpServerClient{"client", 0});
+        });
+    HttpSparqlEndpointOptions options;
+    options.name = "foldkb";
+    options.max_connections = 2;
+    endpoint_ = std::make_unique<HttpSparqlEndpoint>(
+        ParseUrl("http://fold.test/sparql").value(), transport_.get(),
+        options);
+  }
+
+  TermId Iri(const std::string& local) {
+    return endpoint_->EncodeTerm(Term::Iri("http://f.org/" + local));
+  }
+
+  /// ObjectsOf(subject, p) LIMIT `limit`, for each subject.
+  std::vector<SelectQuery> ObjectProbes(std::vector<std::string> subjects,
+                                        uint64_t limit) {
+    std::vector<SelectQuery> batch;
+    for (const std::string& subject : subjects) {
+      batch.push_back(queries::ObjectsOf(Iri(subject), Iri("p")).Limit(limit));
+    }
+    return batch;
+  }
+
+  size_t requests() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bodies_.size();
+  }
+
+  /// Each slot's outcome equals the same query sent on its own.
+  void ExpectSinglesAgree(const std::vector<SelectQuery>& batch,
+                          const SelectBatchResult& results) {
+    ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      auto single = endpoint_->Select(batch[i]);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ(results.values[i].var_names, single->var_names) << i;
+      EXPECT_EQ(results.values[i].rows, single->rows) << "slot " << i;
+    }
+  }
+
+  KnowledgeBase kb_;
+  SparqlServer server_;
+  std::mutex mu_;
+  std::vector<std::string> bodies_;  // Guarded by mu_.
+  int fail_next_ = 0;                // Guarded by mu_.
+  std::unique_ptr<LoopbackTransport> transport_;
+  std::unique_ptr<HttpSparqlEndpoint> endpoint_;
+};
+
+TEST_F(FoldingTest, OneShapeIsOneRequestAndCountsLogicalQueries) {
+  const std::vector<SelectQuery> batch =
+      ObjectProbes({"b", "d", "c", "nobody"}, kNoLimit);
+  SelectBatchResult results = endpoint_->SelectMany(batch);
+  EXPECT_EQ(requests(), 1u);
+  EXPECT_NE(bodies_[0].find("VALUES"), std::string::npos) << bodies_[0];
+  EXPECT_EQ(endpoint_->stats().queries, 4u);
+  EXPECT_EQ(endpoint_->stats().rows_returned, 5u);
+  EXPECT_EQ(server_.queries_answered(), 4u);
+  ExpectSinglesAgree(batch, results);
+}
+
+TEST_F(FoldingTest, SlotWithMoreRowsThanItsLimitIsCut) {
+  // LIMIT 2 each, total LIMIT 6: b ships its 3 rows, c its 2, d none. The
+  // total is not reached, so nothing is re-sent, and b is cut to 2.
+  const std::vector<SelectQuery> batch = ObjectProbes({"b", "c", "d"}, 2);
+  SelectBatchResult results = endpoint_->SelectMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(requests(), 1u);
+  EXPECT_EQ(results.values[0].rows.size(), 2u);
+  EXPECT_EQ(results.values[1].rows.size(), 2u);
+  EXPECT_EQ(results.values[2].rows.size(), 0u);
+  ExpectSinglesAgree(batch, results);
+}
+
+TEST_F(FoldingTest, ReachedTotalLimitResendsTheTailSingly) {
+  // LIMIT 4 each, total 12: the response holds a's 10 rows and b's first
+  // 2, so b may be cut short (2 < 4) and c went unanswered. a is complete
+  // (its 4 rows are in), so b and c — and only they — go out singly.
+  const std::vector<SelectQuery> batch = ObjectProbes({"a", "b", "c"}, 4);
+  SelectBatchResult results = endpoint_->SelectMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(requests(), 3u);
+  EXPECT_EQ(results.values[0].rows.size(), 4u);
+  EXPECT_EQ(results.values[1].rows.size(), 3u);
+  EXPECT_EQ(results.values[2].rows.size(), 2u);
+  EXPECT_EQ(endpoint_->stats().queries, 3u);  // Logical, not requests.
+  ExpectSinglesAgree(batch, results);
+
+  // LIMIT 5, total 10, all of them a's: a is complete at its own LIMIT,
+  // so only d goes out again.
+  const size_t before = requests();
+  const std::vector<SelectQuery> full = ObjectProbes({"a", "d"}, 5);
+  SelectBatchResult filled = endpoint_->SelectMany(full);
+  EXPECT_EQ(requests() - before, 2u);
+  ExpectSinglesAgree(full, filled);
+}
+
+TEST_F(FoldingTest, FailedFoldedRequestFailsEverySlotAndRetryRecovers) {
+  const std::vector<SelectQuery> batch =
+      ObjectProbes({"a", "b", "c", "d"}, kNoLimit);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_next_ = 1;
+  }
+  SelectBatchResult failed = endpoint_->SelectMany(batch);
+  EXPECT_EQ(failed.num_failed(), batch.size());
+  for (const Status& status : failed.statuses) {
+    EXPECT_TRUE(status.IsUnavailable()) << status.ToString();
+  }
+
+  RetryOptions retry;
+  retry.max_retries = 2;
+  retry.initial_backoff_ms = 0.0;
+  RetryingEndpoint recovering(endpoint_.get(), retry);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_next_ = 1;
+  }
+  const size_t before = requests();
+  SelectBatchResult recovered = recovering.SelectMany(batch);
+  // The failed folded request, then each slot re-issued on its own: the
+  // retry layer trickles its recovery one query at a time.
+  EXPECT_EQ(requests() - before, 1 + batch.size());
+  ExpectSinglesAgree(batch, recovered);
+}
+
+TEST_F(FoldingTest, AskGroupsFold) {
+  // ASK { <s> <p> ?y FILTER(?y = <o>) }: both the subject and the filter
+  // constant differ across the group.
+  std::vector<SelectQuery> batch;
+  const std::pair<const char*, const char*> probes[] = {
+      {"a", "a3"}, {"a", "b1"}, {"b", "b1"}, {"d", "a0"}, {"c", "c1"}};
+  for (const auto& [subject, object] : probes) {
+    SelectQuery probe = queries::ObjectsOf(Iri(subject), Iri("p"));
+    probe.Filter(FilterExpr::VarEqTerm(0, Iri(object)));
+    batch.push_back(probe);
+  }
+  AskBatchResult results = endpoint_->AskMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(requests(), 1u);
+  EXPECT_EQ(results.values,
+            (std::vector<bool>{true, false, true, false, true}));
+  EXPECT_EQ(endpoint_->stats().queries, batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto single = endpoint_->Ask(batch[i]);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(*single, results.values[i]) << "slot " << i;
+  }
+}
+
+TEST_F(HttpSparqlEndpointTest, ServerWithoutValuesGetsSlotsSingly) {
+  // MockSparqlServer refuses VALUES with 400: the folded request's slots
+  // go out one by one with the same answers, and once they succeed the
+  // endpoint stops folding — the next batch sends no refused request.
+  LocalEndpoint local(&kb_);
+  std::vector<SelectQuery> batch;
+  std::vector<SelectQuery> local_batch;
+  for (int i = 0; i < 4; ++i) {
+    const std::string s = "http://t.org/s" + std::to_string(i);
+    batch.push_back(queries::ObjectsOf(endpoint_->EncodeTerm(Term::Iri(s)),
+                                       ClientP()));
+    local_batch.push_back(queries::ObjectsOf(
+        local.LookupTerm(Term::Iri(s)),
+        local.LookupTerm(Term::Iri("http://t.org/p"))));
+  }
+  SelectBatchResult results = endpoint_->SelectMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(server_->requests_served(), 5u);  // Refused fold + 4 singles.
+  SelectBatchResult expected = local.SelectMany(local_batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(results.values[i].rows.size(), expected.values[i].rows.size());
+    for (size_t r = 0; r < expected.values[i].rows.size(); ++r) {
+      EXPECT_EQ(endpoint_->DecodeTerm(results.values[i].rows[r][0])->lexical(),
+                local.DecodeTerm(expected.values[i].rows[r][0])->lexical());
+    }
+  }
+  EXPECT_EQ(endpoint_->stats().queries, 4u);
+
+  ASSERT_TRUE(endpoint_->SelectMany(batch).all_ok());
+  EXPECT_EQ(server_->requests_served(), 9u);  // 4 singles, no VALUES try.
 }
 
 }  // namespace

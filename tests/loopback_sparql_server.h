@@ -6,7 +6,9 @@
 // the ResultSet is serialized with the production
 // application/sparql-results+json writer. On top of that sit the
 // misbehaviors the hardening tests need: 503 bursts, over-long pages
-// (a server that ignores LIMIT), connection drops, and a request log.
+// (a server that ignores LIMIT), connection drops, and a request log. Like a
+// SPARQL 1.0 endpoint it does not speak inline data: a query with a VALUES
+// block is refused 400, so clients that fold batches fall back to singles.
 //
 // Thread-safe: HttpSparqlEndpoint's SelectMany fans requests out across
 // pool threads, so every knob and counter is mutex-guarded.
@@ -194,10 +196,11 @@ class MockSparqlServer {
         is_ask ? "SELECT *" + text.substr(3) : text;
     auto query = ParseSelectQuery(
         parse_text, [this](const Term& t) { return local_.EncodeTerm(t); });
-    if (!query.ok()) {
+    if (!query.ok() || query->has_values()) {
       response.status_code = 400;
       response.reason = "Bad Request";
-      response.body = query.status().ToString();
+      response.body = query.ok() ? "VALUES is not supported"
+                                 : query.status().ToString();
       return response;
     }
 

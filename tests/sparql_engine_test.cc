@@ -326,6 +326,133 @@ TEST_P(EngineJoinProperty, JoinAgreesWithBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineJoinProperty,
                          ::testing::Values(1ULL, 2ULL, 3ULL, 11ULL));
 
+// Property: a VALUES query equals the concatenation, in block order, of the
+// queries its rows stand for — each row's constants written into the
+// clauses and filters by hand — with DISTINCT, OFFSET and LIMIT applied to
+// the whole. Covers a one-clause and a two-clause shape, a filter naming a
+// VALUES variable and another variable, and one over a VALUES variable
+// alone (which drops rows before any scan).
+class ValuesProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ValuesProperty, EqualsConcatenationOfSubstitutedRows) {
+  Rng rng(GetParam());
+  TripleStore store;
+  const TermId p1 = 100, p2 = 101;
+  for (int i = 0; i < 150; ++i) {
+    store.Insert(Triple(static_cast<TermId>(1 + rng.Below(8)),
+                        rng.Bernoulli(0.5) ? p1 : p2,
+                        static_cast<TermId>(1 + rng.Below(8))));
+  }
+  Engine engine(&store);
+
+  for (int round = 0; round < 40; ++round) {
+    const bool two_clauses = rng.Bernoulli(0.5);
+    const bool neq_filter = rng.Bernoulli(0.5);     // ?y != ?x
+    const bool values_filter = rng.Bernoulli(0.5);  // ?x != <3>
+    const TermId excluded = 3;
+
+    // VALUES (?x ?z) over `?x p1 ?y [. ?y p2 ?z]`; one clause leaves ?z
+    // bound only by VALUES (it is projected from the row).
+    SelectQuery q;
+    const VarId x = q.NewVar("x");
+    const VarId y = q.NewVar("y");
+    const VarId z = q.NewVar("z");
+    q.Where(NodeRef::Variable(x), NodeRef::Constant(p1),
+            NodeRef::Variable(y));
+    if (two_clauses) {
+      q.Where(NodeRef::Variable(y), NodeRef::Constant(p2),
+              NodeRef::Variable(z));
+    }
+    if (neq_filter) q.Filter(FilterExpr::VarNeqVar(y, x));
+    if (values_filter) q.Filter(FilterExpr::VarNeqTerm(x, excluded));
+    std::vector<TermId> cells;
+    const size_t rows = rng.Below(6);
+    for (size_t r = 0; r < rows; ++r) {
+      cells.push_back(static_cast<TermId>(1 + rng.Below(8)));
+      cells.push_back(static_cast<TermId>(1 + rng.Below(8)));
+    }
+    q.Values({x, z}, cells).Select({x, z, y});
+    const bool distinct = rng.Bernoulli(0.5);
+    const uint64_t limit = rng.Bernoulli(0.3) ? kNoLimit : rng.Below(12);
+    const uint64_t offset = rng.Below(5);
+    q.Distinct(distinct).Limit(limit).Offset(offset);
+
+    std::vector<std::vector<TermId>> expected;
+    std::set<std::vector<TermId>> seen;
+    uint64_t skipped = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      const TermId xv = cells[2 * r], zv = cells[2 * r + 1];
+      if (values_filter && xv == excluded) continue;
+      SelectQuery row_query;
+      const VarId ry = row_query.NewVar("y");
+      row_query.Where(NodeRef::Constant(xv), NodeRef::Constant(p1),
+                      NodeRef::Variable(ry));
+      if (two_clauses) {
+        row_query.Where(NodeRef::Variable(ry), NodeRef::Constant(p2),
+                        NodeRef::Constant(zv));
+      }
+      if (neq_filter) row_query.Filter(FilterExpr::VarNeqTerm(ry, xv));
+      auto row_result = Evaluate(store, row_query);
+      ASSERT_TRUE(row_result.ok()) << row_result.status().ToString();
+      for (const auto& row : row_result->rows) {
+        std::vector<TermId> full = {xv, zv, row[0]};
+        if (distinct && !seen.insert(full).second) continue;
+        if (skipped < offset) {
+          ++skipped;
+          continue;
+        }
+        if (expected.size() < limit) expected.push_back(full);
+      }
+    }
+
+    auto got = Evaluate(store, q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->var_names, (std::vector<std::string>{"x", "z", "y"}));
+    EXPECT_EQ(got->rows, expected) << "round " << round;
+    auto cached = engine.Select(q);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(cached->rows, got->rows) << "round " << round;
+
+    // ASK: some row has a solution.
+    SelectQuery unmodified = q;
+    unmodified.Distinct(false).Limit(kNoLimit).Offset(0);
+    auto all = Evaluate(store, unmodified);
+    ASSERT_TRUE(all.ok());
+    auto exists = engine.Ask(q);
+    ASSERT_TRUE(exists.ok());
+    EXPECT_EQ(*exists, !all->rows.empty()) << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValuesProperty,
+                         ::testing::Values(1ULL, 2ULL, 7ULL, 19ULL));
+
+TEST_F(EngineTest, ValuesFiltersAndExplain) {
+  // FILTER(?o = ?want) with ?want a VALUES variable: each row runs as
+  // FILTER(?o = <constant>).
+  SelectQuery q;
+  const VarId s = q.NewVar("s");
+  const VarId o = q.NewVar("o");
+  const VarId want = q.NewVar("want");
+  q.Where(NodeRef::Variable(s), NodeRef::Constant(knows_),
+          NodeRef::Variable(o))
+      .Filter(FilterExpr::VarEqVar(o, want))
+      .Values({s, want}, {a_, c_, b_, b_, a_, b_})
+      .Select({s, want})
+      .Distinct();
+  auto rs = Evaluate(store_, q);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // a knows c (row 1) and a knows b (row 3); b knows b is no fact.
+  EXPECT_EQ(rs->rows, (std::vector<std::vector<TermId>>{{a_, c_}, {a_, b_}}));
+
+  // A VALUES cell must be bound, and EXPLAIN has no one plan to show.
+  SelectQuery unbound = q;
+  unbound.Values({s, want}, {a_, kNullTermId});
+  EXPECT_TRUE(Evaluate(store_, unbound).status().IsInvalidArgument());
+  Engine engine(&store_, &dict_);
+  EXPECT_TRUE(engine.Explain(q).status().IsUnimplemented());
+}
+
 // Property: `SELECT DISTINCT ?p { ?s ?p ?o }` is answered from the store's
 // predicate directory — pages in ascending id order that concatenate to the
 // brute-force predicate set, with nothing scanned — under every store

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "endpoint/local_endpoint.h"
 #include "endpoint/select_text.h"
 #include "rdf/knowledge_base.h"
@@ -158,6 +161,63 @@ TEST_F(ParserTest, ErrorsAreParseErrors) {
   EXPECT_TRUE(Parse("SELECT * WHERE { ?x ?p ?y } garbage <x>")
                   .status()
                   .IsParseError());
+}
+
+TEST_F(ParserTest, OverflowingLimitOrOffsetIsAParseError) {
+  // 2^64 and beyond do not fit a uint64_t; the largest value that does
+  // still parses.
+  for (const std::string modifier :
+       {"LIMIT 99999999999999999999999", "OFFSET 18446744073709551616"}) {
+    auto q = Parse("SELECT * WHERE { ?x ?p ?y } " + modifier);
+    ASSERT_TRUE(q.status().IsParseError()) << modifier;
+    EXPECT_NE(q.status().message().find("out of range"), std::string::npos);
+  }
+  auto max = Parse("SELECT * WHERE { ?x ?p ?y } OFFSET 18446744073709551615");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->offset(), 18446744073709551615ull);
+}
+
+TEST_F(ParserTest, ValuesBlockParsesAndBindsRows) {
+  auto q = Parse(
+      "SELECT ?s ?o WHERE { VALUES (?s ?o) { (<http://p.org/a> "
+      "<http://p.org/c>) (<http://p.org/b> <http://p.org/c>) "
+      "(<http://p.org/c> <http://p.org/a>) } ?s <http://p.org/knows> ?o }");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->values_vars().size(), 2u);
+  EXPECT_EQ(q->num_values_rows(), 3u);
+  EXPECT_EQ(q->values_cells()[0], kb_.dict().LookupIri("http://p.org/a"));
+  auto rs = Evaluate(kb_.store(), *q);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // a-c and b-c are facts; c-a is not. Block order is kept.
+  ASSERT_EQ(rs->rows.size(), 2u);
+  EXPECT_EQ(rs->rows[0][0], kb_.dict().LookupIri("http://p.org/a"));
+  EXPECT_EQ(rs->rows[1][0], kb_.dict().LookupIri("http://p.org/b"));
+}
+
+TEST_F(ParserTest, MalformedValuesBlocksAreParseErrors) {
+  const std::vector<std::string> bad = {
+      // Ragged row.
+      "SELECT * WHERE { VALUES (?s ?o) { (<http://p.org/a>) } ?s ?p ?o }",
+      // UNDEF cell.
+      "SELECT * WHERE { VALUES (?s) { (UNDEF) } ?s ?p ?o }",
+      // Unterminated block.
+      "SELECT * WHERE { VALUES (?s) { (<http://p.org/a>) ",
+      // Unterminated row.
+      "SELECT * WHERE { VALUES (?s) { (<http://p.org/a> ",
+      // No variables.
+      "SELECT * WHERE { VALUES () { () } ?s ?p ?o }",
+      // A variable repeated.
+      "SELECT * WHERE { VALUES (?s ?s) { (<http://p.org/a> <http://p.org/a>) "
+      "} ?s ?p ?o }",
+      // A variable as a cell.
+      "SELECT * WHERE { VALUES (?s) { (?o) } ?s ?p ?o }",
+      // Two blocks.
+      "SELECT * WHERE { VALUES (?s) { (<http://p.org/a>) } "
+      "VALUES (?o) { (<http://p.org/b>) } ?s ?p ?o }",
+  };
+  for (const std::string& text : bad) {
+    EXPECT_TRUE(Parse(text).status().IsParseError()) << text;
+  }
 }
 
 TEST_F(ParserTest, RoundTripThroughToSparql) {

@@ -127,6 +127,54 @@ TEST_F(ResultsJsonTest, MalformedDocumentsAreParseErrors) {
   }
 }
 
+TEST_F(ResultsJsonTest, ResultsBeforeHeadAndNestedUnknownMembers) {
+  // The reader takes members in any order: bindings read before the head
+  // land in the head's columns. Members the format does not define — at
+  // the top, in the head, in results, in a solution's binding — are
+  // skipped, however deeply they nest.
+  const std::string json = R"({
+    "link": [{"rel": ["a", {"deep": [1, -2.5e3, null, true]}]}],
+    "results": {
+      "distinct": false,
+      "bindings": [
+        {"y": {"type": "literal", "value": "v", "extra": {"k": [[], {}]}},
+         "x": {"value": "http://x.org/1", "type": "uri"}},
+        {"x": {"type": "uri", "value": "http://x.org/2"},
+         "undeclared": {"type": "uri", "value": "http://x.org/zz"}}
+      ],
+      "ordered": {"nested": {"again": ["é"]}}
+    },
+    "head": {"link": ["meta"], "vars": ["x", "y"]}
+  })";
+  auto results = ParseSparqlResultsJson(json, Interner());
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ(results->var_names, (std::vector<std::string>{"x", "y"}));
+  ASSERT_EQ(results->rows.size(), 2u);
+  EXPECT_EQ(dict_.Decode(results->rows[0][0]), Term::Iri("http://x.org/1"));
+  EXPECT_EQ(dict_.Decode(results->rows[0][1]), Term::Literal("v"));
+  EXPECT_EQ(dict_.Decode(results->rows[1][0]), Term::Iri("http://x.org/2"));
+  EXPECT_EQ(results->rows[1][1], kNullTermId);
+
+  // ASK documents take any order too.
+  auto ask = ParseSparqlAskJson(R"({"boolean": true, "head": {"x": [{}]}})");
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  EXPECT_TRUE(*ask);
+
+  // Skipped members are still checked to be JSON.
+  const std::vector<std::string> bad = {
+      R"({"extra": [1, 2,], "head": {"vars": []},
+          "results": {"bindings": []}})",
+      R"({"head": {"vars": [], "x": tru}, "results": {"bindings": []}})",
+      R"({"head": {"vars": []}, "results": {"bindings": [], "x": "\q"}})",
+      R"({"boolean": true, "head": {"x": "\ud800"}})",
+  };
+  for (const std::string& doc : bad) {
+    EXPECT_TRUE(ParseSparqlResultsJson(doc, Interner()).status().IsParseError())
+        << doc;
+  }
+  EXPECT_TRUE(ParseSparqlAskJson(bad.back()).status().IsParseError());
+}
+
 TEST_F(ResultsJsonTest, DeeplyNestedDocumentIsRejectedNotCrashed) {
   std::string json(10000, '[');
   auto result = ParseSparqlAskJson(json);

@@ -152,6 +152,40 @@ TEST_F(SparqlRoundTripTest, ParseRendersBackEquivalently) {
   EXPECT_EQ(first->Fingerprint(), second->Fingerprint());
 }
 
+TEST_F(SparqlRoundTripTest, ValuesBlockRoundTrips) {
+  // A VALUES block over a clause variable and a filter-only variable, with
+  // IRI, literal and typed cells.
+  SelectQuery query;
+  const VarId s = query.NewVar("s");
+  const VarId o = query.NewVar("o");
+  const VarId want = query.NewVar("want");
+  query.Where(NodeRef::Variable(s), NodeRef::Constant(p_),
+              NodeRef::Variable(o))
+      .Filter(FilterExpr::VarEqVar(o, want))
+      .Values({s, want}, {c_, lit_, q_, typed_, p_, lang_})
+      .Select({s, o})
+      .Distinct()
+      .Limit(7);
+  ExpectRoundTrip(query);
+}
+
+TEST_F(SparqlRoundTripTest, ValuesKeyOnlyWhenPresent) {
+  // Keys of a query without VALUES never mention the block; two blocks
+  // that differ in one cell give different keys.
+  SelectQuery plain;
+  const VarId s = plain.NewVar("s");
+  plain.Where(NodeRef::Variable(s), NodeRef::Constant(p_),
+              NodeRef::Constant(c_));
+  EXPECT_EQ(plain.Fingerprint().find("vals"), std::string::npos);
+  SelectQuery a = plain;
+  a.Values({s}, {c_, q_});
+  SelectQuery b = plain;
+  b.Values({s}, {c_, p_});
+  EXPECT_NE(a.Fingerprint(), plain.Fingerprint());
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  EXPECT_NE(a.PlanFingerprint(), b.PlanFingerprint());
+}
+
 TEST_F(SparqlRoundTripTest, AskFormSharesTheBody) {
   SelectQuery query;
   const VarId s = query.NewVar("s");

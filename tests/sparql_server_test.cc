@@ -65,6 +65,36 @@ class SparqlServerTest : public ::testing::Test {
     return server_->Handle(request, HttpServerClient{client, 0});
   }
 
+  /// A POST of `sparql` as application/sparql-query.
+  HttpResponse Post(const std::string& sparql,
+                    const std::string& client = "client-a") {
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/sparql";
+    request.headers = {{"Content-Type", "application/sparql-query"}};
+    request.body = sparql;
+    return Dispatch(request, client);
+  }
+
+  /// The rows of a SELECT response, decoded through a private dictionary
+  /// and spelled in N-Triples.
+  std::vector<std::vector<std::string>> Rows(const HttpResponse& response) {
+    Dictionary dict;
+    auto results = ParseSparqlResultsJson(
+        response.body, [&dict](const Term& t) { return dict.Intern(t); });
+    EXPECT_TRUE(results.ok()) << results.status().ToString();
+    std::vector<std::vector<std::string>> rows;
+    if (!results.ok()) return rows;
+    for (const auto& row : results->rows) {
+      rows.emplace_back();
+      for (TermId id : row) {
+        rows.back().push_back(id == kNullTermId ? "-"
+                                                : dict.Decode(id).ToNTriples());
+      }
+    }
+    return rows;
+  }
+
   TermId ClientP(HttpSparqlEndpoint* ep) {
     return ep->EncodeTerm(Term::Iri("http://t.org/p"));
   }
@@ -224,6 +254,107 @@ TEST_F(SparqlServerTest, QuotaShedsWith429AndRetryAfter) {
 
   // The quota is per client: another client still gets answers.
   EXPECT_EQ(Dispatch(request, "client-b").status_code, 200);
+}
+
+TEST_F(SparqlServerTest, OverflowingLimitIsRefusedAndServingGoesOn) {
+  // A LIMIT past 2^64 once threw out of the parser and took the whole
+  // process down; now it is a 400 like any other malformed query.
+  StartServer();
+  HttpResponse refused = Post(
+      "SELECT ?s WHERE { ?s <http://t.org/p> ?o } "
+      "LIMIT 99999999999999999999999");
+  EXPECT_EQ(refused.status_code, 400) << refused.body;
+  EXPECT_NE(refused.body.find("out of range"), std::string::npos);
+  HttpResponse answered =
+      Post("SELECT ?s WHERE { ?s <http://t.org/p> ?o } LIMIT 3");
+  ASSERT_EQ(answered.status_code, 200) << answered.body;
+  EXPECT_EQ(Rows(answered).size(), 3u);
+}
+
+TEST_F(SparqlServerTest, ValuesQueryAnswersRowsInBlockOrder) {
+  StartServer();
+  HttpResponse response = Post(
+      "SELECT ?s ?o WHERE { VALUES (?s) { (<http://t.org/s4>) "
+      "(<http://t.org/nobody>) (<http://t.org/s2>) } ?s <http://t.org/p> ?o }");
+  ASSERT_EQ(response.status_code, 200) << response.body;
+  EXPECT_EQ(Rows(response),
+            (std::vector<std::vector<std::string>>{
+                {"<http://t.org/s4>", "<http://t.org/o1>"},
+                {"<http://t.org/s2>", "<http://t.org/o2>"}}));
+  // One answered query per VALUES row.
+  EXPECT_EQ(server_->queries_answered(), 3u);
+  EXPECT_EQ(server_->requests_received(), 1u);
+}
+
+TEST_F(SparqlServerTest, ValuesVariableOutsideEveryPatternIsRefused) {
+  StartServer();
+  // ?x is in no pattern and equals no pattern variable: an unknown cell
+  // would have to be shipped back, so the query is refused.
+  EXPECT_EQ(Post("SELECT ?x ?s WHERE { VALUES (?x) { (<http://t.org/zz>) } "
+                 "?s <http://t.org/p> ?o }")
+                .status_code,
+            400);
+  EXPECT_EQ(Post("SELECT ?x ?s WHERE { VALUES (?x) { (<http://t.org/zz>) } "
+                 "?s <http://t.org/p> ?o FILTER(?o != ?x) }")
+                .status_code,
+            400);
+  // `= ?x` to a pattern variable is allowed: an unknown cell never matches.
+  HttpResponse eq = Post(
+      "SELECT ?x ?s WHERE { VALUES (?x) { (<http://t.org/zz>) "
+      "(<http://t.org/o0>) } ?s <http://t.org/p> ?o FILTER(?o = ?x) }");
+  ASSERT_EQ(eq.status_code, 200) << eq.body;
+  EXPECT_EQ(Rows(eq).size(), 4u);  // s0, s3, s6, s9 have o0.
+}
+
+TEST_F(SparqlServerTest, UnknownConstantsDoNotGrowTheServedDictionary) {
+  StartServer();
+  const size_t dict_size = kb_.dict().size();
+  const std::string known =
+      Post("SELECT ?s ?o WHERE { ?s <http://t.org/p> ?o }").body;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string unseen = "<http://t.org/unseen" + std::to_string(i) + ">";
+    HttpResponse pattern =
+        Post("SELECT ?o WHERE { " + unseen + " <http://t.org/p> ?o }");
+    ASSERT_EQ(pattern.status_code, 200) << pattern.body;
+    ASSERT_TRUE(Rows(pattern).empty());
+    if (i % 100 == 0) {
+      // `= <unknown>` fails for every row, `!= <unknown>` holds for all.
+      const std::string body = "{ ?s <http://t.org/p> ?o FILTER(?o ";
+      EXPECT_TRUE(Rows(Post("SELECT ?s WHERE " + body + "= " + unseen + ") }"))
+                      .empty());
+      EXPECT_EQ(Rows(Post("SELECT ?s WHERE " + body + "!= " + unseen + ") }"))
+                    .size(),
+                10u);
+    }
+  }
+  EXPECT_EQ(kb_.dict().size(), dict_size);
+  EXPECT_EQ(Post("SELECT ?s ?o WHERE { ?s <http://t.org/p> ?o }").body, known);
+}
+
+TEST_F(SparqlServerTest, QuotaChargesEveryValuesRow) {
+  SparqlServerOptions options;
+  options.per_client_query_quota = 3;
+  StartServer(std::move(options));
+  const std::string two_rows =
+      "SELECT ?s WHERE { VALUES (?o) { (<http://t.org/o0>) "
+      "(<http://t.org/o1>) } ?s <http://t.org/p> ?o }";
+  const std::string one_row = "SELECT ?s WHERE { ?s <http://t.org/p> ?o }";
+  EXPECT_EQ(Post(two_rows).status_code, 200);  // 2 of 3 spent.
+  // Two more rows would pass the quota: the whole request is refused.
+  HttpResponse over = Post(two_rows);
+  EXPECT_EQ(over.status_code, 429);
+  EXPECT_NE(FindHeader(over.headers, "Retry-After"), nullptr);
+  EXPECT_EQ(Post(one_row).status_code, 200);  // 3 of 3: exactly at quota.
+  EXPECT_EQ(Post(one_row).status_code, 429);
+  EXPECT_EQ(server_->shed_quota(), 2u);
+  EXPECT_EQ(server_->queries_answered(), 3u);
+
+  HttpRequest status;
+  status.method = "GET";
+  status.target = "/status";
+  const std::string json = Dispatch(status).body;
+  EXPECT_NE(json.find("\"served\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"remaining_quota\":0"), std::string::npos) << json;
 }
 
 TEST_F(SparqlServerTest, ConcurrencyCapSheds503ThenRecovers) {
