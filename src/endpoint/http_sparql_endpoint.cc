@@ -434,7 +434,9 @@ HttpSparqlEndpoint::FoldedAnswer HttpSparqlEndpoint::FetchFolded(
   int http_status = 0;
   auto body = Fetch(fold->query.ToSparql(dict_), &http_status);
   if (!body.ok()) {
-    const bool refused = http_status == 400 || http_status == 501;
+    // 400/501: no VALUES support; 413/414: the folded request is too big.
+    const bool refused = http_status == 400 || http_status == 413 ||
+                         http_status == 414 || http_status == 501;
     answer.kind = refused ? Kind::kRefused : Kind::kFailed;
     answer.status = body.status();
     return answer;

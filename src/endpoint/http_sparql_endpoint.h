@@ -17,8 +17,8 @@
 // by the VALUES columns. A batch of k probes of one shape costs one
 // request, not k. The requests of a batch's groups fan out over a bounded
 // set of keep-alive connections (options.max_connections). A server that
-// refuses the VALUES query (400/501) gets the slots singly, and once those
-// succeed the endpoint stops folding.
+// refuses the VALUES query (400/501, or 413/414 for its size) gets the
+// slots singly, and once those succeed the endpoint stops folding.
 //
 // Thread safety: fully safe for concurrent callers (dictionary is
 // synchronized, the connection pool is locked, stats sit behind a mutex).

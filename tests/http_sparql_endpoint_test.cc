@@ -534,20 +534,31 @@ class FoldingTest : public ::testing::Test {
             bodies_.push_back(request.body);
             if (fail_next_ > 0) {
               --fail_next_;
-              HttpResponse shed;
-              shed.status_code = 503;
-              shed.reason = "Service Unavailable";
-              return shed;
+              HttpResponse failed;
+              failed.status_code = fail_status_;
+              failed.reason = "Injected";
+              return failed;
             }
           }
           return server_.Handle(request, HttpServerClient{"client", 0});
         });
+    endpoint_ = MakeEndpoint();
+  }
+
+  std::unique_ptr<HttpSparqlEndpoint> MakeEndpoint() {
     HttpSparqlEndpointOptions options;
     options.name = "foldkb";
     options.max_connections = 2;
-    endpoint_ = std::make_unique<HttpSparqlEndpoint>(
+    return std::make_unique<HttpSparqlEndpoint>(
         ParseUrl("http://fold.test/sparql").value(), transport_.get(),
         options);
+  }
+
+  /// The next `n` requests get `status` instead of an answer.
+  void FailNext(int n, int status) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_next_ = n;
+    fail_status_ = status;
   }
 
   TermId Iri(const std::string& local) {
@@ -586,6 +597,7 @@ class FoldingTest : public ::testing::Test {
   std::mutex mu_;
   std::vector<std::string> bodies_;  // Guarded by mu_.
   int fail_next_ = 0;                // Guarded by mu_.
+  int fail_status_ = 503;            // Guarded by mu_.
   std::unique_ptr<LoopbackTransport> transport_;
   std::unique_ptr<HttpSparqlEndpoint> endpoint_;
 };
@@ -641,10 +653,7 @@ TEST_F(FoldingTest, ReachedTotalLimitResendsTheTailSingly) {
 TEST_F(FoldingTest, FailedFoldedRequestFailsEverySlotAndRetryRecovers) {
   const std::vector<SelectQuery> batch =
       ObjectProbes({"a", "b", "c", "d"}, kNoLimit);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fail_next_ = 1;
-  }
+  FailNext(1, 503);
   SelectBatchResult failed = endpoint_->SelectMany(batch);
   EXPECT_EQ(failed.num_failed(), batch.size());
   for (const Status& status : failed.statuses) {
@@ -655,16 +664,34 @@ TEST_F(FoldingTest, FailedFoldedRequestFailsEverySlotAndRetryRecovers) {
   retry.max_retries = 2;
   retry.initial_backoff_ms = 0.0;
   RetryingEndpoint recovering(endpoint_.get(), retry);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fail_next_ = 1;
-  }
+  FailNext(1, 503);
   const size_t before = requests();
   SelectBatchResult recovered = recovering.SelectMany(batch);
   // The failed folded request, then each slot re-issued on its own: the
   // retry layer trickles its recovery one query at a time.
   EXPECT_EQ(requests() - before, 1 + batch.size());
   ExpectSinglesAgree(batch, recovered);
+}
+
+TEST_F(FoldingTest, RefusedFoldGoesSinglyAndFoldingStops) {
+  // 501 refuses VALUES itself, 414 the folded request's size: either way
+  // the slots go out one by one, and once they succeed the endpoint sends
+  // no more folded requests.
+  for (int status : {501, 414}) {
+    endpoint_ = MakeEndpoint();
+    const std::vector<SelectQuery> batch =
+        ObjectProbes({"a", "b", "c", "d"}, kNoLimit);
+    FailNext(1, status);
+    size_t before = requests();
+    SelectBatchResult results = endpoint_->SelectMany(batch);
+    EXPECT_EQ(requests() - before, 1 + batch.size()) << status;
+    EXPECT_EQ(endpoint_->stats().queries, batch.size()) << status;
+    ExpectSinglesAgree(batch, results);
+
+    before = requests();
+    ASSERT_TRUE(endpoint_->SelectMany(batch).all_ok());
+    EXPECT_EQ(requests() - before, batch.size()) << status;
+  }
 }
 
 TEST_F(FoldingTest, AskGroupsFold) {
