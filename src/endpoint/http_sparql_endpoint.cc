@@ -312,14 +312,15 @@ TermId ConstantAt(const SelectQuery& q, size_t position) {
 }
 
 std::string FreshVarName(const SelectQuery& base, size_t k) {
-  std::string name = "v" + std::to_string(k);
+  std::string name = "v";
+  name += std::to_string(k);
   auto taken = [&](const std::string& candidate) {
     for (size_t v = 0; v < base.num_vars(); ++v) {
       if (base.var_name(static_cast<VarId>(v)) == candidate) return true;
     }
     return false;
   };
-  while (taken(name)) name.insert(0, "_");
+  while (taken(name)) name += '_';
   return name;
 }
 
