@@ -1,8 +1,8 @@
 #include "endpoint/http_sparql_endpoint.h"
 
 #include <algorithm>
+#include <cassert>
 #include <future>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -324,8 +324,8 @@ std::string FreshVarName(const SelectQuery& base, size_t k) {
   return name;
 }
 
-/// Folds `group`; nullopt when no constant differs across it.
-std::optional<Fold> FoldGroup(std::span<const SelectQuery> queries,
+/// Folds `group`, a deduped group of two or more slots.
+Fold FoldGroup(std::span<const SelectQuery> queries,
                               const std::vector<size_t>& group, bool ask) {
   const SelectQuery& base = queries[group[0]];
   const size_t clause_positions = 3 * base.clauses().size();
@@ -343,7 +343,9 @@ std::optional<Fold> FoldGroup(std::span<const SelectQuery> queries,
       }
     }
   }
-  if (varying.empty()) return std::nullopt;
+  // The envelope dedup leaves no two slots of one shape whose constants
+  // are all equal, so some constant differs.
+  assert(!varying.empty());
 
   Fold fold;
   for (size_t v = 0; v < base.num_vars(); ++v) {
@@ -408,10 +410,10 @@ struct TupleHash {
 /// A folded request's outcome.
 struct HttpSparqlEndpoint::FoldedAnswer {
   enum class Kind {
-    kAnswered,    ///< `rows` and `slot_of_row` hold the response.
-    kFailed,      ///< `status` fails every slot.
-    kUnfoldable,  ///< Nothing differs, nothing was sent: send singly.
-    kRefused,     ///< The server refused the fold or answered past it.
+    kAnswered,  ///< `rows` and `slot_of_row` hold the response.
+    kFailed,    ///< `status` fails every slot.
+    kTooLarge,  ///< The server refused the request for its size (413/414).
+    kRefused,   ///< The server refused VALUES (400/501) or answered past it.
   };
   Kind kind = Kind::kAnswered;
   Status status;
@@ -426,19 +428,15 @@ HttpSparqlEndpoint::FoldedAnswer HttpSparqlEndpoint::FetchFolded(
     bool ask) {
   using Kind = FoldedAnswer::Kind;
   FoldedAnswer answer;
-  std::optional<Fold> fold = FoldGroup(queries, group, ask);
-  if (!fold.has_value()) {
-    answer.kind = Kind::kUnfoldable;
-    return answer;
-  }
-  answer.limit = fold->query.limit();
+  const Fold fold = FoldGroup(queries, group, ask);
+  answer.limit = fold.query.limit();
   int http_status = 0;
-  auto body = Fetch(fold->query.ToSparql(dict_), &http_status);
+  auto body = Fetch(fold.query.ToSparql(dict_), &http_status);
   if (!body.ok()) {
-    // 400/501: no VALUES support; 413/414: the folded request is too big.
-    const bool refused = http_status == 400 || http_status == 413 ||
-                         http_status == 414 || http_status == 501;
-    answer.kind = refused ? Kind::kRefused : Kind::kFailed;
+    answer.kind = http_status == 413 || http_status == 414 ? Kind::kTooLarge
+                  : http_status == 400 || http_status == 501
+                      ? Kind::kRefused
+                      : Kind::kFailed;
     answer.status = body.status();
     return answer;
   }
@@ -454,14 +452,14 @@ HttpSparqlEndpoint::FoldedAnswer HttpSparqlEndpoint::FetchFolded(
   // Split by the VALUES columns; a response the slots cannot take back
   // (a column missing, a row of no slot) counts as a refusal.
   std::vector<int> values;
-  for (VarId v : fold->values) {
-    values.push_back(answer.rows.ColumnOf(fold->query.var_name(v)));
+  for (VarId v : fold.values) {
+    values.push_back(answer.rows.ColumnOf(fold.query.var_name(v)));
   }
-  for (VarId v : fold->projection) {
-    answer.projection.push_back(answer.rows.ColumnOf(fold->query.var_name(v)));
+  for (VarId v : fold.projection) {
+    answer.projection.push_back(answer.rows.ColumnOf(fold.query.var_name(v)));
   }
   std::unordered_map<std::vector<TermId>, size_t, TupleHash> position;
-  const std::vector<TermId>& cells = fold->query.values_cells();
+  const std::vector<TermId>& cells = fold.query.values_cells();
   for (size_t i = 0; i < group.size(); ++i) {
     position.emplace(
         std::vector<TermId>(cells.begin() + i * values.size(),
@@ -486,25 +484,6 @@ HttpSparqlEndpoint::FoldedAnswer HttpSparqlEndpoint::FetchFolded(
 }
 
 namespace {
-
-/// The outcomes of `group[from…]`, each slot sent as its own request.
-template <typename T, typename Single>
-std::vector<StatusOr<T>> SendSingly(std::span<const SelectQuery> queries,
-                                    const std::vector<size_t>& group,
-                                    size_t from, Single&& single) {
-  std::vector<StatusOr<T>> out;
-  out.reserve(group.size() - from);
-  for (size_t i = from; i < group.size(); ++i) {
-    out.push_back(single(queries[group[i]]));
-  }
-  return out;
-}
-
-template <typename T>
-bool AllOk(const std::vector<StatusOr<T>>& outcomes) {
-  return std::all_of(outcomes.begin(), outcomes.end(),
-                     [](const StatusOr<T>& o) { return o.ok(); });
-}
 
 /// Fills `batch` from `groups` (`run_group(group)` returns the group's
 /// outcomes in group order), fanning the groups out over `pool` when there
@@ -544,85 +523,117 @@ void RunGroups(const std::vector<std::vector<size_t>>& groups,
 
 }  // namespace
 
-std::vector<StatusOr<ResultSet>> HttpSparqlEndpoint::SelectGroup(
-    std::span<const SelectQuery> queries, const std::vector<size_t>& group) {
+template <typename T, typename Single, typename Split>
+std::vector<StatusOr<T>> HttpSparqlEndpoint::FoldOrSend(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& group,
+    bool ask, const Single& single, const Split& split) {
   using Kind = FoldedAnswer::Kind;
-  auto single = [this](const SelectQuery& q) { return Select(q); };
+  std::vector<StatusOr<T>> out;
+  out.reserve(group.size());
   if (group.size() == 1) {
-    return SendSingly<ResultSet>(queries, group, 0, single);
-  }
-  FoldedAnswer answer = FetchFolded(queries, group, /*ask=*/false);
-  if (answer.kind == Kind::kFailed) {
-    Charge(group.size(), 0);
-    return std::vector<StatusOr<ResultSet>>(group.size(), answer.status);
-  }
-  if (answer.kind != Kind::kAnswered) {
-    auto out = SendSingly<ResultSet>(queries, group, 0, single);
-    if (answer.kind == Kind::kRefused && AllOk(out)) fold_ = false;
+    out.push_back(single(queries[group[0]]));
     return out;
   }
-
-  // Every slot shares one shape, so one LIMIT and one set of columns.
-  const SelectQuery& base = queries[group[0]];
-  std::vector<ResultSet> split(group.size());
-  for (ResultSet& slot : split) {
-    for (int column : answer.projection) {
-      slot.var_names.push_back(answer.rows.var_names[column]);
+  FoldedAnswer answer = FetchFolded(queries, group, ask);
+  switch (answer.kind) {
+    case Kind::kAnswered:
+      return split(group, answer);
+    case Kind::kFailed:
+      Charge(group.size(), 0);
+      out.assign(group.size(), answer.status);
+      return out;
+    case Kind::kTooLarge: {
+      // Too big is not unsupported: each half goes as a fold of its own.
+      const auto middle = group.begin() + group.size() / 2;
+      const std::vector<size_t> halves[] = {{group.begin(), middle},
+                                            {middle, group.end()}};
+      for (const std::vector<size_t>& half : halves) {
+        for (auto& outcome : FoldOrSend<T>(queries, half, ask, single, split)) {
+          out.push_back(std::move(outcome));
+        }
+      }
+      return out;
     }
+    case Kind::kRefused:
+      break;
   }
-  for (size_t r = 0; r < answer.rows.rows.size(); ++r) {
-    ResultSet& slot = split[answer.slot_of_row[r]];
-    if (slot.rows.size() >= base.limit()) continue;  // Cut at its LIMIT.
-    std::vector<TermId> row;
-    row.reserve(answer.projection.size());
-    for (int column : answer.projection) {
-      row.push_back(answer.rows.rows[r][column]);
-    }
-    slot.rows.push_back(std::move(row));
-  }
-  // A response that reached the total LIMIT may have cut the last row's
-  // slot short and left the slots after it unanswered: those go singly. A
-  // last slot already at its own LIMIT is complete.
-  size_t resend_from = group.size();
-  if (answer.limit != kNoLimit && answer.rows.rows.size() >= answer.limit &&
-      !answer.slot_of_row.empty()) {
-    resend_from = answer.slot_of_row.back();
-    if (split[resend_from].rows.size() >= base.limit()) ++resend_from;
-  }
-  std::vector<StatusOr<ResultSet>> out;
-  out.reserve(group.size());
-  uint64_t rows = 0;
-  for (size_t i = 0; i < resend_from; ++i) {
-    rows += split[i].rows.size();
-    out.push_back(std::move(split[i]));
-  }
-  Charge(resend_from, rows);
-  for (auto& outcome :
-       SendSingly<ResultSet>(queries, group, resend_from, single)) {
-    out.push_back(std::move(outcome));
+  for (size_t slot : group) out.push_back(single(queries[slot]));
+  // The server answers queries but not this one: it does not speak VALUES.
+  if (std::all_of(out.begin(), out.end(),
+                  [](const StatusOr<T>& o) { return o.ok(); })) {
+    fold_ = false;
   }
   return out;
 }
 
+std::vector<StatusOr<ResultSet>> HttpSparqlEndpoint::SelectGroup(
+    std::span<const SelectQuery> queries, const std::vector<size_t>& group) {
+  auto single = [this](const SelectQuery& q) { return Select(q); };
+  auto split = [this, queries](const std::vector<size_t>& group,
+                               const FoldedAnswer& answer) {
+    // Every slot shares one shape, so one LIMIT and one set of columns.
+    const uint64_t limit = queries[group[0]].limit();
+    std::vector<ResultSet> slots(group.size());
+    for (ResultSet& slot : slots) {
+      for (int column : answer.projection) {
+        slot.var_names.push_back(answer.rows.var_names[column]);
+      }
+    }
+    for (size_t r = 0; r < answer.rows.rows.size(); ++r) {
+      ResultSet& slot = slots[answer.slot_of_row[r]];
+      if (slot.rows.size() >= limit) continue;  // Cut at its LIMIT.
+      std::vector<TermId> row;
+      row.reserve(answer.projection.size());
+      for (int column : answer.projection) {
+        row.push_back(answer.rows.rows[r][column]);
+      }
+      slot.rows.push_back(std::move(row));
+    }
+    // A response that reached the total LIMIT may have cut short any slot
+    // still below its own LIMIT, wherever the server put that slot's rows:
+    // those slots go again as a group of their own. A slot at its LIMIT is
+    // complete, and each round completes one at least — only rows past a
+    // slot's LIMIT are dropped, so a response can reach the total only if
+    // some slot reached its own.
+    std::vector<size_t> again;  // Group positions.
+    if (answer.limit != kNoLimit && answer.rows.rows.size() >= answer.limit) {
+      for (size_t i = 0; i < group.size(); ++i) {
+        if (slots[i].rows.size() < limit) again.push_back(i);
+      }
+    }
+    std::vector<size_t> again_slots;
+    for (size_t i : again) again_slots.push_back(group[i]);
+    std::vector<StatusOr<ResultSet>> resent =
+        again.empty() ? std::vector<StatusOr<ResultSet>>()
+                      : SelectGroup(queries, again_slots);
+    std::vector<StatusOr<ResultSet>> out;
+    out.reserve(group.size());
+    uint64_t rows = 0;
+    for (size_t i = 0, next = 0; i < group.size(); ++i) {
+      if (next < again.size() && again[next] == i) {
+        out.push_back(std::move(resent[next++]));
+        continue;
+      }
+      rows += slots[i].rows.size();
+      out.push_back(std::move(slots[i]));
+    }
+    Charge(group.size() - again.size(), rows);
+    return out;
+  };
+  return FoldOrSend<ResultSet>(queries, group, /*ask=*/false, single, split);
+}
+
 std::vector<StatusOr<bool>> HttpSparqlEndpoint::AskGroup(
     std::span<const SelectQuery> queries, const std::vector<size_t>& group) {
-  using Kind = FoldedAnswer::Kind;
   auto single = [this](const SelectQuery& q) { return Ask(q); };
-  if (group.size() == 1) return SendSingly<bool>(queries, group, 0, single);
-  FoldedAnswer answer = FetchFolded(queries, group, /*ask=*/true);
-  if (answer.kind == Kind::kFailed) {
+  auto split = [this](const std::vector<size_t>& group,
+                      const FoldedAnswer& answer) {
+    std::vector<StatusOr<bool>> out(group.size(), false);
+    for (size_t position : answer.slot_of_row) out[position] = true;
     Charge(group.size(), 0);
-    return std::vector<StatusOr<bool>>(group.size(), answer.status);
-  }
-  if (answer.kind != Kind::kAnswered) {
-    auto out = SendSingly<bool>(queries, group, 0, single);
-    if (answer.kind == Kind::kRefused && AllOk(out)) fold_ = false;
     return out;
-  }
-  std::vector<StatusOr<bool>> out(group.size(), false);
-  for (size_t position : answer.slot_of_row) out[position] = true;
-  Charge(group.size(), 0);
-  return out;
+  };
+  return FoldOrSend<bool>(queries, group, /*ask=*/true, single, split);
 }
 
 SelectBatchResult HttpSparqlEndpoint::SelectMany(

@@ -16,9 +16,12 @@
 // inline-data query (`VALUES`), and the rows are split back to their slots
 // by the VALUES columns. A batch of k probes of one shape costs one
 // request, not k. The requests of a batch's groups fan out over a bounded
-// set of keep-alive connections (options.max_connections). A server that
-// refuses the VALUES query (400/501, or 413/414 for its size) gets the
-// slots singly, and once those succeed the endpoint stops folding.
+// set of keep-alive connections (options.max_connections). The split
+// assumes no row order: when a folded SELECT reaches its total LIMIT, every
+// slot still below its own LIMIT goes again. A server that refuses the
+// VALUES query (400/501) gets the slots singly, and once those succeed the
+// endpoint stops folding; one that refuses it for its size (413/414) gets
+// the group in halves, each folded again.
 //
 // Thread safety: fully safe for concurrent callers (dictionary is
 // synchronized, the connection pool is locked, stats sit behind a mutex).
@@ -152,6 +155,16 @@ class HttpSparqlEndpoint : public Endpoint {
   std::vector<StatusOr<bool>> AskGroup(std::span<const SelectQuery> queries,
                                        const std::vector<size_t>& group);
 
+  /// What SelectGroup and AskGroup share: a group of one goes out through
+  /// `single(query)`; a folded request that fails fails every slot; one
+  /// refused for its size goes again in halves; one refused outright goes
+  /// singly. An answered fold's outcomes are `split(group, answer)`.
+  template <typename T, typename Single, typename Split>
+  std::vector<StatusOr<T>> FoldOrSend(std::span<const SelectQuery> queries,
+                                      const std::vector<size_t>& group,
+                                      bool ask, const Single& single,
+                                      const Split& split);
+
   /// Maps an HTTP status code onto the canonical Status space.
   static Status MapHttpStatus(int code, const std::string& reason);
 
@@ -166,7 +179,8 @@ class HttpSparqlEndpoint : public Endpoint {
   std::once_flag pool_once_;
   std::unique_ptr<ThreadPool> pool_;
 
-  /// False once a refused VALUES request's slots succeeded singly.
+  /// False once a VALUES request refused with 400/501 had its slots succeed
+  /// singly.
   std::atomic<bool> fold_{true};
 
   mutable std::mutex stats_mu_;

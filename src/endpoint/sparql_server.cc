@@ -166,24 +166,21 @@ HttpResponse SparqlServer::Handle(const HttpRequest& request,
 }
 
 /// RAII admission ticket. Construction decides (under the server's mutex)
-/// whether this query may run; destruction returns the in-flight slots.
+/// whether this request may run; destruction returns the in-flight slots.
 struct SparqlServer::Admission {
   SparqlServer* server = nullptr;
   std::string key;
   bool admitted = false;
   int shed_status = 0;  ///< 503 or 429 when !admitted.
 
-  /// `queries` is the request's logical query count: its VALUES rows.
-  Admission(SparqlServer* s, const HttpServerClient& client, uint64_t queries)
+  Admission(SparqlServer* s, const HttpServerClient& client)
       : server(s), key(ClientKey(client)) {
     const SparqlServerOptions& opt = server->options_;
     std::lock_guard<std::mutex> lock(server->admission_mu_);
     if (opt.per_client_query_quota > 0) {
-      // A request is admitted only when all of its rows fit the quota left.
       auto it = server->served_by_client_.find(key);
-      const uint64_t served =
-          it == server->served_by_client_.end() ? 0 : it->second;
-      if (served + queries > opt.per_client_query_quota) {
+      if (it != server->served_by_client_.end() &&
+          it->second >= opt.per_client_query_quota) {
         shed_status = 429;
         return;
       }
@@ -200,8 +197,21 @@ struct SparqlServer::Admission {
     }
     ++server->inflight_;
     ++client_inflight;
-    server->served_by_client_[key] += queries;  // Quota charges admitted rows.
     admitted = true;
+  }
+
+  /// Charges the parsed request's `queries` logical queries (its VALUES
+  /// rows) to the quota; false, charging nothing, unless all of them fit
+  /// what is left.
+  bool Charge(uint64_t queries) {
+    const uint64_t quota = server->options_.per_client_query_quota;
+    std::lock_guard<std::mutex> lock(server->admission_mu_);
+    auto it = server->served_by_client_.find(key);
+    const uint64_t served =
+        it == server->served_by_client_.end() ? 0 : it->second;
+    if (quota > 0 && served + queries > quota) return false;
+    server->served_by_client_[key] = served + queries;
+    return true;
   }
 
   ~Admission() {
@@ -220,13 +230,27 @@ struct SparqlServer::Admission {
 
 HttpResponse SparqlServer::HandleQuery(const std::string& query_text,
                                        const HttpServerClient& client) {
+  auto shed = [this](int status) {
+    if (status == 429) {
+      shed_quota_.fetch_add(1, std::memory_order_relaxed);
+      return ShedResponse(429, "Too Many Requests",
+                          "per-client query quota exhausted");
+    }
+    shed_concurrency_.fetch_add(1, std::memory_order_relaxed);
+    return ShedResponse(503, "Service Unavailable",
+                        "server at concurrency capacity");
+  };
+  // Admitted before parsing, so a server at its cap sheds a request before
+  // doing any work on it; the quota is charged after, by the parsed rows.
+  Admission ticket(this, client);
+  if (!ticket.admitted) return shed(ticket.shed_status);
+
   // The production parser only speaks SELECT; an ASK body is evaluated as
   // `SELECT *` and answered with the boolean document — the same convention
-  // HttpSparqlEndpoint uses when it renders ASK probes.
+  // HttpSparqlEndpoint uses when it renders ASK probes. Constants are looked
+  // up, never interned, so serving a query cannot grow the served
+  // dictionary; one the KB does not hold becomes kUnknownTermId.
   const bool is_ask = StartsWith(query_text, "ASK");
-  // Parsed before admission: a request is charged one query per VALUES row.
-  // Constants are looked up, never interned, so serving a query cannot grow
-  // the served dictionary; one the KB does not hold becomes kUnknownTermId.
   auto query = ParseSelectQuery(
       is_ask ? "SELECT *" + query_text.substr(3) : query_text,
       [this](const Term& t) {
@@ -240,18 +264,8 @@ HttpResponse SparqlServer::HandleQuery(const std::string& query_text,
     return PlainError(400, "Bad Request", spellable.ToString());
   }
   const uint64_t queries = LogicalQueries(*query);
+  if (!ticket.Charge(queries)) return shed(429);
 
-  Admission ticket(this, client, queries);
-  if (!ticket.admitted) {
-    if (ticket.shed_status == 429) {
-      shed_quota_.fetch_add(1, std::memory_order_relaxed);
-      return ShedResponse(429, "Too Many Requests",
-                          "per-client query quota exhausted");
-    }
-    shed_concurrency_.fetch_add(1, std::memory_order_relaxed);
-    return ShedResponse(503, "Service Unavailable",
-                        "server at concurrency capacity");
-  }
   if (options_.pre_evaluate_hook) options_.pre_evaluate_hook();
   HttpResponse response = Evaluate(*query, is_ask);
   if (response.status_code == 200) {

@@ -20,7 +20,9 @@
 #include "endpoint/retrying_endpoint.h"
 #include "endpoint/sparql_server.h"
 #include "loopback_sparql_server.h"
+#include "rdf/dictionary.h"
 #include "rdf/knowledge_base.h"
+#include "sparql/results_json.h"
 #include "synth/presets.h"
 #include "synth/world_generator.h"
 
@@ -529,6 +531,7 @@ class FoldingTest : public ::testing::Test {
     kb_.AddFact("d", "q", "a0");
     transport_ = std::make_unique<LoopbackTransport>(
         [this](const HttpRequest& request) {
+          bool reverse = false;
           {
             std::lock_guard<std::mutex> lock(mu_);
             bodies_.push_back(request.body);
@@ -539,6 +542,10 @@ class FoldingTest : public ::testing::Test {
               failed.reason = "Injected";
               return failed;
             }
+            reverse = reverse_slots_;
+          }
+          if (reverse && request.body.find("VALUES") != std::string::npos) {
+            return ReverseSlotOrder(request);
           }
           return server_.Handle(request, HttpServerClient{"client", 0});
         });
@@ -559,6 +566,49 @@ class FoldingTest : public ::testing::Test {
     std::lock_guard<std::mutex> lock(mu_);
     fail_next_ = n;
     fail_status_ = status;
+  }
+
+  /// From now on folded requests are answered as by a conforming server
+  /// that emits the slots' rows last slot first.
+  void ReverseSlots() {
+    std::lock_guard<std::mutex> lock(mu_);
+    reverse_slots_ = true;
+  }
+
+  /// The server's answer to `request` without its LIMIT, regrouped by the
+  /// first column (a VALUES column) with the groups in reverse order, then
+  /// cut at the LIMIT: the rows a server evaluating VALUES in another order
+  /// might send. Each slot keeps its own rows' order.
+  HttpResponse ReverseSlotOrder(HttpRequest request) {
+    uint64_t limit = kNoLimit;
+    const size_t at = request.body.rfind(" LIMIT ");
+    if (at != std::string::npos) {
+      limit = std::stoull(request.body.substr(at + 7));
+      request.body.erase(at);
+    }
+    HttpResponse response =
+        server_.Handle(request, HttpServerClient{"client", 0});
+    Dictionary terms;
+    auto rows = ParseSparqlResultsJson(
+        response.body, [&](const Term& t) { return terms.Intern(t); });
+    if (response.status_code != 200 || !rows.ok()) return response;
+    std::vector<std::vector<std::vector<TermId>>> blocks;
+    std::map<TermId, size_t> block_of;
+    for (std::vector<TermId>& row : rows->rows) {
+      auto [it, inserted] = block_of.emplace(row[0], blocks.size());
+      if (inserted) blocks.emplace_back();
+      blocks[it->second].push_back(std::move(row));
+    }
+    rows->rows.clear();
+    for (auto block = blocks.rbegin(); block != blocks.rend(); ++block) {
+      for (std::vector<TermId>& row : *block) {
+        if (rows->rows.size() < limit) rows->rows.push_back(std::move(row));
+      }
+    }
+    response.body = WriteSparqlResultsJson(*rows, [&](TermId id) {
+                      return terms.TryDecode(id);
+                    }).value();
+    return response;
   }
 
   TermId Iri(const std::string& local) {
@@ -598,6 +648,7 @@ class FoldingTest : public ::testing::Test {
   std::vector<std::string> bodies_;  // Guarded by mu_.
   int fail_next_ = 0;                // Guarded by mu_.
   int fail_status_ = 503;            // Guarded by mu_.
+  bool reverse_slots_ = false;       // Guarded by mu_.
   std::unique_ptr<LoopbackTransport> transport_;
   std::unique_ptr<HttpSparqlEndpoint> endpoint_;
 };
@@ -627,14 +678,15 @@ TEST_F(FoldingTest, SlotWithMoreRowsThanItsLimitIsCut) {
   ExpectSinglesAgree(batch, results);
 }
 
-TEST_F(FoldingTest, ReachedTotalLimitResendsTheTailSingly) {
+TEST_F(FoldingTest, ReachedTotalLimitResendsEverySlotBelowItsLimit) {
   // LIMIT 4 each, total 12: the response holds a's 10 rows and b's first
   // 2, so b may be cut short (2 < 4) and c went unanswered. a is complete
-  // (its 4 rows are in), so b and c — and only they — go out singly.
+  // (its 4 rows are in), so b and c — and only they — go out again, folded.
   const std::vector<SelectQuery> batch = ObjectProbes({"a", "b", "c"}, 4);
   SelectBatchResult results = endpoint_->SelectMany(batch);
   ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
-  EXPECT_EQ(requests(), 3u);
+  EXPECT_EQ(requests(), 2u);
+  EXPECT_NE(bodies_[1].find("VALUES"), std::string::npos) << bodies_[1];
   EXPECT_EQ(results.values[0].rows.size(), 4u);
   EXPECT_EQ(results.values[1].rows.size(), 3u);
   EXPECT_EQ(results.values[2].rows.size(), 2u);
@@ -642,12 +694,28 @@ TEST_F(FoldingTest, ReachedTotalLimitResendsTheTailSingly) {
   ExpectSinglesAgree(batch, results);
 
   // LIMIT 5, total 10, all of them a's: a is complete at its own LIMIT,
-  // so only d goes out again.
+  // so only d goes out again, on its own.
   const size_t before = requests();
   const std::vector<SelectQuery> full = ObjectProbes({"a", "d"}, 5);
   SelectBatchResult filled = endpoint_->SelectMany(full);
   EXPECT_EQ(requests() - before, 2u);
   ExpectSinglesAgree(full, filled);
+}
+
+TEST_F(FoldingTest, SplitDoesNotAssumeBlockOrder) {
+  // LIMIT 4 each, total 12, answered last slot first: a's 10 rows, then
+  // c's 2, and b's 3 never fit. The last row is c's, yet b, before it, got
+  // nothing: every slot below its LIMIT goes again, wherever it sits.
+  ReverseSlots();
+  const std::vector<SelectQuery> batch = ObjectProbes({"b", "c", "a"}, 4);
+  SelectBatchResult results = endpoint_->SelectMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(requests(), 2u);  // The fold, then b and c folded again.
+  EXPECT_EQ(results.values[0].rows.size(), 3u);
+  EXPECT_EQ(results.values[1].rows.size(), 2u);
+  EXPECT_EQ(results.values[2].rows.size(), 4u);
+  EXPECT_EQ(endpoint_->stats().queries, 3u);
+  ExpectSinglesAgree(batch, results);
 }
 
 TEST_F(FoldingTest, FailedFoldedRequestFailsEverySlotAndRetryRecovers) {
@@ -674,10 +742,9 @@ TEST_F(FoldingTest, FailedFoldedRequestFailsEverySlotAndRetryRecovers) {
 }
 
 TEST_F(FoldingTest, RefusedFoldGoesSinglyAndFoldingStops) {
-  // 501 refuses VALUES itself, 414 the folded request's size: either way
-  // the slots go out one by one, and once they succeed the endpoint sends
-  // no more folded requests.
-  for (int status : {501, 414}) {
+  // 400 and 501 refuse VALUES itself: the slots go out one by one, and once
+  // they succeed the endpoint sends no more folded requests.
+  for (int status : {400, 501}) {
     endpoint_ = MakeEndpoint();
     const std::vector<SelectQuery> batch =
         ObjectProbes({"a", "b", "c", "d"}, kNoLimit);
@@ -691,6 +758,33 @@ TEST_F(FoldingTest, RefusedFoldGoesSinglyAndFoldingStops) {
     before = requests();
     ASSERT_TRUE(endpoint_->SelectMany(batch).all_ok());
     EXPECT_EQ(requests() - before, batch.size()) << status;
+  }
+}
+
+TEST_F(FoldingTest, TooLargeFoldGoesInHalvesAndFoldingGoesOn) {
+  // 413 and 414 refuse one request for its size, not VALUES: the group
+  // goes again in two folded halves, and later batches still fold.
+  for (int status : {413, 414}) {
+    endpoint_ = MakeEndpoint();
+    const std::vector<SelectQuery> batch =
+        ObjectProbes({"a", "b", "c", "d"}, kNoLimit);
+    FailNext(1, status);
+    size_t before = requests();
+    SelectBatchResult results = endpoint_->SelectMany(batch);
+    EXPECT_EQ(requests() - before, 3u) << status;
+    EXPECT_EQ(endpoint_->stats().queries, batch.size()) << status;
+    ExpectSinglesAgree(batch, results);
+
+    // The first half refused too: its two slots go singly.
+    FailNext(2, status);
+    before = requests();
+    results = endpoint_->SelectMany(batch);
+    EXPECT_EQ(requests() - before, 5u) << status;
+    ExpectSinglesAgree(batch, results);
+
+    before = requests();
+    ASSERT_TRUE(endpoint_->SelectMany(batch).all_ok());
+    EXPECT_EQ(requests() - before, 1u) << status;
   }
 }
 

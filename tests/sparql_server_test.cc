@@ -402,6 +402,52 @@ TEST_F(SparqlServerTest, ConcurrencyCapSheds503ThenRecovers) {
   EXPECT_EQ(recovered.status_code, 200);
 }
 
+TEST_F(SparqlServerTest, AtCapacityARequestIsShedBeforeItIsParsed) {
+  // The caps are checked before the parse: with the only slot taken, a
+  // malformed query is shed 503, not answered 400, and costs no quota.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  bool inside = false;
+  SparqlServerOptions options;
+  options.max_concurrent = 1;
+  options.per_client_query_quota = 2;
+  options.pre_evaluate_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    inside = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  StartServer(std::move(options));
+
+  std::thread blocked([&] {
+    EXPECT_EQ(Post("SELECT ?s WHERE { ?s <http://t.org/p> ?o }").status_code,
+              200);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return inside; });
+  }
+  EXPECT_EQ(Post("SELECT ?s WHERE { ?s", "client-b").status_code, 503);
+  EXPECT_EQ(server_->shed_concurrency(), 1u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  blocked.join();
+
+  // With the slot free, the same request is parsed: a 400, still free.
+  EXPECT_EQ(Post("SELECT ?s WHERE { ?s", "client-b").status_code, 400);
+  EXPECT_EQ(Post("SELECT ?s WHERE { ?s <http://t.org/p> ?o }", "client-b")
+                .status_code,
+            200);
+  EXPECT_EQ(Post("SELECT ?s WHERE { ?s <http://t.org/p> ?o }", "client-b")
+                .status_code,
+            200);
+  EXPECT_EQ(server_->shed_quota(), 0u);
+}
+
 TEST_F(SparqlServerTest, ShedResponsesDriveTheClientRetrySchedule) {
   // End to end: a 503 shed's Retry-After is honored by RetryingEndpoint.
   // The first request parks a slot via the hook, the probe is shed with
