@@ -58,7 +58,7 @@ SourceRun RunSource(sofya::SynthWorld* world, CandidateSourceKind kind) {
   sofya::LocalEndpoint cand_local(world->kb1.get());
   sofya::LocalEndpoint ref_local(world->kb2.get());
   sofya::TrackingEndpoint cand(&cand_local), ref(&ref_local);
-  sofya::CrossKbTranslator to_cand(&world->links, cand_local.base_iri());
+  sofya::CrossKbTranslator to_cand(&world->links, &ref_local, &cand_local);
 
   CandidateFinderOptions options;
   options.source = kind;

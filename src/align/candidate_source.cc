@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "endpoint/paged_select.h"
@@ -117,76 +118,73 @@ StatusOr<std::vector<ScoredCandidate>> SameAsOverlapSource::Discover(
   // Majority kind vote over the window's objects.
   size_t literal_objects = 0;
   for (const auto& row : window.rows) {
-    SOFYA_ASSIGN_OR_RETURN(Term obj, reference_kb_->DecodeTerm(row[1]));
-    if (obj.is_literal()) ++literal_objects;
+    SOFYA_ASSIGN_OR_RETURN(bool literal, to_candidate_->IsLiteral(row[1]));
+    if (literal) ++literal_objects;
   }
   const bool literal_relation = literal_objects * 2 >= window.rows.size();
 
   // Qualify sampled facts into probe queries. Qualification (sameAs
-  // translation + id lookup) is client-side, so the whole probe set is known
-  // before the endpoint is touched — one batch instead of one query per
-  // sampled fact, which lets the endpoint stack dedup and cache them.
-  struct Probe {
-    bool literal;
-    Term y2;  // Reference object for literal matching.
-  };
-  std::vector<Probe> probes;
+  // translation of the row ids into K') is client-side, so the whole probe
+  // set is known before the endpoint is touched — one batch instead of one
+  // query per sampled fact, which lets the endpoint stack dedup and cache
+  // them. `literal_objects_of` keeps a literal probe's reference object.
+  std::vector<TermId> literal_objects_of;
   std::vector<SelectQuery> probe_queries;
   for (size_t idx : order) {
-    if (probes.size() >= options_.sample_facts) break;
+    if (probe_queries.size() >= options_.sample_facts) break;
     const auto& row = window.rows[idx];
-    SOFYA_ASSIGN_OR_RETURN(Term x2, reference_kb_->DecodeTerm(row[0]));
-    SOFYA_ASSIGN_OR_RETURN(Term y2, reference_kb_->DecodeTerm(row[1]));
-
-    auto x1 = to_candidate_->Translate(x2);
-    if (!x1.ok()) continue;
+    SOFYA_ASSIGN_OR_RETURN(IdImage x, to_candidate_->ImageOf(row[0]));
+    if (!x.has_image()) continue;
 
     if (literal_relation) {
-      if (!y2.is_literal()) continue;
-      const TermId x1_id = candidate_kb_->LookupTerm(*x1);
+      SOFYA_ASSIGN_OR_RETURN(bool literal, to_candidate_->IsLiteral(row[1]));
+      if (!literal) continue;
+      SOFYA_ASSIGN_OR_RETURN(TermId x1_id, to_candidate_->TranslateId(row[0]));
       if (x1_id == kNullTermId) continue;
-      probes.push_back(Probe{true, y2});
+      literal_objects_of.push_back(row[1]);
       probe_queries.push_back(queries::FactsOfSubject(x1_id));
       continue;
     }
 
-    auto y1 = to_candidate_->Translate(y2);
-    if (!y1.ok()) continue;
-    const TermId x1_id = candidate_kb_->LookupTerm(*x1);
-    const TermId y1_id = candidate_kb_->LookupTerm(*y1);
+    SOFYA_ASSIGN_OR_RETURN(IdImage y, to_candidate_->ImageOf(row[1]));
+    if (!y.has_image()) continue;
+    SOFYA_ASSIGN_OR_RETURN(TermId x1_id, to_candidate_->TranslateId(row[0]));
+    SOFYA_ASSIGN_OR_RETURN(TermId y1_id, to_candidate_->TranslateId(row[1]));
     if (x1_id == kNullTermId || y1_id == kNullTermId) continue;
-    probes.push_back(Probe{false, Term()});
     probe_queries.push_back(queries::PredicatesBetween(x1_id, y1_id));
   }
 
-  std::map<Term, size_t> counts;  // Ordered: deterministic ties.
-  // Every probe answer is needed to score co-occurrence deterministically,
-  // so a sub-query that still fails after the stack's per-slot recovery
-  // fails the discovery (first error by batch position).
+  // Co-occurrences by predicate id; each distinct predicate is decoded once
+  // below. Every probe answer is needed to score co-occurrence
+  // deterministically, so a sub-query that still fails after the stack's
+  // per-slot recovery fails the discovery (first error by batch position).
+  std::unordered_map<TermId, size_t> counts_by_id;
   SOFYA_ASSIGN_OR_RETURN(
       std::vector<ResultSet> probe_results,
       candidate_kb_->SelectMany(probe_queries).IntoValues());
-  for (size_t i = 0; i < probes.size(); ++i) {
+  for (size_t i = 0; i < probe_results.size(); ++i) {
     const ResultSet& rows = probe_results[i];
-    if (probes[i].literal) {
+    if (literal_relation) {
+      SOFYA_ASSIGN_OR_RETURN(Term y2,
+                             reference_kb_->DecodeTerm(literal_objects_of[i]));
       std::unordered_set<TermId> credited;
       for (const auto& fact_row : rows.rows) {
         SOFYA_ASSIGN_OR_RETURN(Term obj,
                                candidate_kb_->DecodeTerm(fact_row[1]));
         if (!obj.is_literal()) continue;
-        if (!literal_matcher_.Matches(obj, probes[i].y2)) continue;
+        if (!literal_matcher_.Matches(obj, y2)) continue;
         if (!credited.insert(fact_row[0]).second) continue;
-        SOFYA_ASSIGN_OR_RETURN(Term predicate,
-                               candidate_kb_->DecodeTerm(fact_row[0]));
-        ++counts[predicate];
+        ++counts_by_id[fact_row[0]];
       }
       continue;
     }
-    for (const auto& p_row : rows.rows) {
-      SOFYA_ASSIGN_OR_RETURN(Term predicate,
-                             candidate_kb_->DecodeTerm(p_row[0]));
-      ++counts[predicate];
-    }
+    for (const auto& p_row : rows.rows) ++counts_by_id[p_row[0]];
+  }
+  std::map<Term, size_t> counts;  // Ordered: deterministic ties.
+  for (const auto& [predicate_id, count] : counts_by_id) {
+    SOFYA_ASSIGN_OR_RETURN(Term predicate,
+                           candidate_kb_->DecodeTerm(predicate_id));
+    counts.emplace(std::move(predicate), count);
   }
 
   for (const auto& [relation, count] : counts) {

@@ -12,8 +12,7 @@ OnTheFlyAligner::OnTheFlyAligner(Endpoint* candidate_kb,
                                  AlignerOptions options)
     : candidate_kb_(candidate_kb),
       reference_kb_(reference_kb),
-      aligner_(candidate_kb, reference_kb, links, options),
-      to_candidate_(links, candidate_kb->base_iri()) {}
+      aligner_(candidate_kb, reference_kb, links, options) {}
 
 StatusOr<const AlignmentResult*> OnTheFlyAligner::AlignCached(const Term& r) {
   auto it = cache_.find(r);
@@ -103,7 +102,8 @@ StatusOr<SelectQuery> OnTheFlyAligner::RewriteQuery(
     if (term.is_literal()) {
       return NodeRef::Constant(candidate_kb_->EncodeTerm(term));
     }
-    SOFYA_ASSIGN_OR_RETURN(Term translated, to_candidate_.Translate(term));
+    SOFYA_ASSIGN_OR_RETURN(Term translated,
+                           aligner_.to_candidate().Translate(term));
     return NodeRef::Constant(candidate_kb_->EncodeTerm(translated));
   };
 
@@ -120,7 +120,8 @@ StatusOr<SelectQuery> OnTheFlyAligner::RewriteQuery(
                              reference_kb_->DecodeTerm(filter.rhs_term));
       Term translated = term;
       if (term.is_iri()) {
-        SOFYA_ASSIGN_OR_RETURN(translated, to_candidate_.Translate(term));
+        SOFYA_ASSIGN_OR_RETURN(translated,
+                               aligner_.to_candidate().Translate(term));
       }
       filter.rhs_term = candidate_kb_->EncodeTerm(translated);
     }

@@ -66,7 +66,6 @@ class OnTheFlyAligner {
   Endpoint* candidate_kb_;  // Not owned.
   Endpoint* reference_kb_;  // Not owned.
   RelationAligner aligner_;
-  CrossKbTranslator to_candidate_;
   std::unordered_map<Term, AlignmentResult, TermHash> cache_;
   size_t alignments_performed_ = 0;
 };

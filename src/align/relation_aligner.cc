@@ -41,8 +41,10 @@ RelationAligner::RelationAligner(Endpoint* candidate_kb,
       reference_kb_(reference_kb),
       links_(links),
       options_(options),
-      to_reference_(links, reference_kb->base_iri()),
-      to_candidate_(links, candidate_kb->base_iri()) {
+      to_reference_(std::make_shared<CrossKbTranslator>(links, candidate_kb,
+                                                        reference_kb)),
+      to_candidate_(std::make_shared<CrossKbTranslator>(links, reference_kb,
+                                                        candidate_kb)) {
   // One lexical-index cache per aligner tree: RelationRun children copy
   // options_ (shared_ptr and all), so every per-relation view shares the
   // expensive MinHash index instead of rebuilding it per relation.
@@ -50,6 +52,16 @@ RelationAligner::RelationAligner(Endpoint* candidate_kb,
     options_.finder.lexical_cache = std::make_shared<LexicalIndexCache>();
   }
 }
+
+RelationAligner::RelationAligner(Endpoint* candidate_kb,
+                                 Endpoint* reference_kb,
+                                 const RelationAligner& parent)
+    : candidate_kb_(candidate_kb),
+      reference_kb_(reference_kb),
+      links_(parent.links_),
+      options_(parent.options_),
+      to_reference_(parent.to_reference_),
+      to_candidate_(parent.to_candidate_) {}
 
 void ApplyRunSeed(AlignerOptions* options, uint64_t seed) {
   if (seed == 0) return;
@@ -60,7 +72,7 @@ void ApplyRunSeed(AlignerOptions* options, uint64_t seed) {
 
 StatusOr<std::vector<CandidateRelation>> RelationAligner::DiscoverPhase(
     const Term& r) {
-  CandidateFinder finder(candidate_kb_, reference_kb_, &to_candidate_,
+  CandidateFinder finder(candidate_kb_, reference_kb_, to_candidate_.get(),
                          options_.finder);
   return finder.FindCandidates(r);
 }
@@ -77,7 +89,7 @@ StatusOr<CandidateVerdict> RelationAligner::ScorePhase(
   // The sampler is stateless across calls and seeds its shuffle from the
   // candidate relation, so scoring is a pure function of (r, candidate) —
   // the subtask can run on any worker in any order.
-  SimpleSampler sampler(candidate_kb_, reference_kb_, &to_reference_,
+  SimpleSampler sampler(candidate_kb_, reference_kb_, to_reference_.get(),
                         options_.sampler);
   SOFYA_ASSIGN_OR_RETURN(EvidenceSet evidence,
                          sampler.CollectEvidence(candidate.relation, r));
@@ -97,8 +109,8 @@ Status RelationAligner::UbsPhase(const Term& r,
       if (v.passed_threshold) survivors.push_back(v.relation);
     }
     if (!survivors.empty()) {
-      UnbiasedSampler ubs(candidate_kb_, reference_kb_, &to_reference_,
-                          &to_candidate_, options_.sampler, options_.ubs);
+      UnbiasedSampler ubs(candidate_kb_, reference_kb_, to_reference_.get(),
+                          to_candidate_.get(), options_.sampler, options_.ubs);
       // Candidate-side pair probes (the paper's explicit form) need at
       // least two candidates to contrast.
       UbsReport report;
@@ -115,7 +127,7 @@ Status RelationAligner::UbsPhase(const Term& r,
         CandidateFinderOptions sibling_options = options_.finder;
         sibling_options.max_candidates = options_.ubs.reference_sibling_limit;
         CandidateFinder sibling_finder(reference_kb_, candidate_kb_,
-                                       &to_reference_, sibling_options);
+                                       to_reference_.get(), sibling_options);
         for (const Term& survivor : survivors) {
           if (report.SubsumptionHits(survivor) >=
                   options_.ubs.min_contradictions &&
@@ -159,8 +171,8 @@ Status RelationAligner::ReversePhase(const Term& r, CandidateVerdict* v) {
   // Equivalence via double subsumption: the reverse direction with the KB
   // roles swapped (r plays the candidate body in K, r' the reference head
   // in K'). Like ScorePhase, a pure function of (r, verdict->relation).
-  SimpleSampler reverse_sampler(reference_kb_, candidate_kb_, &to_candidate_,
-                                options_.sampler);
+  SimpleSampler reverse_sampler(reference_kb_, candidate_kb_,
+                                to_candidate_.get(), options_.sampler);
   v->reverse_rule.body = r;
   v->reverse_rule.head = v->relation;
   SOFYA_ASSIGN_OR_RETURN(EvidenceSet reverse_evidence,
@@ -263,7 +275,7 @@ struct RelationRun {
       : r(relation),
         cand_view(parent->candidate_kb_),
         ref_view(parent->reference_kb_),
-        aligner(&cand_view, &ref_view, parent->links_, parent->options_) {}
+        aligner(&cand_view, &ref_view, *parent) {}
 
   Term r;
   TrackingEndpoint cand_view;

@@ -13,6 +13,7 @@
 #ifndef SOFYA_ALIGN_RELATION_ALIGNER_H_
 #define SOFYA_ALIGN_RELATION_ALIGNER_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -174,8 +175,9 @@ struct AlignManyResult {
 /// may be called for many relations.
 ///
 /// Thread safety: Align holds no mutable aligner state across calls (the
-/// samplers are per-call locals), so concurrent Align calls are safe when
-/// the endpoints are — which is what AlignMany exploits.
+/// samplers are per-call locals; the translators' memos are thread-safe and
+/// change no answer), so concurrent Align calls are safe when the endpoints
+/// are — which is what AlignMany exploits.
 class RelationAligner {
  public:
   /// `links` is the sameAs set E. Nothing is owned; all pointers must
@@ -225,8 +227,17 @@ class RelationAligner {
 
   const AlignerOptions& options() const { return options_; }
 
+  /// Translates reference-KB terms into the candidate KB.
+  const CrossKbTranslator& to_candidate() const { return *to_candidate_; }
+
  private:
   friend struct RelationRun;  // The phase scheduler's per-relation state.
+
+  /// A per-relation view of `parent` over other endpoints (AlignMany's
+  /// tracking views of the same KBs): it shares the parent's options and
+  /// translators, so every relation of a run reads and fills one memo.
+  RelationAligner(Endpoint* candidate_kb, Endpoint* reference_kb,
+                  const RelationAligner& parent);
 
   // The four phases of one relation's alignment. Align() composes them
   // sequentially; AlignMany runs them as subtasks. Each is a pure function
@@ -251,8 +262,10 @@ class RelationAligner {
   Endpoint* reference_kb_;  // K.  Not owned.
   const SameAsIndex* links_;  // Not owned.
   AlignerOptions options_;
-  CrossKbTranslator to_reference_;
-  CrossKbTranslator to_candidate_;
+  // Bound to this aligner's endpoints (a per-relation view borrows its
+  // parent's); shared so that views and copies keep one memo.
+  std::shared_ptr<const CrossKbTranslator> to_reference_;
+  std::shared_ptr<const CrossKbTranslator> to_candidate_;
 };
 
 }  // namespace sofya

@@ -14,16 +14,8 @@ StatusOr<ResultSet> LocalEndpoint::Select(const SelectQuery& query) {
 
   // Evaluation ran lock-free; fold its cost into the counters in one short
   // critical section so concurrent queries never tear the accounting.
-  uint64_t bytes = 0;
-  if (result.ok()) {
-    for (const auto& row : result->rows) {
-      for (TermId id : row) {
-        const Term* term = kb_->dict().Find(id);
-        // +1 per cell for the separator in a serialized response.
-        bytes += term != nullptr ? term->NTriplesSize() + 1 : 1;
-      }
-    }
-  }
+  const uint64_t bytes =
+      result.ok() ? kb_->dict().SerializedSize(result->rows) : 0;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.queries += LogicalQueries(query);

@@ -1,7 +1,7 @@
 // Shared transient-failure retry policy: exponential backoff with jitter.
 //
 // Every client-side retry loop in SOFYA (RetryingEndpoint, PagedSelect)
-// drives its re-issues through RetryTransient so retry semantics cannot
+// drives its re-issues through RetryWhileTransient so retry semantics cannot
 // drift between layers: only Unavailable is retried, every re-issue waits an
 // exponentially growing, jittered delay first. A zero-delay retry loop turns
 // one struggling server into a hammered one — the pause is the point.
@@ -68,39 +68,39 @@ void RetrySleep(const RetryOptions& options, double delay_ms);
 /// Seeds the jitter RNG: options.seed when set, otherwise nondeterministic.
 uint64_t RetrySeed(const RetryOptions& options);
 
-/// Continues a retry schedule from `result`, the outcome of an attempt that
-/// already ran: while it reports Unavailable, re-runs `reissue`, up to
-/// options.max_retries re-issues, sleeping the backoff delay before each.
-/// `on_retry`, when given, fires once per re-issue (retry accounting). This
-/// is how a batch layer recovers a failed slot: the batch was attempt 1.
-template <typename T, typename Fn>
-StatusOr<T> RetryTransient(StatusOr<T> result, Fn&& reissue,
-                           const RetryOptions& options,
-                           const std::function<void()>& on_retry = nullptr) {
-  if (result.ok() || !result.status().IsUnavailable() ||
-      options.max_retries <= 0) {
-    return result;
-  }
+/// The schedule itself, for any kind of result: while `failure(result)`
+/// names a transient failure (a `const Status*`, null when nothing is left
+/// to retry), sleeps the backoff delay — honoring that failure's
+/// Retry-After — and lets `reissue(result)` send the next attempt and fold
+/// its outcome into `result`, up to options.max_retries re-issues.
+/// `result` is the outcome of an attempt that already ran (attempt 1).
+template <typename R, typename Failure, typename Reissue>
+void RetryWhileTransient(R& result, Failure&& failure, Reissue&& reissue,
+                         const RetryOptions& options) {
+  const Status* last = failure(result);
+  if (last == nullptr || options.max_retries <= 0) return;
   Rng rng(RetrySeed(options));
-  int attempts = 0;
-  while (!result.ok() && result.status().IsUnavailable() &&
-         attempts < options.max_retries) {
-    ++attempts;
-    RetrySleep(options,
-               RetryBackoffMs(options, attempts, rng, result.status()));
-    if (on_retry) on_retry();
-    result = reissue();
+  for (int attempt = 1; last != nullptr && attempt <= options.max_retries;
+       ++attempt) {
+    RetrySleep(options, RetryBackoffMs(options, attempt, rng, *last));
+    reissue(result);
+    last = failure(result);
   }
-  return result;
 }
 
-/// Runs `attempt` and re-runs it while it reports Unavailable, with the
-/// schedule above.
+/// Runs `attempt` (returning a StatusOr) and re-runs it while it reports
+/// Unavailable, on the schedule above.
 template <typename Fn>
-auto RetryTransient(Fn&& attempt, const RetryOptions& options,
-                    const std::function<void()>& on_retry = nullptr)
+auto RetryTransient(Fn&& attempt, const RetryOptions& options)
     -> decltype(attempt()) {
-  return RetryTransient(attempt(), attempt, options, on_retry);
+  auto result = attempt();
+  RetryWhileTransient(
+      result,
+      [](const decltype(result)& r) -> const Status* {
+        return !r.ok() && r.status().IsUnavailable() ? &r.status() : nullptr;
+      },
+      [&](decltype(result)& r) { r = attempt(); }, options);
+  return result;
 }
 
 }  // namespace sofya

@@ -10,23 +10,27 @@
 // denominator; the partial-completeness measure (Eq. 2, AMIE) only counts
 // pairs whose subject has at least one r-fact — "a KB knows either all or
 // none of the r-attributes of some x".
+//
+// A pair is held as two TermIds, the image ids the samplers carry
+// (CrossKbTranslator::ImageOf): an image id names one term, so dedup by ids
+// is dedup by terms. An image K's dictionary lacks has an image id like any
+// other, so it counts as a pair of its own; it can never be confirmed.
 
 #ifndef SOFYA_MINING_EVIDENCE_H_
 #define SOFYA_MINING_EVIDENCE_H_
 
+#include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "rdf/term.h"
-#include "util/hash.h"
 
 namespace sofya {
 
 /// One observed pair for a candidate rule (already in K's term space).
 struct PairEvidence {
-  Term x;  ///< Subject (translated into K).
-  Term y;  ///< Object (translated into K, or the raw literal).
+  TermId x = kNullTermId;  ///< Image id of the subject (translated into K).
+  TermId y = kNullTermId;  ///< Image id of the object (or of the literal).
   bool confirmed = false;  ///< r(x,y) holds in K.
   bool x_has_r = false;    ///< x has at least one r-fact in K.
 };
@@ -57,16 +61,8 @@ class EvidenceSet {
   const std::vector<PairEvidence>& observations() const { return evidence_; }
 
  private:
-  struct PairKeyHash {
-    size_t operator()(const std::pair<Term, Term>& p) const {
-      size_t seed = TermHash{}(p.first);
-      HashCombine(seed, TermHash{}(p.second));
-      return seed;
-    }
-  };
-
   std::vector<PairEvidence> evidence_;
-  std::unordered_set<std::pair<Term, Term>, PairKeyHash> seen_;
+  std::unordered_set<uint64_t> seen_;  ///< (x << 32) | y.
   size_t support_ = 0;
   size_t pca_body_ = 0;
 };

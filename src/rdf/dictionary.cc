@@ -38,6 +38,18 @@ TermId Dictionary::Lookup(const Term& term) const {
   return it == index_.end() ? kNullTermId : it->second;
 }
 
+uint64_t Dictionary::SerializedSize(
+    const std::vector<std::vector<TermId>>& rows) const {
+  uint64_t bytes = 0;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  for (const auto& row : rows) {
+    for (TermId id : row) {
+      bytes += ContainsLocked(id) ? terms_[id - 1]->NTriplesSize() + 1 : 1;
+    }
+  }
+  return bytes;
+}
+
 const Term& Dictionary::Decode(TermId id) const {
   static const Term kInvalid = Term::Iri("urn:sofya:invalid-term-id");
   std::shared_lock<std::shared_mutex> lock(mu_);

@@ -15,11 +15,13 @@
 #ifndef SOFYA_RDF_DICTIONARY_H_
 #define SOFYA_RDF_DICTIONARY_H_
 
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "rdf/term.h"
 #include "util/status.h"
@@ -86,12 +88,10 @@ class Dictionary {
   /// Decodes, returning an error Status for invalid ids.
   StatusOr<Term> TryDecode(TermId id) const;
 
-  /// The term `id` names, or null for an invalid id: TryDecode without the
-  /// copy. The pointer stays valid for the dictionary's lifetime.
-  const Term* Find(TermId id) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return ContainsLocked(id) ? terms_[id - 1] : nullptr;
-  }
+  /// The serialized size of a result: each cell's N-Triples size plus one
+  /// separator byte (an invalid id counts the separator only), summed under
+  /// one lock.
+  uint64_t SerializedSize(const std::vector<std::vector<TermId>>& rows) const;
 
   /// Number of interned terms.
   size_t size() const {

@@ -6,6 +6,11 @@
 
 namespace sofya {
 
+uint64_t SameAsIndex::NextGeneration() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 size_t SameAsIndex::InternLocal(const Term& t) {
   auto it = ids_.find(t);
   if (it != ids_.end()) return it->second;
@@ -21,6 +26,7 @@ void SameAsIndex::AddLink(const Term& a, const Term& b) {
   const size_t ia = InternLocal(a);
   const size_t ib = InternLocal(b);
   if (uf_.Union(ia, ib)) ++num_links_;
+  generation_ = NextGeneration();
   groups_dirty_ = true;
   ClearTables();
 }

@@ -12,6 +12,11 @@
 // steady-state translation is one hash lookup of the term and one array
 // read.
 //
+// generation() names the link set's current state: every AddLink and every
+// move gives the index a generation no index in the process had before, so
+// a memo keyed on it (CrossKbTranslator's) can never serve a translation
+// from an older link set.
+//
 // Thread safety: reads (AreEquivalent, EquivalentsOf, TranslateTo) are safe
 // from any number of threads — including the first read after AddLink,
 // which builds the lazy group memo or a prefix table under an internal lock
@@ -24,6 +29,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -57,6 +63,10 @@ class SameAsIndex {
   /// Records a ≡ b (owl:sameAs is symmetric/transitive: classes merge).
   void AddLink(const Term& a, const Term& b);
 
+  /// The link set's generation: unique in the process, replaced by every
+  /// AddLink and move.
+  uint64_t generation() const { return generation_; }
+
   /// Number of AddLink calls that actually merged two classes.
   size_t num_links() const { return num_links_; }
 
@@ -76,11 +86,6 @@ class SameAsIndex {
   /// sets), the lexicographically smallest is returned for determinism.
   StatusOr<Term> TranslateTo(const Term& x,
                              std::string_view target_prefix) const;
-
-  /// True iff `x` has any equivalent in the `target_prefix` namespace.
-  bool HasTranslationTo(const Term& x, std::string_view target_prefix) const {
-    return TranslateTo(x, target_prefix).ok();
-  }
 
  private:
   /// Marks a prefix table entry with no translation.
@@ -108,8 +113,13 @@ class SameAsIndex {
     tables_.clear();
   }
 
+  /// A generation no index in the process has had yet.
+  static uint64_t NextGeneration();
+
   void MoveFrom(SameAsIndex&& other) {
     std::scoped_lock lock(groups_mu_, other.groups_mu_);
+    generation_ = NextGeneration();
+    other.generation_ = NextGeneration();
     terms_ = std::move(other.terms_);
     ids_ = std::move(other.ids_);
     uf_ = std::move(other.uf_);
@@ -124,6 +134,7 @@ class SameAsIndex {
     other.ClearTables();
   }
 
+  uint64_t generation_ = NextGeneration();
   std::vector<Term> terms_;
   std::unordered_map<Term, size_t, TermHash> ids_;
   UnionFind uf_;

@@ -42,8 +42,8 @@ StatusOr<RelationKind> SimpleSampler::ProbeKind(const Term& relation,
   if (rows.rows.empty()) return RelationKind::kEmpty;
   size_t literals = 0;
   for (const auto& row : rows.rows) {
-    SOFYA_ASSIGN_OR_RETURN(Term object, candidate_kb_->DecodeTerm(row[1]));
-    if (object.is_literal()) ++literals;
+    SOFYA_ASSIGN_OR_RETURN(bool literal, to_reference_->IsLiteral(row[1]));
+    if (literal) ++literals;
   }
   // Majority vote: mixed-object relations (rare, dirty data) take the
   // dominant kind.
@@ -90,24 +90,23 @@ StatusOr<SimpleSample> SimpleSampler::DrawSample(const Term& r_sub) {
   while (sample.subjects.size() < options_.sample_size &&
          next < subject_ids.size()) {
     struct Pending {
-      Term x1;  // Subject in K'.
-      Term x2;  // Its sameAs image in K.
+      TermId x1;  // Subject in K'.
+      TermId x2;  // Image id of its sameAs image in K.
     };
     std::vector<Pending> wave;
     std::vector<SelectQuery> fact_queries;
     const size_t need = options_.sample_size - sample.subjects.size();
     while (wave.size() < need && next < subject_ids.size()) {
       const TermId subject_id = subject_ids[next++];
-      SOFYA_ASSIGN_OR_RETURN(Term x1, candidate_kb_->DecodeTerm(subject_id));
-      auto x2 = to_reference_->Translate(x1);
-      if (!x2.ok()) {
+      SOFYA_ASSIGN_OR_RETURN(IdImage x2, to_reference_->ImageOf(subject_id));
+      if (!x2.has_image()) {
         ++sample.subjects_skipped;  // Subject itself has no link.
         continue;
       }
       // Fetch all r_sub facts of this subject (bounded).
       SelectQuery q = queries::ObjectsOf(subject_id, rel_id);
       q.Limit(options_.facts_per_subject_cap);
-      wave.push_back(Pending{std::move(x1), std::move(x2).value()});
+      wave.push_back(Pending{subject_id, x2.image});
       fact_queries.push_back(std::move(q));
     }
     if (wave.empty()) break;
@@ -116,18 +115,15 @@ StatusOr<SimpleSample> SimpleSampler::DrawSample(const Term& r_sub) {
                            candidate_kb_->SelectMany(fact_queries).IntoValues());
     for (size_t i = 0; i < wave.size(); ++i) {
       SampledSubject entry;
-      entry.subject_candidate = std::move(wave[i].x1);
-      entry.subject_reference = std::move(wave[i].x2);
+      entry.subject_candidate = wave[i].x1;
+      entry.subject_reference = wave[i].x2;
       for (const auto& row : fact_results[i].rows) {
-        SOFYA_ASSIGN_OR_RETURN(Term y1, candidate_kb_->DecodeTerm(row[0]));
-        if (literal_relation) {
-          if (!y1.is_literal()) continue;  // Skip minority-kind objects.
-          entry.objects.emplace_back(y1, y1);
-          continue;
-        }
-        auto y2 = to_reference_->Translate(y1);
-        if (!y2.ok()) continue;  // Unlinked object: ignored, not penalized.
-        entry.objects.emplace_back(std::move(y1), std::move(y2).value());
+        const TermId y1 = row[0];
+        SOFYA_ASSIGN_OR_RETURN(IdImage y2, to_reference_->ImageOf(y1));
+        // Literal relations skip minority-kind objects; an unlinked object
+        // is ignored, not penalized.
+        if (literal_relation ? !y2.literal : !y2.has_image()) continue;
+        entry.objects.emplace_back(y1, y2.image);
       }
 
       if (entry.objects.empty()) {
@@ -154,13 +150,15 @@ StatusOr<EvidenceSet> SimpleSampler::ScoreAgainst(const SimpleSample& sample,
   // needed. The sample is fully drawn at this point, so every probe is
   // known up front — batch them (paged, not truncated: required by the PCA
   // measure and the paper's K^S construction).
-  std::vector<std::vector<Term>> r_objects_by_subject(sample.subjects.size());
+  std::vector<std::vector<TermId>> r_objects_by_subject(
+      sample.subjects.size());
   if (r_id != kNullTermId) {
     std::vector<SelectQuery> probes;
     std::vector<size_t> probe_subject;
     for (size_t i = 0; i < sample.subjects.size(); ++i) {
-      const TermId x2_id =
-          reference_kb_->LookupTerm(sample.subjects[i].subject_reference);
+      SOFYA_ASSIGN_OR_RETURN(
+          TermId x2_id,
+          to_reference_->TranslateId(sample.subjects[i].subject_candidate));
       if (x2_id == kNullTermId) continue;
       probes.push_back(queries::ObjectsOf(x2_id, r_id));
       probe_subject.push_back(i);
@@ -171,19 +169,29 @@ StatusOr<EvidenceSet> SimpleSampler::ScoreAgainst(const SimpleSample& sample,
         std::vector<ResultSet> probe_results,
         BatchedPagedSelect(reference_kb_, probes, paging).IntoValues());
     for (size_t m = 0; m < probe_results.size(); ++m) {
-      std::vector<Term>& objects = r_objects_by_subject[probe_subject[m]];
+      std::vector<TermId>& objects = r_objects_by_subject[probe_subject[m]];
       objects.reserve(probe_results[m].rows.size());
-      for (const auto& row : probe_results[m].rows) {
-        SOFYA_ASSIGN_OR_RETURN(Term obj, reference_kb_->DecodeTerm(row[0]));
-        objects.push_back(std::move(obj));
-      }
+      for (const auto& row : probe_results[m].rows) objects.push_back(row[0]);
     }
   }
 
+  std::vector<TermId> r_images;  // An entity relation's r-objects.
+  std::vector<Term> r_literals;  // A literal relation's, decoded.
   for (size_t si = 0; si < sample.subjects.size(); ++si) {
     const SampledSubject& subject = sample.subjects[si];
-    const std::vector<Term>& r_objects = r_objects_by_subject[si];
+    const std::vector<TermId>& r_objects = r_objects_by_subject[si];
     const bool x_has_r = !r_objects.empty();
+    r_images.clear();
+    r_literals.clear();
+    for (TermId o : r_objects) {
+      if (literal_relation) {
+        SOFYA_ASSIGN_OR_RETURN(Term term, reference_kb_->DecodeTerm(o));
+        r_literals.push_back(std::move(term));
+      } else {
+        SOFYA_ASSIGN_OR_RETURN(TermId image, to_reference_->TargetImageOf(o));
+        r_images.push_back(image);
+      }
+    }
 
     for (const auto& [y1, y2] : subject.objects) {
       PairEvidence pair;
@@ -191,13 +199,14 @@ StatusOr<EvidenceSet> SimpleSampler::ScoreAgainst(const SimpleSample& sample,
       pair.y = y2;
       pair.x_has_r = x_has_r;
       if (literal_relation) {
+        SOFYA_ASSIGN_OR_RETURN(Term literal, candidate_kb_->DecodeTerm(y1));
         pair.confirmed = std::any_of(
-            r_objects.begin(), r_objects.end(), [&](const Term& o) {
-              return literal_matcher_.Matches(y1, o);
+            r_literals.begin(), r_literals.end(), [&](const Term& o) {
+              return literal_matcher_.Matches(literal, o);
             });
       } else {
-        pair.confirmed = std::find(r_objects.begin(), r_objects.end(), y2) !=
-                         r_objects.end();
+        pair.confirmed = std::find(r_images.begin(), r_images.end(), y2) !=
+                         r_images.end();
       }
       evidence.Add(pair);
     }

@@ -17,11 +17,21 @@
 //
 // Entity-literal relations (detected from the sampled objects) skip object
 // translation and match literals with the configured LiteralMatcher.
+//
+// The sample is carried as ids: row ids of K' go through the translator
+// to image ids (CrossKbTranslator::ImageOf), the step-4 probes bind the
+// target ids of the sampled subjects, and a pair is confirmed by comparing
+// image ids with those of the probes' result rows. A term is decoded only
+// where its text is needed: a literal object, matched by similarity. A
+// subject or object whose image K's dictionary lacks keeps its image id:
+// no probe is issued for it and it never confirms, but it still counts as
+// a pair.
 
 #ifndef SOFYA_SAMPLING_SIMPLE_SAMPLER_H_
 #define SOFYA_SAMPLING_SIMPLE_SAMPLER_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "endpoint/endpoint.h"
@@ -39,12 +49,13 @@ enum class RelationKind {
   kEmpty,  ///< No facts observed.
 };
 
-/// A sampled r_sub fact group for one subject, in both term spaces.
+/// A sampled r_sub fact group for one subject: ids of K' and the image ids
+/// of their images in K (for a literal, the literal itself).
 struct SampledSubject {
-  Term subject_candidate;  ///< x1 in K'.
-  Term subject_reference;  ///< x2 in K.
-  /// (y1 in K', y2 in K) object pairs; for literal relations y2 == y1.
-  std::vector<std::pair<Term, Term>> objects;
+  TermId subject_candidate = kNullTermId;  ///< x1, an id of K'.
+  TermId subject_reference = kNullTermId;  ///< x2, the image id of x1.
+  /// (y1, image id of y1) object pairs.
+  std::vector<std::pair<TermId, TermId>> objects;
 };
 
 /// The sample S plus its translation — returned for inspection/tests.
@@ -59,7 +70,8 @@ struct SimpleSample {
 class SimpleSampler {
  public:
   /// Neither endpoint nor translator is owned; both must outlive the
-  /// sampler. `to_reference` must translate K' terms into K's namespace.
+  /// sampler. `to_reference` must translate from `candidate_kb`'s ids (or
+  /// an endpoint sharing them) into `reference_kb`'s.
   SimpleSampler(Endpoint* candidate_kb, Endpoint* reference_kb,
                 const CrossKbTranslator* to_reference,
                 SamplerOptions options = {});

@@ -11,8 +11,8 @@ namespace sofya {
 
 size_t UnbiasedSampler::CacheKeyHash::operator()(const CacheKey& key) const {
   size_t seed = std::hash<const void*>{}(key.endpoint);
-  HashCombine(seed, TermHash{}(key.subject));
-  HashCombine(seed, TermHash{}(key.relation));
+  HashCombine(seed, std::hash<TermId>{}(key.subject));
+  HashCombine(seed, std::hash<TermId>{}(key.relation));
   return seed;
 }
 
@@ -51,37 +51,33 @@ UnbiasedSampler::UnbiasedSampler(Endpoint* candidate_kb,
       ubs_options_(ubs_options),
       literal_matcher_(options.literal_options) {}
 
-StatusOr<std::vector<Term>> UnbiasedSampler::ObjectsOf(Endpoint* endpoint,
-                                                       const Term& subject,
-                                                       const Term& relation) {
+StatusOr<std::vector<TermId>> UnbiasedSampler::ObjectsOf(Endpoint* endpoint,
+                                                         TermId subject,
+                                                         TermId relation) {
   CacheKey key{endpoint, subject, relation};
   auto it = object_cache_.find(key);
   if (it != object_cache_.end()) return it->second;
 
-  std::vector<Term> objects;
-  const TermId s_id = endpoint->LookupTerm(subject);
-  const TermId p_id = endpoint->LookupTerm(relation);
-  if (s_id != kNullTermId && p_id != kNullTermId) {
+  std::vector<TermId> objects;
+  if (subject != kNullTermId && relation != kNullTermId) {
     // Completeness matters: a truncated object list turns "r has y" into a
     // phantom counter-example. Page through everything the subject has.
     PagedSelectOptions paging;
     paging.page_size = options_.facts_per_subject_cap;
     SOFYA_ASSIGN_OR_RETURN(
         ResultSet rows,
-        PagedSelect(endpoint, queries::ObjectsOf(s_id, p_id), paging));
+        PagedSelect(endpoint, queries::ObjectsOf(subject, relation), paging));
     objects.reserve(rows.rows.size());
-    for (const auto& row : rows.rows) {
-      SOFYA_ASSIGN_OR_RETURN(Term obj, endpoint->DecodeTerm(row[0]));
-      objects.push_back(std::move(obj));
-    }
+    for (const auto& row : rows.rows) objects.push_back(row[0]);
   }
-  object_cache_.emplace(std::move(key), objects);
+  object_cache_.emplace(key, objects);
   return objects;
 }
 
 Status UnbiasedSampler::PrefetchObjects(
     Endpoint* endpoint,
-    const std::vector<std::pair<Term, Term>>& subject_relation_pairs) {
+    const std::vector<std::pair<TermId, TermId>>& subject_relation_pairs,
+    bool row_subjects) {
   std::vector<CacheKey> keys;
   std::vector<SelectQuery> probes;
   std::unordered_set<CacheKey, CacheKeyHash> pending;
@@ -89,15 +85,17 @@ Status UnbiasedSampler::PrefetchObjects(
     CacheKey key{endpoint, subject, relation};
     if (object_cache_.find(key) != object_cache_.end()) continue;
     if (!pending.insert(key).second) continue;  // Duplicate in this batch.
-    const TermId s_id = endpoint->LookupTerm(subject);
-    const TermId p_id = endpoint->LookupTerm(relation);
-    if (s_id == kNullTermId || p_id == kNullTermId) {
+    if (row_subjects) {
+      SOFYA_ASSIGN_OR_RETURN(Term term, endpoint->DecodeTerm(subject));
+      endpoint->LookupTerm(term);
+    }
+    if (subject == kNullTermId || relation == kNullTermId) {
       // Unknown terms have no facts; memoize the empty answer query-free.
-      object_cache_.emplace(std::move(key), std::vector<Term>());
+      object_cache_.emplace(key, std::vector<TermId>());
       continue;
     }
-    keys.push_back(std::move(key));
-    probes.push_back(queries::ObjectsOf(s_id, p_id));
+    keys.push_back(key);
+    probes.push_back(queries::ObjectsOf(subject, relation));
   }
   if (probes.empty()) return Status::OK();
 
@@ -112,13 +110,10 @@ Status UnbiasedSampler::PrefetchObjects(
   // retried probe pass re-fetches only what actually failed.
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!batch.statuses[i].ok()) continue;
-    std::vector<Term> objects;
+    std::vector<TermId> objects;
     objects.reserve(batch.values[i].rows.size());
-    for (const auto& row : batch.values[i].rows) {
-      SOFYA_ASSIGN_OR_RETURN(Term obj, endpoint->DecodeTerm(row[0]));
-      objects.push_back(std::move(obj));
-    }
-    object_cache_.emplace(std::move(keys[i]), std::move(objects));
+    for (const auto& row : batch.values[i].rows) objects.push_back(row[0]);
+    object_cache_.emplace(keys[i], std::move(objects));
   }
   return batch.FirstError();
 }
@@ -188,14 +183,40 @@ size_t UnbiasedSampler::SettleBound() const {
                           static_cast<size_t>(by_ratio) + 1);
 }
 
-bool UnbiasedSampler::ContainsTerm(const std::vector<Term>& objects,
-                                   const Term& value) const {
-  if (value.is_literal()) {
-    return std::any_of(objects.begin(), objects.end(), [&](const Term& o) {
-      return literal_matcher_.Matches(value, o);
-    });
+StatusOr<std::optional<UnbiasedSampler::ObjectValue>>
+UnbiasedSampler::ImageValue(const CrossKbTranslator* translator,
+                            Endpoint* source, TermId id) const {
+  SOFYA_ASSIGN_OR_RETURN(IdImage image, translator->ImageOf(id));
+  if (!image.has_image()) return std::optional<ObjectValue>();
+  ObjectValue value{image.image, std::nullopt};
+  if (image.literal) {
+    SOFYA_ASSIGN_OR_RETURN(value.literal, source->DecodeTerm(id));
   }
-  return std::find(objects.begin(), objects.end(), value) != objects.end();
+  return std::optional<ObjectValue>(std::move(value));
+}
+
+StatusOr<bool> UnbiasedSampler::ContainsLiteral(
+    Endpoint* endpoint, const std::vector<TermId>& objects,
+    const Term& literal) const {
+  for (TermId o : objects) {
+    SOFYA_ASSIGN_OR_RETURN(Term object, endpoint->DecodeTerm(o));
+    if (literal_matcher_.Matches(literal, object)) return true;
+  }
+  return false;
+}
+
+StatusOr<bool> UnbiasedSampler::Contains(const CrossKbTranslator* translator,
+                                         Endpoint* endpoint,
+                                         const std::vector<TermId>& objects,
+                                         const ObjectValue& value) const {
+  if (value.literal.has_value()) {
+    return ContainsLiteral(endpoint, objects, *value.literal);
+  }
+  for (TermId o : objects) {
+    SOFYA_ASSIGN_OR_RETURN(TermId image, translator->TargetImageOf(o));
+    if (image == value.image) return true;
+  }
+  return false;
 }
 
 StatusOr<UbsReport> UnbiasedSampler::Probe(const Term& r,
@@ -205,6 +226,9 @@ StatusOr<UbsReport> UnbiasedSampler::Probe(const Term& r,
       !ubs_options_.enable_subsumption_filter) {
     return report;  // Fully ablated: no probes, no cost.
   }
+  // Looked up when a row first needs a reference probe, as the term path
+  // did (see PrefetchObjects).
+  std::optional<TermId> r_id;
 
   for (const Term& r_prime : candidates) {
     for (const Term& r_dprime : candidates) {
@@ -228,79 +252,87 @@ StatusOr<UbsReport> UnbiasedSampler::Probe(const Term& r,
       SOFYA_ASSIGN_OR_RETURN(ResultSet rows,
                              FetchDisagreeingRows(candidate_kb_, p1, p2));
 
-      // Phase A: decode the disagreement rows and batch-warm the memos with
-      // every candidate-side probe this pair needs. IRI objects get an
-      // exact-triple existence ASK (ships zero rows) through AskMany;
-      // literal objects still need the subject's full object list for
-      // similarity matching. Both memos dedup repeats, and the batches let
-      // the endpoint stack dedup and cache across pairs and candidates.
+      // Phase A: batch-warm the memos with every candidate-side probe this
+      // pair needs. IRI objects get an exact-triple existence ASK (ships
+      // zero rows) through AskMany; literal objects still need the
+      // subject's full object list for similarity matching. Both memos
+      // dedup repeats, and the batches let the endpoint stack dedup and
+      // cache across pairs and candidates.
       struct ProbeRow {
-        Term x1, y1, y2;
-        TermId x1_id, y2_id;
+        TermId x1, y1, y2;
+        bool y2_literal;
       };
-      std::vector<ProbeRow> decoded;
-      decoded.reserve(rows.rows.size());
-      std::vector<std::pair<Term, Term>> candidate_probes;
+      std::vector<ProbeRow> probe_rows;
+      probe_rows.reserve(rows.rows.size());
+      std::vector<std::pair<TermId, TermId>> candidate_probes;
       std::vector<TriProbe> existence_probes;
       for (const auto& row : rows.rows) {
-        SOFYA_ASSIGN_OR_RETURN(Term x1, candidate_kb_->DecodeTerm(row[0]));
-        SOFYA_ASSIGN_OR_RETURN(Term y1, candidate_kb_->DecodeTerm(row[1]));
-        SOFYA_ASSIGN_OR_RETURN(Term y2, candidate_kb_->DecodeTerm(row[2]));
+        SOFYA_ASSIGN_OR_RETURN(bool y2_literal,
+                               to_reference_->IsLiteral(row[2]));
         ++report.rows_examined;
-        if (y2.is_literal()) {
-          candidate_probes.emplace_back(x1, r_prime);
+        if (y2_literal) {
+          candidate_probes.emplace_back(row[0], p1);
         } else {
           existence_probes.push_back(TriProbe{row[0], p1, row[2]});
         }
-        decoded.push_back(ProbeRow{std::move(x1), std::move(y1),
-                                   std::move(y2), row[0], row[2]});
+        probe_rows.push_back(ProbeRow{row[0], row[1], row[2], y2_literal});
       }
-      SOFYA_RETURN_IF_ERROR(PrefetchObjects(candidate_kb_, candidate_probes));
+      SOFYA_RETURN_IF_ERROR(PrefetchObjects(candidate_kb_, candidate_probes,
+                                            /*row_subjects=*/true));
       SOFYA_RETURN_IF_ERROR(
           PrefetchExistence(candidate_kb_, existence_probes));
 
       // Phase B: rows surviving ¬r'(x, y2) and sameAs translation need a
       // reference-side probe; batch those too.
       struct Survivor {
-        Term x2, ty1, ty2;
+        TermId x2;
+        ObjectValue ty1, ty2;
       };
       std::vector<Survivor> survivors;
-      std::vector<std::pair<Term, Term>> reference_probes;
-      for (const ProbeRow& pr : decoded) {
+      std::vector<std::pair<TermId, TermId>> reference_probes;
+      for (const ProbeRow& pr : probe_rows) {
         // Enforce ¬r'(x, y2): the FILTER only guaranteed y1 != y2 per row.
         bool has_y2 = false;
-        if (pr.y2.is_literal()) {
-          SOFYA_ASSIGN_OR_RETURN(std::vector<Term> r_prime_objects,
-                                 ObjectsOf(candidate_kb_, pr.x1, r_prime));
-          has_y2 = ContainsTerm(r_prime_objects, pr.y2);
+        if (pr.y2_literal) {
+          SOFYA_ASSIGN_OR_RETURN(std::vector<TermId> r_prime_objects,
+                                 ObjectsOf(candidate_kb_, pr.x1, p1));
+          SOFYA_ASSIGN_OR_RETURN(Term y2, candidate_kb_->DecodeTerm(pr.y2));
+          SOFYA_ASSIGN_OR_RETURN(
+              has_y2, ContainsLiteral(candidate_kb_, r_prime_objects, y2));
         } else {
           SOFYA_ASSIGN_OR_RETURN(
-              has_y2,
-              TripleExists(candidate_kb_, TriProbe{pr.x1_id, p1, pr.y2_id}));
+              has_y2, TripleExists(candidate_kb_, TriProbe{pr.x1, p1, pr.y2}));
         }
         if (has_y2) continue;
 
         // Translate the triple into K.
-        auto x2 = to_reference_->Translate(pr.x1);
-        if (!x2.ok()) continue;
-        auto ty1 = to_reference_->Translate(pr.y1);
-        if (!ty1.ok()) continue;
-        auto ty2 = to_reference_->Translate(pr.y2);
-        if (!ty2.ok()) continue;
-        reference_probes.emplace_back(*x2, r);
-        survivors.push_back(Survivor{std::move(x2).value(),
-                                     std::move(ty1).value(),
-                                     std::move(ty2).value()});
+        SOFYA_ASSIGN_OR_RETURN(IdImage x2, to_reference_->ImageOf(pr.x1));
+        if (!x2.has_image()) continue;
+        SOFYA_ASSIGN_OR_RETURN(std::optional<ObjectValue> ty1,
+                               ImageValue(to_reference_, candidate_kb_, pr.y1));
+        if (!ty1.has_value()) continue;
+        SOFYA_ASSIGN_OR_RETURN(std::optional<ObjectValue> ty2,
+                               ImageValue(to_reference_, candidate_kb_, pr.y2));
+        if (!ty2.has_value()) continue;
+        SOFYA_ASSIGN_OR_RETURN(TermId x2_id, to_reference_->TranslateId(pr.x1));
+        if (!r_id.has_value()) r_id = reference_kb_->LookupTerm(r);
+        reference_probes.emplace_back(x2_id, *r_id);
+        survivors.push_back(Survivor{x2_id, std::move(*ty1), std::move(*ty2)});
       }
-      SOFYA_RETURN_IF_ERROR(PrefetchObjects(reference_kb_, reference_probes));
+      SOFYA_RETURN_IF_ERROR(PrefetchObjects(reference_kb_, reference_probes,
+                                            /*row_subjects=*/false));
 
       // Phase C: tally counter-examples from the warmed memo.
       for (const Survivor& s : survivors) {
-        SOFYA_ASSIGN_OR_RETURN(std::vector<Term> r_objects,
-                               ObjectsOf(reference_kb_, s.x2, r));
-        const bool has_y1 = ContainsTerm(r_objects, s.ty1);
+        SOFYA_ASSIGN_OR_RETURN(std::vector<TermId> r_objects,
+                               ObjectsOf(reference_kb_, s.x2, *r_id));
+        SOFYA_ASSIGN_OR_RETURN(
+            bool has_y1,
+            Contains(to_reference_, reference_kb_, r_objects, s.ty1));
         if (!has_y1) continue;  // K does not know x's r-attributes via y1.
-        const bool has_y2 = ContainsTerm(r_objects, s.ty2);
+        SOFYA_ASSIGN_OR_RETURN(
+            bool has_y2,
+            Contains(to_reference_, reference_kb_, r_objects, s.ty2));
 
         if (has_y2) {
           // Case 1: r(x,y1) ∧ r(x,y2) ∧ ¬r'(x,y2)  =>  r ⇏ r'.
@@ -326,6 +358,9 @@ Status UnbiasedSampler::ProbeReferenceSiblings(
 
   const TermId r_id = reference_kb_->LookupTerm(r);
   if (r_id == kNullTermId) return Status::OK();
+  // Looked up when a row first needs a candidate probe, as the term path
+  // did (see PrefetchObjects).
+  std::optional<TermId> candidate_id;
 
   for (const Term& sibling : reference_siblings) {
     if (sibling == r) continue;
@@ -343,83 +378,95 @@ Status UnbiasedSampler::ProbeReferenceSiblings(
     auto rows_or = FetchDisagreeingRows(reference_kb_, r_id, sibling_id);
     if (!rows_or.ok()) return rows_or.status();
 
-    // Mirror of Probe's phases: decode + batch the reference-side probes
+    // Mirror of Probe's phases: batch the reference-side probes
     // (exact-triple ASKs for IRI objects, object lists for literals),
     // filter, then batch the candidate-side probes for the survivors.
     struct ProbeRow {
-      Term x2, y1, y2;
-      TermId x2_id, y2_id;
+      TermId x2, y1, y2;
+      bool y2_literal;
     };
-    std::vector<ProbeRow> decoded;
-    decoded.reserve(rows_or->rows.size());
-    std::vector<std::pair<Term, Term>> reference_probes;
+    std::vector<ProbeRow> probe_rows;
+    probe_rows.reserve(rows_or->rows.size());
+    std::vector<std::pair<TermId, TermId>> reference_probes;
     std::vector<TriProbe> existence_probes;
     for (const auto& row : rows_or->rows) {
-      SOFYA_ASSIGN_OR_RETURN(Term x2, reference_kb_->DecodeTerm(row[0]));
-      SOFYA_ASSIGN_OR_RETURN(Term y1, reference_kb_->DecodeTerm(row[1]));
-      SOFYA_ASSIGN_OR_RETURN(Term y2, reference_kb_->DecodeTerm(row[2]));
+      SOFYA_ASSIGN_OR_RETURN(bool y2_literal, to_candidate_->IsLiteral(row[2]));
       ++report->rows_examined;
-      if (y2.is_literal()) {
-        reference_probes.emplace_back(x2, r);
+      if (y2_literal) {
+        reference_probes.emplace_back(row[0], r_id);
       } else {
         existence_probes.push_back(TriProbe{row[0], r_id, row[2]});
       }
-      decoded.push_back(ProbeRow{std::move(x2), std::move(y1), std::move(y2),
-                                 row[0], row[2]});
+      probe_rows.push_back(ProbeRow{row[0], row[1], row[2], y2_literal});
     }
-    SOFYA_RETURN_IF_ERROR(PrefetchObjects(reference_kb_, reference_probes));
+    SOFYA_RETURN_IF_ERROR(PrefetchObjects(reference_kb_, reference_probes,
+                                          /*row_subjects=*/true));
     SOFYA_RETURN_IF_ERROR(PrefetchExistence(reference_kb_, existence_probes));
 
     struct Survivor {
       const ProbeRow* row;
-      Term x1;
+      TermId x1;
     };
     std::vector<Survivor> survivors;
-    std::vector<std::pair<Term, Term>> candidate_probes;
-    for (const ProbeRow& pr : decoded) {
+    std::vector<std::pair<TermId, TermId>> candidate_probes;
+    for (const ProbeRow& pr : probe_rows) {
       // Enforce ¬r(x, y2) in K.
       bool has_y2 = false;
-      if (pr.y2.is_literal()) {
-        SOFYA_ASSIGN_OR_RETURN(std::vector<Term> r_objects,
-                               ObjectsOf(reference_kb_, pr.x2, r));
-        has_y2 = ContainsTerm(r_objects, pr.y2);
+      if (pr.y2_literal) {
+        SOFYA_ASSIGN_OR_RETURN(std::vector<TermId> r_objects,
+                               ObjectsOf(reference_kb_, pr.x2, r_id));
+        SOFYA_ASSIGN_OR_RETURN(Term y2, reference_kb_->DecodeTerm(pr.y2));
+        SOFYA_ASSIGN_OR_RETURN(
+            has_y2, ContainsLiteral(reference_kb_, r_objects, y2));
       } else {
         SOFYA_ASSIGN_OR_RETURN(
-            has_y2,
-            TripleExists(reference_kb_, TriProbe{pr.x2_id, r_id, pr.y2_id}));
+            has_y2, TripleExists(reference_kb_, TriProbe{pr.x2, r_id, pr.y2}));
       }
       if (has_y2) continue;
 
-      auto x1 = to_candidate_->Translate(pr.x2);
-      if (!x1.ok()) continue;
-      candidate_probes.emplace_back(*x1, candidate);
-      survivors.push_back(Survivor{&pr, std::move(x1).value()});
+      SOFYA_ASSIGN_OR_RETURN(IdImage x1, to_candidate_->ImageOf(pr.x2));
+      if (!x1.has_image()) continue;
+      SOFYA_ASSIGN_OR_RETURN(TermId x1_id, to_candidate_->TranslateId(pr.x2));
+      if (!candidate_id.has_value()) {
+        candidate_id = candidate_kb_->LookupTerm(candidate);
+      }
+      candidate_probes.emplace_back(x1_id, *candidate_id);
+      survivors.push_back(Survivor{&pr, x1_id});
     }
-    SOFYA_RETURN_IF_ERROR(PrefetchObjects(candidate_kb_, candidate_probes));
+    SOFYA_RETURN_IF_ERROR(PrefetchObjects(candidate_kb_, candidate_probes,
+                                          /*row_subjects=*/false));
 
     for (const Survivor& s : survivors) {
-      const Term& y1 = s.row->y1;
-      const Term& y2 = s.row->y2;
-      SOFYA_ASSIGN_OR_RETURN(std::vector<Term> candidate_objects,
-                             ObjectsOf(candidate_kb_, s.x1, candidate));
+      SOFYA_ASSIGN_OR_RETURN(std::vector<TermId> candidate_objects,
+                             ObjectsOf(candidate_kb_, s.x1, *candidate_id));
       if (candidate_objects.empty()) continue;
 
       // Subsumption counter-example for candidate => r: the candidate
       // asserts (x, y2) but K, which knows x's r-attributes (y1 ∈ r(x,·)),
       // does not list y2.
       if (ubs_options_.enable_subsumption_filter) {
-        auto ty2 = to_candidate_->Translate(y2);
-        if (ty2.ok() && ContainsTerm(candidate_objects, *ty2)) {
-          ++report->subsumption_counterexamples[candidate];
+        SOFYA_ASSIGN_OR_RETURN(
+            std::optional<ObjectValue> ty2,
+            ImageValue(to_candidate_, reference_kb_, s.row->y2));
+        if (ty2.has_value()) {
+          SOFYA_ASSIGN_OR_RETURN(bool has_ty2,
+                                 Contains(to_candidate_, candidate_kb_,
+                                          candidate_objects, *ty2));
+          if (has_ty2) ++report->subsumption_counterexamples[candidate];
         }
       }
 
       // Equivalence counter-example for r => candidate: K asserts r(x,y1),
       // the candidate has facts for x but not y1.
       if (ubs_options_.enable_equivalence_filter) {
-        auto ty1 = to_candidate_->Translate(y1);
-        if (ty1.ok() && !ContainsTerm(candidate_objects, *ty1)) {
-          ++report->equivalence_counterexamples[candidate];
+        SOFYA_ASSIGN_OR_RETURN(
+            std::optional<ObjectValue> ty1,
+            ImageValue(to_candidate_, reference_kb_, s.row->y1));
+        if (ty1.has_value()) {
+          SOFYA_ASSIGN_OR_RETURN(bool has_ty1,
+                                 Contains(to_candidate_, candidate_kb_,
+                                          candidate_objects, *ty1));
+          if (!has_ty1) ++report->equivalence_counterexamples[candidate];
         }
       }
     }

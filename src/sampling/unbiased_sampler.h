@@ -23,12 +23,18 @@
 //
 // "To eliminate a wrong relation we need only one case which shows that
 // there is a contradiction" (Section 3) — the threshold is configurable.
+//
+// Rows, translations and object lists stay ids end to end (see
+// sameas/translator.h); a term is decoded only to match a literal.
 
 #ifndef SOFYA_SAMPLING_UNBIASED_SAMPLER_H_
 #define SOFYA_SAMPLING_UNBIASED_SAMPLER_H_
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "endpoint/endpoint.h"
@@ -93,17 +99,21 @@ class UnbiasedSampler {
   const UbsOptions& ubs_options() const { return ubs_options_; }
 
  private:
-  /// Objects of `relation` for `subject` on `endpoint` (decoded), memoized.
-  StatusOr<std::vector<Term>> ObjectsOf(Endpoint* endpoint,
-                                        const Term& subject,
-                                        const Term& relation);
+  /// Objects of `relation` for `subject` on `endpoint`, memoized. A null
+  /// subject (an image the endpoint lacks) has none, and costs no query.
+  StatusOr<std::vector<TermId>> ObjectsOf(Endpoint* endpoint, TermId subject,
+                                          TermId relation);
 
   /// Warms the ObjectsOf memo for every (subject, relation) pair in one
   /// batched round trip (first pages via SelectMany, stragglers paged).
-  /// Already-memoized and duplicate pairs are skipped.
+  /// Already-memoized and duplicate pairs are skipped. With `row_subjects`
+  /// the subjects are ids from result rows, and each one not memoized yet
+  /// is also looked up on the endpoint: the term path asked for it there,
+  /// and a recorded session (cassette) holds that judgment.
   Status PrefetchObjects(
       Endpoint* endpoint,
-      const std::vector<std::pair<Term, Term>>& subject_relation_pairs);
+      const std::vector<std::pair<TermId, TermId>>& subject_relation_pairs,
+      bool row_subjects);
 
   /// One dictionary-encoded existence probe 〈s, p, o〉.
   struct TriProbe {
@@ -120,8 +130,31 @@ class UnbiasedSampler {
   /// Memoized 〈s, p, o〉 existence on `endpoint` (single ASK on miss).
   StatusOr<bool> TripleExists(Endpoint* endpoint, TriProbe probe);
 
-  /// Membership with literal tolerance.
-  bool ContainsTerm(const std::vector<Term>& objects, const Term& value) const;
+  /// A value looked for in an object list: a literal by its text (matched
+  /// with literal tolerance), anything else by its image id.
+  struct ObjectValue {
+    TermId image = kNullTermId;
+    std::optional<Term> literal;
+  };
+
+  /// The value of source id `id` on `translator`'s target: a literal as
+  /// itself (decoded from `source`), an IRI as its image. Empty when an IRI
+  /// has no image.
+  StatusOr<std::optional<ObjectValue>> ImageValue(
+      const CrossKbTranslator* translator, Endpoint* source, TermId id) const;
+
+  /// Whether `objects`, ids of `endpoint`, hold a literal matching
+  /// `literal` (literal tolerance).
+  StatusOr<bool> ContainsLiteral(Endpoint* endpoint,
+                                 const std::vector<TermId>& objects,
+                                 const Term& literal) const;
+
+  /// Whether `objects` hold `value`; they are ids of `endpoint`, which is
+  /// `translator`'s target.
+  StatusOr<bool> Contains(const CrossKbTranslator* translator,
+                          Endpoint* endpoint,
+                          const std::vector<TermId>& objects,
+                          const ObjectValue& value) const;
 
   /// Contradiction count past which further probing cannot change the
   /// aligner's verdict (see UbsOptions::contradiction_support_ratio).
@@ -141,8 +174,8 @@ class UnbiasedSampler {
 
   struct CacheKey {
     const Endpoint* endpoint;
-    Term subject;
-    Term relation;
+    TermId subject;
+    TermId relation;
     bool operator==(const CacheKey& other) const {
       return endpoint == other.endpoint && subject == other.subject &&
              relation == other.relation;
@@ -151,7 +184,8 @@ class UnbiasedSampler {
   struct CacheKeyHash {
     size_t operator()(const CacheKey& key) const;
   };
-  std::unordered_map<CacheKey, std::vector<Term>, CacheKeyHash> object_cache_;
+  std::unordered_map<CacheKey, std::vector<TermId>, CacheKeyHash>
+      object_cache_;
 
   struct AskKey {
     const Endpoint* endpoint;

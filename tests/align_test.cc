@@ -20,7 +20,7 @@ class MoviesFixture : public ::testing::Test {
       : world_(std::move(GenerateWorld(MoviesWorldSpec())).value()),
         cand_(world_.kb1.get()),
         ref_(world_.kb2.get()),
-        to_cand_(&world_.links, cand_.base_iri()) {}
+        to_cand_(&world_.links, &ref_, &cand_) {}
 
   static Term Director() {
     return Term::Iri("http://kb1.sofya.org/ontology/hasDirector");
@@ -187,11 +187,11 @@ TEST_F(MoviesFixture, RewriteQueryTranslatesPredicatesAndEntities) {
   const TermId directed_by_id = ref_.LookupTerm(DirectedBy());
   auto facts = ref_.Select(queries::FactsOfPredicate(directed_by_id, 50));
   ASSERT_TRUE(facts.ok());
-  CrossKbTranslator to_cand(&world_.links, cand_.base_iri());
+  CrossKbTranslator to_cand(&world_.links, &ref_, &cand_);
   TermId subject_id = kNullTermId;
   for (const auto& row : facts->rows) {
     Term s = ref_.DecodeTerm(row[0]).value();
-    if (to_cand.CanTranslate(s)) {
+    if (to_cand.Translate(s).ok()) {
       subject_id = row[0];
       break;
     }

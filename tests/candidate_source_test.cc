@@ -148,7 +148,7 @@ StatusOr<std::vector<CandidateRelation>> LegacyFindCandidates(
 void ExpectSameAsParity(SynthWorld* world, const Term& r) {
   LocalEndpoint cand(world->kb1.get());
   LocalEndpoint ref(world->kb2.get());
-  CrossKbTranslator to_cand(&world->links, cand.base_iri());
+  CrossKbTranslator to_cand(&world->links, &ref, &cand);
   CandidateFinderOptions options;  // Defaults == kSameAs.
 
   TrackingEndpoint legacy_cand(&cand), legacy_ref(&ref);
@@ -199,7 +199,7 @@ class NoLinksFixture : public ::testing::Test {
       : world_(std::move(GenerateWorld(NoLinksWorldSpec())).value()),
         cand_(world_.kb1.get()),
         ref_(world_.kb2.get()),
-        to_cand_(&world_.links, cand_.base_iri()) {}
+        to_cand_(&world_.links, &ref_, &cand_) {}
 
   /// Gold kb1 equivalent of a kb2 relation, empty IRI when none.
   Term GoldEquivalent(const std::string& reference_iri) const {

@@ -6,16 +6,23 @@
 
 #include "mining/evidence.h"
 #include "mining/rule.h"
+#include "rdf/dictionary.h"
 #include "util/random.h"
 
 namespace sofya {
 namespace {
 
+/// Pairs hold dictionary ids; one dictionary names every test term.
+TermId Id(const Term& term) {
+  static Dictionary* dict = new Dictionary();
+  return dict->Intern(term);
+}
+
 PairEvidence Make(const std::string& x, const std::string& y, bool confirmed,
                   bool x_has_r) {
   PairEvidence e;
-  e.x = Term::Iri(x);
-  e.y = Term::Iri(y);
+  e.x = Id(Term::Iri(x));
+  e.y = Id(Term::Iri(y));
   e.confirmed = confirmed;
   e.x_has_r = x_has_r;
   return e;
@@ -44,7 +51,7 @@ TEST(EvidenceSetTest, PairIdentityDistinguishesLiteralsFromIris) {
   EvidenceSet ev;
   PairEvidence a = Make("x", "y", false, false);
   PairEvidence b = a;
-  b.y = Term::Literal("y");
+  b.y = Id(Term::Literal("y"));
   EXPECT_TRUE(ev.Add(a));
   EXPECT_TRUE(ev.Add(b));
   EXPECT_EQ(ev.total_pairs(), 2u);

@@ -374,11 +374,51 @@ TEST(RetryBatchTest, TrackedRequestCountProvesNoReExecution) {
   EXPECT_EQ(ep.retries_performed(), 1u);  // First recovery attempt sufficed.
 }
 
+TEST(RetryBatchTest, FailedSlotsGoAgainAsOneBatch) {
+  // Slots 2 and 4 fail once, slot 3 fails for good with a non-transient
+  // error: one re-issue carries slots 2 and 4 together, and every slot
+  // keeps its own outcome.
+  ScriptedEndpoint inner;
+  std::map<std::string, int> select_counts;
+  inner.select_handler_ =
+      [&](const SelectQuery& query) -> StatusOr<ResultSet> {
+    const int seen = select_counts[query.Fingerprint()]++;
+    if (query.Fingerprint() == ProbeQuery(3).Fingerprint()) {
+      return Status::InvalidArgument("malformed");
+    }
+    if ((query.Fingerprint() == ProbeQuery(2).Fingerprint() ||
+         query.Fingerprint() == ProbeQuery(4).Fingerprint()) &&
+        seen == 0) {
+      return Status::Unavailable("503");
+    }
+    return Rows(1);
+  };
+  RetryOptions retry;
+  retry.max_retries = 3;
+  retry.initial_backoff_ms = 0.0;
+  RetryingEndpoint ep(&inner, retry);
+  std::vector<SelectQuery> batch = {ProbeQuery(1), ProbeQuery(2),
+                                    ProbeQuery(3), ProbeQuery(4)};
+  SelectBatchResult results = ep.SelectMany(batch);
+  EXPECT_TRUE(results.statuses[0].ok());
+  EXPECT_TRUE(results.statuses[1].ok());
+  EXPECT_TRUE(results.statuses[2].IsInvalidArgument());
+  EXPECT_TRUE(results.statuses[3].ok());
+  EXPECT_EQ(inner.select_many_calls_, 2);  // The batch + one re-issue.
+  EXPECT_EQ(ep.retries_performed(), 2u);   // Two slots re-issued.
+  EXPECT_EQ(select_counts[ProbeQuery(1).Fingerprint()], 1);
+  EXPECT_EQ(select_counts[ProbeQuery(2).Fingerprint()], 2);
+  EXPECT_EQ(select_counts[ProbeQuery(3).Fingerprint()], 1);
+  EXPECT_EQ(select_counts[ProbeQuery(4).Fingerprint()], 2);
+}
+
 TEST(RetryBatchTest, HardDownEndpointShortCircuitsBatchRecovery) {
-  // When the first recovered slot exhausts its whole backoff schedule and
-  // is STILL Unavailable, the endpoint is down, not flaky: the remaining
-  // slots keep their Unavailable statuses without burning a schedule each
-  // (a 200-probe batch against a dead server must not retry 200 times).
+  // An attempt that answers nothing is followed by a one-slot canary, not
+  // by the whole batch again: when the canary exhausts the backoff schedule
+  // and is STILL Unavailable, the endpoint is down, not flaky, and the
+  // remaining slots keep their Unavailable statuses without being sent
+  // again (a 200-probe batch against a dead server must not retry 200
+  // times).
   ScriptedEndpoint inner;
   inner.select_handler_ = [](const SelectQuery&) -> StatusOr<ResultSet> {
     return Status::Unavailable("503");
@@ -399,6 +439,32 @@ TEST(RetryBatchTest, HardDownEndpointShortCircuitsBatchRecovery) {
   // the batch attempt), not five schedules.
   EXPECT_EQ(inner.select_calls_, 5 + 3);
   EXPECT_EQ(ep.retries_performed(), 3u);
+}
+
+TEST(RetryBatchTest, CanaryThatRecoversIsFollowedByTheRestAsOneBatch) {
+  // The whole batch fails once (a failed folded request looks like this):
+  // slot 1 goes alone as the canary, and once it is answered the other
+  // slots go again together.
+  ScriptedEndpoint inner;
+  int failures_left = 4;
+  inner.select_handler_ = [&](const SelectQuery&) -> StatusOr<ResultSet> {
+    if (failures_left > 0) {
+      --failures_left;
+      return Status::Unavailable("503");
+    }
+    return Rows(1);
+  };
+  RetryOptions retry;
+  retry.max_retries = 3;
+  retry.initial_backoff_ms = 0.0;
+  RetryingEndpoint ep(&inner, retry);
+  std::vector<SelectQuery> batch = {ProbeQuery(1), ProbeQuery(2),
+                                    ProbeQuery(3), ProbeQuery(4)};
+  SelectBatchResult results = ep.SelectMany(batch);
+  ASSERT_TRUE(results.all_ok()) << results.FirstError().ToString();
+  EXPECT_EQ(inner.select_many_calls_, 1 + 1 + 1);  // Batch, canary, rest.
+  EXPECT_EQ(inner.select_calls_, 4 + 1 + 3);
+  EXPECT_EQ(ep.retries_performed(), 4u);
 }
 
 TEST(RetryBatchTest, NonTransientSlotFailuresPassThroughUntouched) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "endpoint/local_endpoint.h"
+#include "rdf/knowledge_base.h"
 #include "sameas/translator.h"
 #include "sameas/union_find.h"
 #include "util/random.h"
@@ -266,7 +269,6 @@ TEST_P(SameAsTranslateProperty, MatchesReferenceScan) {
         } else {
           EXPECT_TRUE(got.status().IsNotFound());
         }
-        EXPECT_EQ(index.HasTranslationTo(x, prefix), want.ok());
       }
     }
   };
@@ -309,22 +311,221 @@ TEST(SameAsIndexTest, ConcurrentTranslationsAfterAddLink) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+/// Two KBs for the translator: kb1 is the source, kb2 the target.
+///   linked, image in kb2:      a≡A, b≡B
+///   linked, image not in kb2:  c≡C, and d≡D, e≡D (one image, two sources)
+///   unlinked:                  u
+///   literals:                  "shared" (also in kb2), "only1"
+///   kb2-namespace IRIs in kb1: kb2/s (in kb2), kb2/t (not in kb2)
+class TranslatorWorld {
+ public:
+  TranslatorWorld() : kb1_("kb1", "http://kb1/"), kb2_("kb2", "http://kb2/") {
+    kb1_.AddFact("a", "p", "b");
+    kb1_.AddFact("a", "p", "c");
+    kb1_.AddFact("d", "p", "e");
+    kb1_.AddFact("u", "p", "a");
+    kb1_.AddLiteralFact("a", "label", "shared");
+    kb1_.AddLiteralFact("b", "label", "only1");
+    kb1_.AddTriple(Kb1("a"), Kb1("p"), Kb2("s"));
+    kb1_.AddTriple(Kb1("a"), Kb1("p"), Kb2("t"));
+    kb2_.AddFact("A", "q", "B");
+    kb2_.AddFact("s", "q", "A");
+    kb2_.AddLiteralFact("A", "name", "shared");
+    for (const auto& [l, r] : std::initializer_list<
+             std::pair<const char*, const char*>>{
+             {"a", "A"}, {"b", "B"}, {"c", "C"}, {"d", "D"}, {"e", "D"}}) {
+      links_.AddLink(Kb1(l), Kb2(r));
+    }
+  }
+
+  KnowledgeBase kb1_, kb2_;
+  SameAsIndex links_;
+};
+
+/// What the id forms say about one source id.
+struct Seen {
+  IdImage image;
+  TermId target = kNullTermId;        ///< TranslateId.
+  TermId target_image = kNullTermId;  ///< TargetImageOf(target), if any.
+};
+
+/// Every kb1 id through the id forms, on `threads` threads at once; the
+/// threads must agree.
+std::vector<Seen> TranslateAllConcurrently(const CrossKbTranslator& translator,
+                                           TermId max_id, int threads) {
+  std::vector<std::vector<Seen>> per_thread(threads,
+                                            std::vector<Seen>(max_id + 1));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      // Each thread walks the ids from a different start, so first
+      // translations of one id race.
+      for (TermId k = 0; k < max_id; ++k) {
+        const TermId id = 1 + (k + static_cast<TermId>(t) * 3) % max_id;
+        Seen& seen = per_thread[t][id];
+        auto target = translator.TranslateId(id);
+        auto image = translator.ImageOf(id);
+        ASSERT_TRUE(target.ok() && image.ok());
+        seen.image = *image;
+        seen.target = *target;
+        if (seen.target != kNullTermId) {
+          auto target_image = translator.TargetImageOf(seen.target);
+          ASSERT_TRUE(target_image.ok());
+          seen.target_image = *target_image;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 1; t < threads; ++t) {
+    for (TermId id = 1; id <= max_id; ++id) {
+      EXPECT_EQ(per_thread[t][id].image.image, per_thread[0][id].image.image);
+      EXPECT_EQ(per_thread[t][id].image.literal,
+                per_thread[0][id].image.literal);
+      EXPECT_EQ(per_thread[t][id].target, per_thread[0][id].target);
+      EXPECT_EQ(per_thread[t][id].target_image,
+                per_thread[0][id].target_image);
+    }
+  }
+  return per_thread[0];
+}
+
+/// Checks every kb1 id against the term path run serially: Translate, then
+/// the target's LookupTerm. Image ids must name image terms one to one,
+/// whether or not kb2 holds the image.
+void ExpectMatchesTermPath(const TranslatorWorld& world,
+                           const CrossKbTranslator& translator,
+                           const std::vector<Seen>& seen) {
+  std::map<Term, TermId> image_ids;
+  std::set<TermId> used;
+  for (TermId id = 1; id <= world.kb1_.dict().max_id(); ++id) {
+    const Term& term = world.kb1_.dict().Decode(id);
+    const Seen& got = seen[id];
+    EXPECT_EQ(got.image.literal, term.is_literal()) << term.ToNTriples();
+    auto translated = translator.Translate(term);
+    if (!translated.ok()) {
+      EXPECT_FALSE(got.image.has_image()) << term.ToNTriples();
+      EXPECT_EQ(got.target, kNullTermId) << term.ToNTriples();
+      continue;
+    }
+    EXPECT_EQ(got.target, world.kb2_.dict().Lookup(*translated))
+        << term.ToNTriples();
+    ASSERT_TRUE(got.image.has_image()) << term.ToNTriples();
+    auto [it, inserted] = image_ids.emplace(*translated, got.image.image);
+    EXPECT_EQ(it->second, got.image.image) << term.ToNTriples();
+    if (inserted) {
+      EXPECT_TRUE(used.insert(got.image.image).second)
+          << "two image terms share an image id: " << term.ToNTriples();
+    }
+    if (got.target != kNullTermId) {
+      EXPECT_EQ(got.target_image, got.image.image) << term.ToNTriples();
+    }
+  }
+}
+
+TEST(TranslatorTest, IdFormsMatchTermPathOnEightThreads) {
+  TranslatorWorld world;
+  LocalEndpoint source(&world.kb1_);
+  LocalEndpoint target(&world.kb2_);
+  CrossKbTranslator translator(&world.links_, &source, &target);
+  const TermId max_id = world.kb1_.dict().max_id();
+
+  const std::vector<Seen> first =
+      TranslateAllConcurrently(translator, max_id, 8);
+  ExpectMatchesTermPath(world, translator, first);
+  // The cases the world was built for, spelled out.
+  auto seen = [&](const Term& t) { return first[world.kb1_.dict().Lookup(t)]; };
+  EXPECT_NE(seen(Kb1("a")).target, kNullTermId);
+  EXPECT_TRUE(seen(Kb1("c")).image.has_image());
+  EXPECT_EQ(seen(Kb1("c")).target, kNullTermId);  // C is not in kb2.
+  EXPECT_EQ(seen(Kb1("d")).image.image, seen(Kb1("e")).image.image);
+  EXPECT_NE(seen(Kb1("c")).image.image, seen(Kb1("d")).image.image);
+  EXPECT_FALSE(seen(Kb1("u")).image.has_image());
+  EXPECT_NE(seen(Term::Literal("shared")).target, kNullTermId);
+  EXPECT_TRUE(seen(Term::Literal("only1")).image.literal);
+  EXPECT_EQ(seen(Term::Literal("only1")).target, kNullTermId);
+  EXPECT_NE(seen(Kb2("s")).target, kNullTermId);
+  EXPECT_EQ(seen(Kb2("t")).target, kNullTermId);
+
+  // Memo hits answer the same, serially too.
+  for (TermId id = 1; id <= max_id; ++id) {
+    EXPECT_EQ(*translator.TranslateId(id), first[id].target);
+    EXPECT_EQ(translator.ImageOf(id)->image, first[id].image.image);
+  }
+}
+
+TEST(TranslatorTest, AbsentImageResolvesAfterWriteInternsIt) {
+  TranslatorWorld world;
+  LocalEndpoint source(&world.kb1_);
+  LocalEndpoint target(&world.kb2_);
+  CrossKbTranslator translator(&world.links_, &source, &target);
+  const TermId c = world.kb1_.dict().Lookup(Kb1("c"));
+  const TermId only1 = world.kb1_.dict().Lookup(Term::Literal("only1"));
+
+  const std::vector<Seen> before =
+      TranslateAllConcurrently(translator, world.kb1_.dict().max_id(), 8);
+  ASSERT_EQ(before[c].target, kNullTermId);
+  ASSERT_EQ(before[only1].target, kNullTermId);
+
+  // A write interns C and the literal.
+  world.kb2_.AddFact("C", "q", "B");
+  world.kb2_.AddLiteralFact("C", "name", "only1");
+  const std::vector<Seen> after =
+      TranslateAllConcurrently(translator, world.kb1_.dict().max_id(), 8);
+  ExpectMatchesTermPath(world, translator, after);
+  EXPECT_EQ(after[c].target, world.kb2_.dict().Lookup(Kb2("C")));
+  EXPECT_EQ(after[only1].target,
+            world.kb2_.dict().Lookup(Term::Literal("only1")));
+  // The images keep their ids.
+  EXPECT_EQ(after[c].image.image, before[c].image.image);
+  EXPECT_EQ(after[only1].image.image, before[only1].image.image);
+}
+
+TEST(TranslatorTest, LinkAddedAfterFirstLookupIsSeen) {
+  TranslatorWorld world;
+  LocalEndpoint source(&world.kb1_);
+  LocalEndpoint target(&world.kb2_);
+  CrossKbTranslator translator(&world.links_, &source, &target);
+  const TermId u = world.kb1_.dict().Lookup(Kb1("u"));
+  const TermId a = world.kb1_.dict().Lookup(Kb1("a"));
+  EXPECT_FALSE(translator.ImageOf(u)->has_image());
+  EXPECT_EQ(*translator.TranslateId(u), kNullTermId);
+  EXPECT_EQ(*translator.TranslateId(a), world.kb2_.dict().Lookup(Kb2("A")));
+
+  // u gains an image; a gains a smaller equivalent, which wins.
+  world.links_.AddLink(Kb1("u"), Kb2("B"));
+  world.links_.AddLink(Kb1("a"), Kb2("0a"));
+  world.kb2_.AddFact("0a", "q", "B");
+  const std::vector<Seen> after =
+      TranslateAllConcurrently(translator, world.kb1_.dict().max_id(), 8);
+  ExpectMatchesTermPath(world, translator, after);
+  EXPECT_EQ(after[u].target, world.kb2_.dict().Lookup(Kb2("B")));
+  EXPECT_EQ(after[a].target, world.kb2_.dict().Lookup(Kb2("0a")));
+}
+
 TEST(TranslatorTest, LiteralsPassThrough) {
   SameAsIndex index;
-  CrossKbTranslator translator(&index, "http://kb2/");
+  KnowledgeBase kb1("kb1", "http://kb1/");
+  KnowledgeBase kb2("kb2", "http://kb2/");
+  LocalEndpoint source(&kb1);
+  LocalEndpoint target(&kb2);
+  CrossKbTranslator translator(&index, &source, &target);
   const Term lit = Term::Literal("42");
   auto t = translator.Translate(lit);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(*t, lit);
-  EXPECT_TRUE(translator.CanTranslate(lit));
 }
 
 TEST(TranslatorTest, IriGoesThroughLinks) {
   SameAsIndex index;
   index.AddLink(Kb1("a"), Kb2("a"));
-  CrossKbTranslator translator(&index, "http://kb2/");
-  EXPECT_TRUE(translator.CanTranslate(Kb1("a")));
-  EXPECT_FALSE(translator.CanTranslate(Kb1("b")));
+  KnowledgeBase kb1("kb1", "http://kb1/");
+  KnowledgeBase kb2("kb2", "http://kb2/");
+  LocalEndpoint source(&kb1);
+  LocalEndpoint target(&kb2);
+  CrossKbTranslator translator(&index, &source, &target);
+  EXPECT_TRUE(translator.Translate(Kb1("a")).ok());
+  EXPECT_FALSE(translator.Translate(Kb1("b")).ok());
   EXPECT_EQ(translator.Translate(Kb1("a")).value(), Kb2("a"));
 }
 

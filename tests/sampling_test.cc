@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "endpoint/endpoint.h"
 #include "endpoint/local_endpoint.h"
 #include "mining/confidence.h"
 #include "sampling/unbiased_sampler.h"
@@ -50,7 +57,7 @@ TEST(SimpleSamplerTest, MicroWorldEvidenceMatchesHandComputation) {
   MicroWorld world;
   LocalEndpoint cand(&world.cand_kb_);
   LocalEndpoint ref(&world.ref_kb_);
-  CrossKbTranslator to_ref(&world.links_, "http://r.org/");
+  CrossKbTranslator to_ref(&world.links_, &cand, &ref);
   SamplerOptions options;
   options.sample_size = 10;
   SimpleSampler sampler(&cand, &ref, &to_ref, options);
@@ -65,11 +72,70 @@ TEST(SimpleSamplerTest, MicroWorldEvidenceMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(PcaConfidence(*evidence), 0.5);
 }
 
+// A subject or object whose sameAs image K's dictionary lacks is sampled
+// like any other: it gets no probe and never confirms, but it counts as a
+// pair of its own, once per image term (two subjects linked to one absent
+// image are one pair).
+//   K' (cand):  a1 rp x1 ; a1 rp m1 ; d1 rp x1 ; e1 rp x1 ; f1 rp x1
+//   K  (ref):   a2 r x2                (m2, d2, n2 are not in K)
+//   links: a1≡a2, x1≡x2, m1≡m2, d1≡d2, e1≡n2, f1≡n2
+//   pairs: (a2,x2) confirmed ; (a2,m2) a has r ; (d2,x2) ; (n2,x2)
+//   => 4 pairs, support 1, pca body 2.
+TEST(SimpleSamplerTest, AbsentImagesStayDistinctPairs) {
+  KnowledgeBase cand_kb("cand", "http://c.org/");
+  KnowledgeBase ref_kb("ref", "http://r.org/");
+  for (const char* s : {"a1", "d1", "e1", "f1"}) cand_kb.AddFact(s, "rp", "x1");
+  cand_kb.AddFact("a1", "rp", "m1");
+  ref_kb.AddFact("a2", "r", "x2");
+  SameAsIndex links;
+  for (const auto& [l, r] : std::initializer_list<
+           std::pair<const char*, const char*>>{{"a1", "a2"},
+                                                {"x1", "x2"},
+                                                {"m1", "m2"},
+                                                {"d1", "d2"},
+                                                {"e1", "n2"},
+                                                {"f1", "n2"}}) {
+    links.AddLink(Term::Iri(std::string("http://c.org/") + l),
+                  Term::Iri(std::string("http://r.org/") + r));
+  }
+  LocalEndpoint cand(&cand_kb);
+  LocalEndpoint ref(&ref_kb);
+  CrossKbTranslator to_ref(&links, &cand, &ref);
+  SimpleSampler sampler(&cand, &ref, &to_ref);
+
+  auto sample = sampler.DrawSample(Term::Iri("http://c.org/rp"));
+  ASSERT_TRUE(sample.ok());
+  ASSERT_EQ(sample->subjects.size(), 4u);
+  const uint64_t ref_queries = ref.stats().queries;
+  auto evidence = sampler.ScoreAgainst(*sample, Term::Iri("http://r.org/r"));
+  ASSERT_TRUE(evidence.ok());
+  EXPECT_EQ(ref.stats().queries - ref_queries, 1u);  // a2's probe only.
+  EXPECT_EQ(evidence->total_pairs(), 4u);
+  EXPECT_EQ(evidence->support(), 1u);
+  EXPECT_EQ(evidence->pca_body_size(), 2u);
+  EXPECT_DOUBLE_EQ(CwaConfidence(*evidence), 0.25);
+
+  // Each absent image is one subject of its own: d2 and n2 (e1 and f1 both
+  // map to n2), neither with r-facts nor confirmed pairs.
+  std::set<TermId> subjects;
+  size_t without_r = 0;
+  for (const PairEvidence& pair : evidence->observations()) {
+    subjects.insert(pair.x);
+    if (!pair.x_has_r) {
+      ++without_r;
+      EXPECT_FALSE(pair.confirmed);
+    }
+  }
+  EXPECT_EQ(subjects.size(), 3u);  // a2, d2, n2.
+  EXPECT_EQ(without_r, 2u);
+  EXPECT_EQ(ref_kb.dict().Lookup(Term::Iri("http://r.org/n2")), kNullTermId);
+}
+
 TEST(SimpleSamplerTest, SampleSizeLimitsSubjects) {
   MicroWorld world;
   LocalEndpoint cand(&world.cand_kb_);
   LocalEndpoint ref(&world.ref_kb_);
-  CrossKbTranslator to_ref(&world.links_, "http://r.org/");
+  CrossKbTranslator to_ref(&world.links_, &cand, &ref);
   SamplerOptions options;
   options.sample_size = 2;
   SimpleSampler sampler(&cand, &ref, &to_ref, options);
@@ -83,7 +149,7 @@ TEST(SimpleSamplerTest, UnknownRelationYieldsEmptySample) {
   MicroWorld world;
   LocalEndpoint cand(&world.cand_kb_);
   LocalEndpoint ref(&world.ref_kb_);
-  CrossKbTranslator to_ref(&world.links_, "http://r.org/");
+  CrossKbTranslator to_ref(&world.links_, &cand, &ref);
   SimpleSampler sampler(&cand, &ref, &to_ref);
   auto sample = sampler.DrawSample(Term::Iri("http://c.org/absent"));
   ASSERT_TRUE(sample.ok());
@@ -102,7 +168,7 @@ TEST(SimpleSamplerTest, ProbeKindDetectsLiteralRelations) {
   kb.AddFact("s1", "rel", "s2");
   LocalEndpoint ep(&kb);
   SameAsIndex links;
-  CrossKbTranslator translator(&links, "http://other.org/");
+  CrossKbTranslator translator(&links, &ep, &ep);
   SimpleSampler sampler(&ep, &ep, &translator);
   EXPECT_EQ(sampler.ProbeKind(Term::Iri("http://k.org/label")).value(),
             RelationKind::kEntityLiteral);
@@ -125,7 +191,7 @@ TEST(SimpleSamplerTest, LiteralRelationScoredThroughMatcher) {
 
   LocalEndpoint cand_ep(&cand);
   LocalEndpoint ref_ep(&ref);
-  CrossKbTranslator to_ref(&links, "http://r.org/");
+  CrossKbTranslator to_ref(&links, &cand_ep, &ref_ep);
   SimpleSampler sampler(&cand_ep, &ref_ep, &to_ref);
   auto evidence = sampler.CollectEvidence(Term::Iri("http://c.org/label"),
                                           Term::Iri("http://r.org/name"));
@@ -139,7 +205,7 @@ TEST(SimpleSamplerTest, DeterministicUnderSeed) {
   auto world = std::move(GenerateWorld(MoviesWorldSpec())).value();
   LocalEndpoint cand(world.kb1.get());
   LocalEndpoint ref(world.kb2.get());
-  CrossKbTranslator to_ref(&world.links, ref.base_iri());
+  CrossKbTranslator to_ref(&world.links, &cand, &ref);
   SamplerOptions options;
   options.seed = 99;
   const Term r_sub = Term::Iri("http://kb1.sofya.org/ontology/hasDirector");
@@ -161,7 +227,7 @@ TEST(SimpleSamplerTest, DifferentRelationsDrawDifferentSubjects) {
   auto world = std::move(GenerateWorld(MoviesWorldSpec())).value();
   LocalEndpoint cand(world.kb1.get());
   LocalEndpoint ref(world.kb2.get());
-  CrossKbTranslator to_ref(&world.links, ref.base_iri());
+  CrossKbTranslator to_ref(&world.links, &cand, &ref);
   SimpleSampler sampler(&cand, &ref, &to_ref);
   auto a = sampler.DrawSample(Term::Iri("http://kb1.sofya.org/ontology/hasDirector"));
   auto b = sampler.DrawSample(Term::Iri("http://kb1.sofya.org/ontology/hasProducer"));
@@ -184,8 +250,8 @@ class UbsFixture : public ::testing::Test {
       : world_(std::move(GenerateWorld(MoviesWorldSpec())).value()),
         cand_(world_.kb1.get()),
         ref_(world_.kb2.get()),
-        to_ref_(&world_.links, ref_.base_iri()),
-        to_cand_(&world_.links, cand_.base_iri()) {}
+        to_ref_(&world_.links, &cand_, &ref_),
+        to_cand_(&world_.links, &ref_, &cand_) {}
 
   Term Director() const {
     return Term::Iri("http://kb1.sofya.org/ontology/hasDirector");
@@ -257,6 +323,150 @@ TEST_F(UbsFixture, ReferenceSiblingProbeCatchesReverseTrap) {
                                          {Director()}, &report)
                   .ok());
   EXPECT_GT(report.SubsumptionHits(DirectedBy()), 0u);
+}
+
+/// Records each distinct term LookupTerm is asked for, in the order of the
+/// first request.
+class LookupRecorder : public EndpointDecorator {
+ public:
+  explicit LookupRecorder(Endpoint* inner) : EndpointDecorator(inner) {}
+
+  TermId LookupTerm(const Term& term) const override {
+    const std::string text = term.ToNTriples();
+    if (std::find(asked_.begin(), asked_.end(), text) == asked_.end()) {
+      asked_.push_back(text);
+    }
+    return inner_->LookupTerm(term);
+  }
+
+  const std::vector<std::string>& asked() const { return asked_; }
+
+ private:
+  mutable std::vector<std::string> asked_;
+};
+
+/// Literal-valued micro world for UBS: every disagreement row has a literal
+/// y2, so the literal branches (object lists matched by similarity) decide.
+///   K' (cand): name1 / name2
+///     a1 "Alpha" / "Beta" ; b1 "Gamma" / "Delta" ;
+///     c1 "Eps", "Zeta" / "zeta" ; e1 "Eta" / "Theta" ; d1 "X" / "Y"
+///   K  (ref):  name
+///     a2 "alpha", "beta" ; b2 "Gamma" ; c2 "eps", "zeta" ; e2 "Theta"
+///   links: a1≡a2, b1≡b2, c1≡c2, e1≡e2  (d1 unlinked)
+class LiteralUbsWorld : public ::testing::Test {
+ protected:
+  LiteralUbsWorld()
+      : cand_kb_("cand", "http://c.org/"),
+        ref_kb_("ref", "http://r.org/"),
+        cand_local_(&cand_kb_),
+        ref_local_(&ref_kb_),
+        cand_(&cand_local_),
+        ref_(&ref_local_),
+        to_ref_(&links_, &cand_, &ref_),
+        to_cand_(&links_, &ref_, &cand_) {
+    for (const auto& [s, one, two] :
+         std::initializer_list<std::tuple<const char*, const char*,
+                                          const char*>>{
+             {"a1", "Alpha", "Beta"},
+             {"b1", "Gamma", "Delta"},
+             {"c1", "Eps", "zeta"},
+             {"e1", "Eta", "Theta"},
+             {"d1", "X", "Y"}}) {
+      cand_kb_.AddLiteralFact(s, "name1", one);
+      cand_kb_.AddLiteralFact(s, "name2", two);
+    }
+    cand_kb_.AddLiteralFact("c1", "name1", "Zeta");
+    for (const auto& [s, name] :
+         std::initializer_list<std::pair<const char*, const char*>>{
+             {"a2", "alpha"},
+             {"a2", "beta"},
+             {"b2", "Gamma"},
+             {"c2", "eps"},
+             {"c2", "zeta"},
+             {"e2", "Theta"}}) {
+      ref_kb_.AddLiteralFact(s, "name", name);
+    }
+    for (const char* s : {"a", "b", "c", "e"}) {
+      links_.AddLink(Term::Iri(std::string("http://c.org/") + s + "1"),
+                     Term::Iri(std::string("http://r.org/") + s + "2"));
+    }
+  }
+
+  static Term Cand(const char* local) {
+    return Term::Iri(std::string("http://c.org/") + local);
+  }
+  static Term Ref(const char* local) {
+    return Term::Iri(std::string("http://r.org/") + local);
+  }
+
+  KnowledgeBase cand_kb_, ref_kb_;
+  SameAsIndex links_;
+  LocalEndpoint cand_local_, ref_local_;
+  LookupRecorder cand_, ref_;
+  CrossKbTranslator to_ref_, to_cand_;
+};
+
+TEST_F(LiteralUbsWorld, ProbeMatchesLiteralObjects) {
+  // (name1, name2) rows: a's "Beta" is in K with "Alpha" -> equivalence
+  // counter-example for name1; b's "Delta" is not, "Gamma" is -> subsumption
+  // counter-example for name2; c's "zeta" rows are dropped, because c1's
+  // name1 "Zeta" matches it; e's "Eta" is not in K. (name2, name1) rows:
+  // a -> equivalence for name2; c ("zeta", "Eps") -> equivalence for name2,
+  // "eps" matching "Eps"; e ("Theta", "Eta") -> subsumption for name1; b's
+  // "Delta" is not in K. d has no sameAs image.
+  UnbiasedSampler ubs(&cand_, &ref_, &to_ref_, &to_cand_);
+  auto report = ubs.Probe(Ref("name"), {Cand("name1"), Cand("name2")});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->pairs_probed, 2u);
+  EXPECT_EQ(report->rows_examined, 12u);
+  EXPECT_EQ(report->EquivalenceHits(Cand("name1")), 1u);
+  EXPECT_EQ(report->EquivalenceHits(Cand("name2")), 2u);
+  EXPECT_EQ(report->SubsumptionHits(Cand("name1")), 1u);
+  EXPECT_EQ(report->SubsumptionHits(Cand("name2")), 1u);
+  EXPECT_EQ(cand_local_.stats().queries, 12u);
+  EXPECT_EQ(ref_local_.stats().queries, 4u);
+  EXPECT_EQ(cand_.asked(),
+            (std::vector<std::string>{"<http://c.org/name1>",
+                                      "<http://c.org/name2>",
+                                      "<http://c.org/a1>", "<http://c.org/b1>",
+                                      "<http://c.org/c1>", "<http://c.org/e1>",
+                                      "<http://c.org/d1>"}));
+  EXPECT_EQ(ref_.asked(),
+            (std::vector<std::string>{"<http://r.org/a2>",
+                                      "<http://r.org/name>",
+                                      "<http://r.org/b2>",
+                                      "<http://r.org/e2>",
+                                      "<http://r.org/c2>"}));
+}
+
+TEST_F(LiteralUbsWorld, ReferenceSiblingsMatchLiteralObjects) {
+  // Mirrored: the head name1 and its sibling name2 live in K'; the
+  // candidate is K's name. a: K has "Beta" -> subsumption counter-example;
+  // e: K has "Theta" but lacks "Eta" -> one of each; b: K lacks "Delta"
+  // and has "Gamma" -> none; c's rows are dropped ("Zeta" matches "zeta");
+  // d has no sameAs image.
+  UnbiasedSampler ubs(&ref_, &cand_, &to_cand_, &to_ref_);
+  UbsReport report;
+  ASSERT_TRUE(ubs.ProbeReferenceSiblings(Cand("name1"), Ref("name"),
+                                         {Cand("name2")}, &report)
+                  .ok());
+  EXPECT_EQ(report.pairs_probed, 1u);
+  EXPECT_EQ(report.rows_examined, 6u);
+  EXPECT_EQ(report.SubsumptionHits(Ref("name")), 2u);
+  EXPECT_EQ(report.EquivalenceHits(Ref("name")), 1u);
+  EXPECT_EQ(cand_local_.stats().queries, 6u);
+  EXPECT_EQ(ref_local_.stats().queries, 3u);
+  EXPECT_EQ(cand_.asked(),
+            (std::vector<std::string>{"<http://c.org/name1>",
+                                      "<http://c.org/name2>",
+                                      "<http://c.org/a1>", "<http://c.org/b1>",
+                                      "<http://c.org/c1>", "<http://c.org/e1>",
+                                      "<http://c.org/d1>"}));
+  EXPECT_EQ(ref_.asked(),
+            (std::vector<std::string>{"<http://r.org/a2>",
+                                      "<http://r.org/name>",
+                                      "<http://r.org/b2>",
+                                      "<http://r.org/e2>"}));
 }
 
 }  // namespace

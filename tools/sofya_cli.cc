@@ -302,7 +302,6 @@ int Generate(const std::map<std::string, std::string>& flags) {
   std::string links_doc;
   {
     const std::string same_as = std::string(ns::kOwlSameAs);
-    CrossKbTranslator to_kb2(&world.links, world.kb2->base_iri());
     const Dictionary& dict = world.kb1->dict();
     for (TermId id = dict.min_id(); id <= dict.max_id(); ++id) {
       const Term& term = dict.Decode(id);
@@ -310,7 +309,7 @@ int Generate(const std::map<std::string, std::string>& flags) {
           !StartsWith(term.lexical(), world.kb1->base_iri() + "resource/")) {
         continue;
       }
-      auto partner = to_kb2.Translate(term);
+      auto partner = world.links.TranslateTo(term, world.kb2->base_iri());
       if (!partner.ok()) continue;
       // Shared-namespace worlds (nolinks) "translate" unlinked terms to
       // themselves — not a link, don't emit a self sameAs.
